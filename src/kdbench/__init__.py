@@ -15,8 +15,6 @@ from .core import (  # noqa: F401
     DatasetLabel,
     Demographics,
     Gender,
-    KeyEvent,
-    RawLogFormat,
     Session,
     Subject,
     filter_eligible,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from . import formats
-from .baseline import embed_session, fit_normalization, score_comparisons
+from .baseline import embed_dataset, fit_normalization, score_comparisons
 from .core import Dataset, attach_demographics, filter_eligible
 from .errors import (
     AlignmentError,
@@ -26,7 +26,9 @@ from .errors import (
     ProtocolError,
 )
 from .fairmetrics import FairnessConfig, compute_fairness_report
-from .features import FeatureConfig, FeatureSet, extract_features
+# extract_features stays bound here: bench/tests checks that the tracer
+# rebinds it in every kdbench namespace that holds it.
+from .features import FeatureConfig, FeatureSet, extract_features  # noqa: F401
 from .protocol import (
     ComparisonPlan,
     SplitConfig,
@@ -184,9 +186,8 @@ def run_score(
     dataset = formats.load_raw_log(_require_file(data_path))
     plan = formats.load_comparisons(_require_file(comparisons_path))
 
-    referenced_subjects = set(plan.subject_ids()) | {
-        e.verif_subject for e in plan.entries
-    }
+    referenced = plan.referenced_sessions()
+    referenced_subjects = {subject_id for subject_id, _ in referenced}
     development = Dataset(
         tuple(s for s in dataset.subjects if s.subject_id not in referenced_subjects)
     )
@@ -198,20 +199,15 @@ def run_score(
     stats = fit_normalization(development, feature_config)
 
     subject_map = dataset.subject_map()
-    embeddings = {}
-    for subject_id, session_id in plan.referenced_sessions():
-        subject = subject_map.get(subject_id)
-        if subject is None:
+    evaluation = Dataset(
+        tuple(subject_map[s] for s in referenced_subjects if s in subject_map)
+    )
+    embeddings = embed_dataset(evaluation, feature_config, stats)
+    for subject_id, session_id in sorted(referenced - embeddings.keys()):
+        if subject_id not in subject_map:
             raise DataReferenceError(f"subject {subject_id!r} not in dataset")
-        session = next(
-            (s for s in subject.sessions if s.session_id == session_id), None
-        )
-        if session is None:
-            raise DataReferenceError(
-                f"session {session_id!r} of subject {subject_id!r} not in dataset"
-            )
-        embeddings[(subject_id, session_id)] = embed_session(
-            extract_features(session, feature_config), stats
+        raise DataReferenceError(
+            f"session {session_id!r} of subject {subject_id!r} not in dataset"
         )
 
     scores = score_comparisons(plan, embeddings)
@@ -264,6 +260,8 @@ def run_evaluate(
     demographics = formats.load_demographics(_require_file(demographics_path))
 
     score_sets = aggregate_scores(plan, raw_scores)
+    if not score_sets:
+        raise ConfigError(f"comparison file {comparisons_path} has no comparisons")
     metrics = compute_metrics_report(score_sets)
     fairness = compute_fairness_report(
         score_sets,

@@ -3,14 +3,19 @@
 A raw log is a stream of press/release events with millisecond Unix
 timestamps. Events are grouped into sessions, sessions into subjects, and
 subjects (optionally annotated with age group and gender) into a dataset
-that the protocol and feature stages consume.
+that the protocol and feature stages consume. Events are never objects:
+each session holds an (n, 3) int64 block of (code, press, release) rows,
+and the parser's sessions are views into one block per log.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -47,57 +52,85 @@ ALL_GROUPS: tuple[Demographics, ...] = tuple(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class KeyEvent:
-    """One key press/release pair.
-
-    Timestamps are integer Unix epoch milliseconds; a key cannot be
-    released before it is pressed, and codes must fit the ASCII range.
-    """
-
-    ascii_code: int
-    press_ms: int
-    release_ms: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.ascii_code <= 255:
-            raise ValueError(f"ascii_code {self.ascii_code} outside [0, 255]")
-        if self.release_ms < self.press_ms:
-            raise ValueError(
-                f"release {self.release_ms} precedes press {self.press_ms}"
-            )
+# Column layout of a session's event block: one int64 row per key event.
+CODE, PRESS, RELEASE = 0, 1, 2
+_EVENT_COLUMNS = 3
 
 
-# Deterministic event ordering: press time, then release, then key code.
-def event_sort_key(event: KeyEvent) -> tuple[int, int, int]:
-    return (event.press_ms, event.release_ms, event.ascii_code)
+def _event_problem(code: int, press: int, release: int) -> str | None:
+    if not 0 <= code <= 255:
+        return f"key code {code} outside [0, 255]"
+    if release < press:
+        return f"release {release} precedes press {press}"
+    return None
 
 
-@dataclass(frozen=True)
+def _first_bad_row(events: np.ndarray) -> int | None:
+    """Index of the first row with a code outside [0, 255] or a release
+    before its press, or None."""
+    bad = (
+        (events[:, CODE] < 0) | (events[:, CODE] > 255)
+        | (events[:, RELEASE] < events[:, PRESS])
+    )
+    return int(bad.argmax()) if bad.any() else None
+
+
+@dataclass(frozen=True, eq=False)
 class Session:
-    """One acquisition session: an ordered sequence of key events.
+    """One acquisition session: an (n, 3) int64 block of (key code,
+    press_ms, release_ms) rows in press order.
 
-    The container itself is permissive (an empty or unsorted session can be
-    represented so that validation can report it); `issues` enumerates
-    invariant violations.
+    Timestamps are integer Unix epoch milliseconds. Construction checks
+    every row: codes fit [0, 255], no key is released before it is
+    pressed, and press times never decrease. An empty session can be
+    represented so that validation can report it (`issues`).
     """
 
     session_id: str
-    events: tuple[KeyEvent, ...]
+    events: np.ndarray
+
+    def __post_init__(self) -> None:
+        events = np.array(self.events, dtype=np.int64)
+        if events.size == 0:
+            events = events.reshape(0, _EVENT_COLUMNS)
+        if events.ndim != 2 or events.shape[1] != _EVENT_COLUMNS:
+            raise ValueError(
+                f"session {self.session_id}: events must be (code, press, release) rows"
+            )
+        bad = _first_bad_row(events)
+        if bad is not None:
+            raise ValueError(_event_problem(*events[bad].tolist()))
+        if np.any(events[1:, PRESS] < events[:-1, PRESS]):
+            raise ValueError(f"session {self.session_id}: press times not sorted")
+        events.flags.writeable = False
+        object.__setattr__(self, "events", events)
+
+    @classmethod
+    def of_checked_rows(cls, session_id: str, events: np.ndarray) -> "Session":
+        """A session over a read-only block whose rows a bulk producer (the
+        parser, the generator) has already checked; skips the per-session
+        checks."""
+        session = object.__new__(cls)
+        object.__setattr__(session, "session_id", session_id)
+        object.__setattr__(session, "events", events)
+        return session
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Session):
+            return NotImplemented
+        return self.session_id == other.session_id and np.array_equal(
+            self.events, other.events
+        )
 
     def issues(self) -> list[str]:
-        problems = []
-        if not self.events:
-            problems.append(f"session {self.session_id}: no events")
-        presses = [e.press_ms for e in self.events]
-        if any(b < a for a, b in zip(presses, presses[1:])):
-            problems.append(f"session {self.session_id}: press times not sorted")
-        return problems
+        if len(self.events) == 0:
+            return [f"session {self.session_id}: no events"]
+        return []
 
     def start_ms(self) -> int:
-        if not self.events:
+        if len(self.events) == 0:
             raise ValueError(f"session {self.session_id} is empty")
-        return self.events[0].press_ms
+        return int(self.events[0, PRESS])
 
 
 @dataclass(frozen=True)
@@ -138,17 +171,6 @@ class Dataset:
         return sum(len(s.sessions) for s in self.subjects)
 
 
-class RawLogFormat(Enum):
-    """Column layout of the raw log TSV.
-
-    PLAIN lines carry `subject_id  session_id  ascii  press_ms  release_ms`;
-    WITH_DEMOGRAPHICS appends `age_group  gender` sidecar columns to every line.
-    """
-
-    PLAIN = 5
-    WITH_DEMOGRAPHICS = 7
-
-
 @dataclass(frozen=True)
 class ValidationResult:
     eligible: bool
@@ -170,67 +192,122 @@ def _parse_demographics_fields(age_token: str, gender_token: str, lineno: int) -
     return Demographics(age, gender)
 
 
-def parse_raw_log(
-    lines: Iterable[str], fmt: RawLogFormat = RawLogFormat.PLAIN
-) -> Dataset:
+# Event fields are converted to integers in chunks of this many strings.
+_CHUNK_FIELDS = 3 << 15
+
+
+def parse_raw_log(lines: Iterable[str]) -> Dataset:
     """Parse a raw log TSV stream into a Dataset.
 
+    Each line is `subject_id  session_id  ascii  press_ms  release_ms`.
     Events are grouped by (subject_id, session_id) in order of first
     appearance and sorted by (press, release, ascii code) within each
-    session. Raises ParseError with the offending line number on malformed
-    lines, invariant violations, or duplicated events.
+    session; every session is a row view into one sorted event block.
+    Raises ParseError with the offending line number on malformed lines,
+    invariant violations, or duplicated events; when several lines are
+    bad, the first one is reported.
     """
-    events: dict[str, dict[str, list[KeyEvent]]] = {}
-    demographics: dict[str, Demographics] = {}
-    seen: set[tuple[str, str, int, int, int]] = set()
-
+    heads: dict[str, int] = {}  # "subject\tsession" -> session index
+    session_of = array("q")
+    linenos = array("q")
+    values = array("q")  # code, press, release of each event
+    pending: list[str] = []
+    error: ParseError | None = None
     for lineno, raw_line in enumerate(lines, start=1):
-        line = raw_line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != fmt.value:
-            raise ParseError(
-                f"expected {fmt.value} tab-separated fields, got {len(fields)}",
+        parts = raw_line.rsplit("\t", 3)
+        session = heads.get(parts[0]) if len(parts) == 4 else None
+        if session is None:
+            line = raw_line.rstrip("\n")
+            if not line:
+                continue
+            if len(parts) != 4 or parts[0].count("\t") != 1:
+                error = ParseError(
+                    f"expected 5 tab-separated fields, got {line.count(chr(9)) + 1}",
+                    lineno,
+                )
+                break
+            session = heads[parts[0]] = len(heads)
+        session_of.append(session)
+        linenos.append(lineno)
+        pending += parts[1:]
+        if len(pending) >= _CHUNK_FIELDS:
+            error = _convert_fields(pending, values, linenos)
+            if error:
+                break
+    # Lines whose fields fail to convert precede the line that stopped the loop.
+    error = _convert_fields(pending, values, linenos) or error
+
+    n = len(values) // _EVENT_COLUMNS
+    events = np.array(values, dtype=np.int64).reshape(n, _EVENT_COLUMNS)
+    groups = np.array(session_of[:n], dtype=np.int64)
+    order = np.lexsort((events[:, CODE], events[:, RELEASE], events[:, PRESS], groups))
+    block, groups = events[order], groups[order]
+
+    # The first bad line wins, whichever check it fails.
+    bad = _first_bad_row(events)
+    repeats = order[1:][
+        (groups[1:] == groups[:-1]) & (block[1:] == block[:-1]).all(axis=1)
+    ]
+    first_repeat = int(repeats.min()) if repeats.size else None
+    if first_repeat is not None and (bad is None or first_repeat < bad):
+        head = next(h for h, g in heads.items() if g == session_of[first_repeat])
+        event = (*head.split("\t"), *events[first_repeat].tolist())
+        raise ParseError(f"duplicate event {event!r}", linenos[first_repeat])
+    if bad is not None:
+        raise ParseError(_event_problem(*events[bad].tolist()), linenos[bad])
+    if error is not None:
+        raise error
+
+    block.flags.writeable = False
+    bounds = np.searchsorted(groups, np.arange(len(heads) + 1)).tolist()
+    sessions: dict[str, list[Session]] = {}
+    for g, head in enumerate(heads):
+        subject_id, session_id = head.split("\t")
+        sessions.setdefault(subject_id, []).append(
+            Session.of_checked_rows(session_id, block[bounds[g] : bounds[g + 1]])
+        )
+    return Dataset(
+        tuple(Subject(subject_id, None, tuple(s)) for subject_id, s in sessions.items())
+    )
+
+
+def _convert_fields(
+    pending: list[str], values: array, linenos: array
+) -> ParseError | None:
+    """Move the integer values of `pending` (three fields per line) into
+    `values`. On the first line whose fields are not 64-bit integers, keep
+    only the lines before it and return that line's error."""
+    done = len(values)
+    try:
+        values.extend(map(int, pending))
+        return None
+    except (ValueError, OverflowError):
+        del values[done:]
+        return _first_conversion_error(pending, values, linenos)
+    finally:
+        pending.clear()
+
+
+def _first_conversion_error(
+    pending: list[str], values: array, linenos: array
+) -> ParseError:
+    for i in range(0, len(pending), _EVENT_COLUMNS):
+        fields = pending[i : i + _EVENT_COLUMNS]
+        lineno = linenos[len(values) // _EVENT_COLUMNS]
+        try:
+            numbers = [int(f) for f in fields]
+        except ValueError:
+            shown = fields[:-1] + [fields[-1].rstrip("\n")]
+            return ParseError(f"non-integer event field in {shown!r}", lineno)
+        try:
+            values.extend(numbers)
+        except OverflowError:
+            del values[len(values) - len(values) % _EVENT_COLUMNS :]
+            return ParseError(
+                _event_problem(*numbers) or f"event field outside 64 bits in {numbers!r}",
                 lineno,
             )
-        subject_id, session_id = fields[0], fields[1]
-        try:
-            code = int(fields[2])
-            press = int(fields[3])
-            release = int(fields[4])
-        except ValueError:
-            raise ParseError(f"non-integer event field in {fields[2:5]!r}", lineno) from None
-        if not 0 <= code <= 255:
-            raise ParseError(f"key code {code} outside [0, 255]", lineno)
-        if release < press:
-            raise ParseError(f"release {release} precedes press {press}", lineno)
-
-        triple = (subject_id, session_id, code, press, release)
-        if triple in seen:
-            raise ParseError(f"duplicate event {triple!r}", lineno)
-        seen.add(triple)
-
-        if fmt is RawLogFormat.WITH_DEMOGRAPHICS:
-            demo = _parse_demographics_fields(fields[5], fields[6], lineno)
-            prior = demographics.setdefault(subject_id, demo)
-            if prior != demo:
-                raise ParseError(
-                    f"conflicting demographics for subject {subject_id!r}", lineno
-                )
-
-        events.setdefault(subject_id, {}).setdefault(session_id, []).append(
-            KeyEvent(code, press, release)
-        )
-
-    subjects = []
-    for subject_id, sessions in events.items():
-        built = tuple(
-            Session(session_id, tuple(sorted(evts, key=event_sort_key)))
-            for session_id, evts in sessions.items()
-        )
-        subjects.append(Subject(subject_id, demographics.get(subject_id), built))
-    return Dataset(tuple(subjects))
+    raise AssertionError("a conversion failed but every line converted")
 
 
 def validate_subject(

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import AgeGroup, ALL_GROUPS, Demographics, Gender
+from .errors import ConfigError, ProtocolError
 from .protocol import ComparisonKind, ComparisonPlan, ScoreSet
 from .verifmetrics import roc, threshold_at_fmr
 
@@ -34,9 +35,9 @@ class FairnessConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha {self.alpha} outside [0, 1]")
+            raise ConfigError(f"alpha {self.alpha} outside [0, 1]")
         if not 0.0 < self.operating_fmr_percent < 100.0:
-            raise ValueError(
+            raise ConfigError(
                 f"operating_fmr_percent {self.operating_fmr_percent} outside (0, 100)"
             )
 
@@ -87,7 +88,7 @@ def _group_of(demographics: Mapping[str, Demographics], subject_id: str) -> Demo
     try:
         return demographics[subject_id]
     except KeyError:
-        raise ValueError(f"no demographics for subject {subject_id!r}") from None
+        raise ProtocolError(f"no demographics for subject {subject_id!r}") from None
 
 
 def accuracy_spread(values: Sequence[float]) -> tuple[float, float]:

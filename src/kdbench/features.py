@@ -14,7 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Dataset, Session
+from .core import CODE, PRESS, RELEASE, Dataset, Session
+from .errors import ConfigError
 
 # Channel identifiers. Time channels pair a latency kind with a lookahead
 # distance: ipt/irt/ikt measure press-press, release-release, and
@@ -59,9 +60,9 @@ class FeatureConfig:
 
     def __post_init__(self) -> None:
         if self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
         if self.clip_seconds <= 0:
-            raise ValueError(f"clip_seconds must be positive, got {self.clip_seconds}")
+            raise ConfigError(f"clip_seconds must be positive, got {self.clip_seconds}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def extract_features(session: Session, config: FeatureConfig) -> FeatureMatrix:
     +-clip_seconds; the key-code channel is the ASCII value divided by 255.
     Negative release-to-press gaps (rollover typing) are preserved.
     """
-    if not session.events:
+    if len(session.events) == 0:
         raise ValueError(f"session {session.session_id} has no events")
 
     events = session.events[: config.max_len]
@@ -92,9 +93,8 @@ def extract_features(session: Session, config: FeatureConfig) -> FeatureMatrix:
     # Latencies are integer-millisecond differences converted to seconds
     # afterwards, so shifting all timestamps by a constant is an exact
     # no-op.
-    press = np.array([e.press_ms for e in events], dtype=np.int64)
-    release = np.array([e.release_ms for e in events], dtype=np.int64)
-    codes = np.array([e.ascii_code for e in events], dtype=np.float64)
+    press = events[:, PRESS]
+    release = events[:, RELEASE]
 
     def lookahead(target: np.ndarray, base: np.ndarray, k: int) -> np.ndarray:
         col = np.zeros(n)
@@ -113,7 +113,7 @@ def extract_features(session: Session, config: FeatureConfig) -> FeatureMatrix:
     clip = config.clip_seconds
     for j, name in enumerate(config.feature_set.channels):
         if name == ASCII_CHANNEL:
-            out[:n, j] = codes / 255.0
+            out[:n, j] = events[:, CODE] / 255.0
         else:
             out[:n, j] = np.clip(columns[name], -clip, clip)
     return FeatureMatrix(values=out, valid_len=n, feature_set=config.feature_set)
@@ -144,8 +144,8 @@ def order_insensitive_mean_std(column: np.ndarray) -> tuple[float, float]:
     """(mean, population std) via compensated sums; permutation-invariant
     to the bit."""
     n = len(column)
-    mean = math.fsum(column) / n
+    mean = math.fsum(column.tolist()) / n
     if np.all(column == column[0]):
         return mean, 0.0
-    variance = math.fsum((x - mean) ** 2 for x in column) / n
+    variance = math.fsum(((column - mean) ** 2).tolist()) / n
     return mean, math.sqrt(variance)

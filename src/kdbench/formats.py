@@ -32,11 +32,10 @@ import numpy as np
 from .core import (
     Dataset,
     Demographics,
-    RawLogFormat,
     parse_raw_log,
     _parse_demographics_fields,
 )
-from .errors import AlignmentError, ParseError
+from .errors import AlignmentError, ConfigError, ParseError
 from .protocol import Comparison, ComparisonKind, ComparisonPlan
 from .verifmetrics import RocCurve
 from .fairmetrics import SirMatrix
@@ -46,38 +45,33 @@ STRICT_HEADER_PREFIX = "# comparisons_sha256="
 
 def _check_identifier(value: str, what: str) -> str:
     if not value or any(c in value for c in "\t\n:"):
-        raise ValueError(f"{what} {value!r} is empty or contains tab/newline/colon")
+        raise ConfigError(f"{what} {value!r} is empty or contains tab/newline/colon")
     return value
 
 
 # -- raw event logs ----------------------------------------------------
 
 
-def raw_log_lines(dataset: Dataset, fmt: RawLogFormat = RawLogFormat.PLAIN) -> Iterable[str]:
+def raw_log_lines(dataset: Dataset) -> Iterable[str]:
+    """The raw log's text, one session's lines at a time."""
     for subject in dataset.subjects:
         sid = _check_identifier(subject.subject_id, "subject_id")
-        suffix = ""
-        if fmt is RawLogFormat.WITH_DEMOGRAPHICS:
-            demo = subject.demographics
-            if demo is None:
-                raise ValueError(f"subject {sid} has no demographics to write")
-            suffix = f"\t{demo.age_group.value}\t{demo.gender.value}"
         for session in subject.sessions:
-            sess = _check_identifier(session.session_id, "session_id")
-            for e in session.events:
-                yield f"{sid}\t{sess}\t{e.ascii_code}\t{e.press_ms}\t{e.release_ms}{suffix}\n"
+            prefix = f"{sid}\t{_check_identifier(session.session_id, 'session_id')}\t"
+            yield "".join(
+                f"{prefix}{code}\t{press}\t{release}\n"
+                for code, press, release in session.events.tolist()
+            )
 
 
-def write_raw_log(
-    dataset: Dataset, path: Path, fmt: RawLogFormat = RawLogFormat.PLAIN
-) -> None:
+def write_raw_log(dataset: Dataset, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(raw_log_lines(dataset, fmt))
+        fh.writelines(raw_log_lines(dataset))
 
 
-def load_raw_log(path: Path, fmt: RawLogFormat = RawLogFormat.PLAIN) -> Dataset:
+def load_raw_log(path: Path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_raw_log(fh, fmt)
+        return parse_raw_log(fh)
 
 
 # -- demographics sidecar ----------------------------------------------
@@ -118,12 +112,13 @@ def load_demographics(path: Path) -> dict[str, Demographics]:
 
 
 def write_comparisons(plan: ComparisonPlan, path: Path) -> None:
+    # Every identifier is checked before the file is opened, so a bad one
+    # leaves no partial plan behind.
+    for subject_id, session_id in plan.referenced_sessions():
+        _check_identifier(subject_id, "subject_id")
+        _check_identifier(session_id, "session_id")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for e in plan.entries:
-            _check_identifier(e.enrol_subject, "subject_id")
-            _check_identifier(e.enrol_session, "session_id")
-            _check_identifier(e.verif_subject, "subject_id")
-            _check_identifier(e.verif_session, "session_id")
             fh.write(
                 f"{e.enrol_subject}:{e.enrol_session}\t"
                 f"{e.verif_subject}:{e.verif_session}\t"

@@ -16,7 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ALL_GROUPS, Dataset, Demographics, Gender, KeyEvent, Session, Subject
+from .core import (
+    ALL_GROUPS,
+    CODE,
+    PRESS,
+    RELEASE,
+    Dataset,
+    Demographics,
+    Gender,
+    Session,
+    Subject,
+)
 from .errors import ConfigError
 from .protocol import ScoreSet
 
@@ -137,8 +147,7 @@ def _generate_subject_sessions(
     n_sessions: int,
     n_keys: int,
 ) -> list[Session]:
-    # All random draws for a subject are batched into per-distribution
-    # calls; only the integer timestamp integration stays in a loop.
+    # All random draws for a subject are batched into per-distribution calls.
     shape = (n_sessions, n_keys)
     codes = rng.choice(_KEY_CODES, size=shape, p=key_probs)
     offset_table = np.zeros(256)
@@ -154,17 +163,27 @@ def _generate_subject_sessions(
     rollover_scale = rng.uniform(0.2, 0.8, shape)
     flights = np.where(rollover, -holds * rollover_scale, flights)
 
-    sessions = []
-    for j in range(n_sessions):
-        events = []
-        press_ms = _EPOCH_BASE_MS + j * _SESSION_SPACING_MS
-        for k in range(n_keys):
-            release_ms = press_ms + max(1, round(holds[j, k] * 1000.0))
-            events.append(KeyEvent(int(codes[j, k]), press_ms, release_ms))
-            next_press = press_ms + round((holds[j, k] + flights[j, k]) * 1000.0)
-            press_ms = max(press_ms + 1, next_press)
-        sessions.append(Session(f"s{j:02d}", tuple(events)))
-    return sessions
+    block = np.empty((n_sessions, n_keys, 3), dtype=np.int64)
+    block[:, :, CODE] = codes
+    block[:, :, PRESS], block[:, :, RELEASE] = _event_times(holds, flights)
+    block.flags.writeable = False
+    return [Session.of_checked_rows(f"s{j:02d}", block[j]) for j in range(n_sessions)]
+
+
+def _event_times(holds: np.ndarray, flights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer-millisecond (press, release) times from (sessions, keys)
+    hold and flight draws in seconds.
+
+    Session j starts at its own hour; each press follows the previous one
+    by max(1, round(hold + flight)) ms and each release follows its press
+    by max(1, round(hold)) ms. rint rounds half to even, as round does.
+    """
+    steps = np.maximum(1, np.rint((holds + flights) * 1000.0)).astype(np.int64)
+    press = np.empty_like(steps)
+    press[:, 0] = _EPOCH_BASE_MS + _SESSION_SPACING_MS * np.arange(len(steps))
+    press[:, 1:] = steps[:, :-1]
+    np.cumsum(press, axis=1, out=press)
+    return press, press + np.maximum(1, np.rint(holds * 1000.0)).astype(np.int64)
 
 
 def generate(config: GeneratorConfig) -> Dataset:

@@ -15,7 +15,7 @@ import pytest
 
 from kdbench.baseline import embed_dataset, fit_normalization, score_comparisons
 from kdbench.cli import main
-from kdbench.core import ALL_GROUPS, KeyEvent, Session
+from kdbench.core import ALL_GROUPS, Session
 from kdbench.fairmetrics import (
     FairnessConfig,
     GroupRates,
@@ -176,10 +176,10 @@ def test_feature_extraction_exactness():
     session = Session(
         "w",
         (
-            KeyEvent(97, 0, 80),
-            KeyEvent(98, 100, 180),
-            KeyEvent(99, 250, 340),
-            KeyEvent(100, 300, 420),
+            (97, 0, 80),
+            (98, 100, 180),
+            (99, 250, 340),
+            (100, 300, 420),
         ),
     )
     expected = np.array(

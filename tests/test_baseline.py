@@ -11,7 +11,7 @@ from kdbench.baseline import (
     raw_embedding,
     score_comparisons,
 )
-from kdbench.core import Dataset, KeyEvent, Session, Subject
+from kdbench.core import Dataset, Session, Subject
 from kdbench.errors import DataReferenceError
 from kdbench.features import FeatureConfig, FeatureMatrix, FeatureSet, extract_features
 from kdbench.protocol import Comparison, ComparisonKind, ComparisonPlan
@@ -76,7 +76,7 @@ def tiny_dataset(n_subjects=3, n_sessions=4):
         for j in range(n_sessions):
             t0 = j * 100_000
             events = tuple(
-                KeyEvent(97 + k, t0 + (90 + 7 * i) * k, t0 + (90 + 7 * i) * k + 60 + 5 * i)
+                (97 + k, t0 + (90 + 7 * i) * k, t0 + (90 + 7 * i) * k + 60 + 5 * i)
                 for k in range(6)
             )
             sessions.append(Session(f"s{j}", events))

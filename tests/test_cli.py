@@ -294,5 +294,109 @@ class TestDemo:
             assert (tmp_path / name).is_file()
 
 
+# -- bad inputs: each ends with its documented exit code and a one-line
+# message, never a traceback.
+
+
+def _colon_ids(synth_dir, protocol_dir, scores_dir, tmp_path):
+    # Every subject id gains a ':', so every evaluated subject has one.
+    for name in ("raw_log.tsv", "demographics.tsv"):
+        text = (synth_dir / name).read_text().replace("u0", "u:0")
+        (tmp_path / name).write_text(text)
+    return (
+        "protocol",
+        "--data", tmp_path / "raw_log.tsv",
+        "--demographics", tmp_path / "demographics.tsv",
+        "--eval-count", 30,
+        "--out", tmp_path / "out",
+    )
+
+
+def _demographics_missing_evaluated_subject(synth_dir, protocol_dir, scores_dir, tmp_path):
+    evaluated = json.loads((protocol_dir / "split.json").read_text())["evaluation"]
+    lines = (synth_dir / "demographics.tsv").read_text().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(evaluated[0] + "\t")]
+    assert len(kept) == len(lines) - 1
+    (tmp_path / "demographics.tsv").write_text("".join(kept))
+    return (
+        "evaluate",
+        "--comparisons", protocol_dir / "comparisons.txt",
+        "--scores", scores_dir / "scores.txt",
+        "--demographics", tmp_path / "demographics.tsv",
+        "--out", tmp_path / "out",
+    )
+
+
+def _empty_comparisons_and_scores(synth_dir, protocol_dir, scores_dir, tmp_path):
+    (tmp_path / "comparisons.txt").write_text("")
+    (tmp_path / "scores.txt").write_text("")
+    return (
+        "evaluate",
+        "--comparisons", tmp_path / "comparisons.txt",
+        "--scores", tmp_path / "scores.txt",
+        "--demographics", synth_dir / "demographics.tsv",
+        "--out", tmp_path / "out",
+    )
+
+
+def _malformed_raw_log(synth_dir, protocol_dir, scores_dir, tmp_path):
+    lines = (synth_dir / "raw_log.tsv").read_text().splitlines(keepends=True)
+    lines[7] = lines[7].rstrip("\n") + "zz\n"
+    (tmp_path / "raw_log.tsv").write_text("".join(lines))
+    return (
+        "score",
+        "--data", tmp_path / "raw_log.tsv",
+        "--comparisons", protocol_dir / "comparisons.txt",
+        "--out", tmp_path / "out",
+    )
+
+
+def _zero_max_len(synth_dir, protocol_dir, scores_dir, tmp_path):
+    return (
+        "score",
+        "--data", synth_dir / "raw_log.tsv",
+        "--comparisons", protocol_dir / "comparisons.txt",
+        "--max-len", 0,
+        "--out", tmp_path / "out",
+    )
+
+
+def _alpha_above_one(synth_dir, protocol_dir, scores_dir, tmp_path):
+    return (
+        "evaluate",
+        "--comparisons", protocol_dir / "comparisons.txt",
+        "--scores", scores_dir / "scores.txt",
+        "--demographics", synth_dir / "demographics.tsv",
+        "--alpha", 2,
+        "--out", tmp_path / "out",
+    )
+
+
+BAD_INPUTS = [
+    (_colon_ids, 2, "contains tab/newline/colon"),
+    (_demographics_missing_evaluated_subject, 3, "no demographics for subject"),
+    (_empty_comparisons_and_scores, 2, "has no comparisons"),
+    (_malformed_raw_log, 2, "line 8: non-integer event field"),
+    (_zero_max_len, 2, "max_len must be >= 1"),
+    (_alpha_above_one, 2, "alpha 2.0 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_argv, exit_code, message", BAD_INPUTS, ids=[c[0].__name__ for c in BAD_INPUTS]
+)
+def test_bad_input_exit_code(
+    make_argv, exit_code, message, synth_dir, protocol_dir, scores_dir, tmp_path, capsys
+):
+    argv = make_argv(synth_dir, protocol_dir, scores_dir, tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    # A stage that fails writes none of its outputs.
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 def test_threads_flag_must_be_positive(tmp_path):
     assert run("synth", "--subjects", 1, "--threads", 0, "--out", tmp_path) == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,7 @@ from kdbench.core import (
     Dataset,
     Demographics,
     Gender,
-    KeyEvent,
-    RawLogFormat,
+    PRESS,
     Session,
     Subject,
     attach_demographics,
@@ -27,9 +27,7 @@ from kdbench.synthgen import GeneratorConfig, generate
 
 
 def make_session(session_id="s00", n_events=4, t0=0):
-    events = tuple(
-        KeyEvent(97 + k, t0 + 100 * k, t0 + 100 * k + 80) for k in range(n_events)
-    )
+    events = [(97 + k, t0 + 100 * k, t0 + 100 * k + 80) for k in range(n_events)]
     return Session(session_id, events)
 
 
@@ -41,16 +39,31 @@ def make_subject(subject_id="u1", n_sessions=15, demographics=None):
 
 
 class TestKeyEvent:
+    """The per-event invariants, checked on every row of a Session."""
+
     def test_rejects_release_before_press(self):
         with pytest.raises(ValueError, match="precedes"):
-            KeyEvent(97, 80, 0)
+            Session("s", [(97, 0, 20), (97, 80, 0)])
 
     def test_rejects_code_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            KeyEvent(300, 0, 80)
+            Session("s", [(300, 0, 80)])
+        with pytest.raises(ValueError, match="outside"):
+            Session("s", [(-1, 0, 80)])
 
     def test_zero_length_hold_allowed(self):
-        KeyEvent(97, 50, 50)
+        assert Session("s", [(97, 50, 50)]).events.tolist() == [[97, 50, 50]]
+
+    def test_rejects_unsorted_presses(self):
+        with pytest.raises(ValueError, match="not sorted"):
+            Session("s", [(97, 100, 180), (98, 0, 80)])
+
+    def test_events_are_read_only_int64_rows(self):
+        session = make_session(n_events=3)
+        assert session.events.dtype == np.int64
+        assert session.events.shape == (3, 3)
+        with pytest.raises(ValueError):
+            session.events[0, PRESS] = 5
 
 
 class TestParseRawLog:
@@ -60,7 +73,7 @@ class TestParseRawLog:
         subject = ds.subjects[0]
         assert subject.subject_id == "u1"
         assert subject.sessions[0].session_id == "s1"
-        assert subject.sessions[0].events == (KeyEvent(97, 0, 80),)
+        assert subject.sessions[0].events.tolist() == [[97, 0, 80]]
 
     def test_release_before_press_rejected_with_line_number(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -86,25 +99,16 @@ class TestParseRawLog:
     def test_events_resorted_by_press_time(self):
         text = "u1\ts1\t98\t100\t180\nu1\ts1\t97\t0\t80\n"
         ds = parse_raw_log(io.StringIO(text))
-        presses = [e.press_ms for e in ds.subjects[0].sessions[0].events]
+        presses = ds.subjects[0].sessions[0].events[:, PRESS].tolist()
         assert presses == [0, 100]
-
-    def test_demographics_sidecar_columns(self):
-        text = "u1\ts1\t97\t0\t80\t18-26\tF\n"
-        ds = parse_raw_log(io.StringIO(text), RawLogFormat.WITH_DEMOGRAPHICS)
-        assert ds.subjects[0].demographics == Demographics(
-            AgeGroup.A18_26, Gender.FEMALE
-        )
-
-    def test_conflicting_sidecar_demographics(self):
-        text = "u1\ts1\t97\t0\t80\t18-26\tF\nu1\ts1\t98\t100\t180\t18-26\tM\n"
-        with pytest.raises(ParseError, match="conflicting"):
-            parse_raw_log(io.StringIO(text), RawLogFormat.WITH_DEMOGRAPHICS)
 
     def test_round_trip_identity_on_generated_data(self):
         dataset = generate(GeneratorConfig(n_subjects=2, seed=9, keys_per_session=4))
-        text = "".join(raw_log_lines(dataset, RawLogFormat.WITH_DEMOGRAPHICS))
-        parsed = parse_raw_log(io.StringIO(text), RawLogFormat.WITH_DEMOGRAPHICS)
+        text = "".join(raw_log_lines(dataset))
+        parsed = attach_demographics(
+            parse_raw_log(io.StringIO(text)),
+            {s.subject_id: s.demographics for s in dataset.subjects},
+        )
         assert parsed.subjects == dataset.subjects
 
 
@@ -119,7 +123,7 @@ class TestValidateSubject:
 
     def test_empty_session_ineligible(self):
         subject = make_subject()
-        sessions = subject.sessions[:-1] + (Session("s14", ()),)
+        sessions = subject.sessions[:-1] + (Session("s14", []),)
         result = validate_subject(Subject("u1", None, sessions))
         assert not result.eligible
         assert any("no events" in issue for issue in result.issues)
@@ -191,8 +195,8 @@ def canonical_datasets(draw):
                 press += draw(st.integers(1, 500))
                 hold = draw(st.integers(0, 300))
                 code = draw(st.integers(0, 255))
-                events.append(KeyEvent(code, press, press + hold))
-            sessions.append(Session(f"s{j}", tuple(events)))
+                events.append((code, press, press + hold))
+            sessions.append(Session(f"s{j}", events))
         subjects.append(Subject(f"u{i}", None, tuple(sessions)))
     return Dataset(tuple(subjects))
 
@@ -211,5 +215,60 @@ def test_parsed_sessions_press_sorted(dataset):
     parsed = parse_raw_log(io.StringIO(text))
     for subject in parsed.subjects:
         for session in subject.sessions:
-            presses = [e.press_ms for e in session.events]
+            presses = session.events[:, PRESS].tolist()
             assert presses == sorted(presses)
+
+
+@settings(max_examples=50, deadline=None)
+@given(canonical_datasets(), st.randoms(use_true_random=False))
+def test_any_line_order_parses_to_the_same_sessions(dataset, random):
+    lines = "".join(raw_log_lines(dataset)).splitlines(keepends=True)
+    shuffled = list(lines)
+    random.shuffle(shuffled)
+
+    def by_session(text):
+        return {
+            (subject.subject_id, session.session_id): session.events.tolist()
+            for subject in parse_raw_log(io.StringIO(text)).subjects
+            for session in subject.sessions
+        }
+
+    assert by_session("".join(shuffled)) == by_session("".join(lines))
+
+
+# Each bad log with its exact error: the first bad line is reported,
+# whichever check it fails.
+PARSE_ERRORS = [
+    ("u1\ts1\t97\t0\n", "line 1: expected 5 tab-separated fields, got 4"),
+    ("u1\ts1\t97\t0\t80\t1\n", "line 1: expected 5 tab-separated fields, got 6"),
+    ("u1\ts1\t97\tx\t80\n", "line 1: non-integer event field in ['97', 'x', '80']"),
+    ("u1\ts1\t256\t0\t80\n", "line 1: key code 256 outside [0, 255]"),
+    ("u1\ts1\t-1\t0\t80\n", "line 1: key code -1 outside [0, 255]"),
+    ("u1\ts1\t97\t80\t0\n", "line 1: release 0 precedes press 80"),
+    (
+        "u1\ts1\t97\t0\t80\n\nu1\ts1\t97\t0\t80\n",
+        "line 3: duplicate event ('u1', 's1', 97, 0, 80)",
+    ),
+    ("u1\ts1\t97\t0\t80\nu1\ts1\t300\t0\t80\nu1\ts1\t97\t0\t80\n", "line 2: key code 300"),
+    ("u1\ts1\t97\t0\t80\nu1\ts1\t97\t0\t80\nu1\ts1\t300\t0\t80\n", "line 2: duplicate"),
+    ("u1\ts1\t97\t9\t8\nu1\ts1\t97\t0\n", "line 1: release 8 precedes press 9"),
+    ("u1\ts1\t97\t0\t80\nu1\ts1\tq\t0\t80\nu1\n", "line 2: non-integer"),
+    ("u1\ts1\t97\t0\t80\nu1\ts1\t97\t0\t80\nu1\ts1\tq\t0\t80\n", "line 2: duplicate"),
+    ("u1\ts1\t97\t0\t" + str(2**64) + "\n", "line 1: event field outside 64 bits"),
+    ("u1\ts1\t" + str(2**64) + "\t0\t80\n", f"line 1: key code {2**64} outside"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_names_the_first_bad_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_raw_log(io.StringIO(text))
+    assert str(info.value).startswith(message)
+
+
+def test_parse_error_past_the_first_conversion_chunk():
+    good = "".join(f"u1\ts1\t97\t{t}\t{t + 5}\n" for t in range(0, 200_000, 2))
+    with pytest.raises(ParseError, match=r"^line 100001: non-integer"):
+        parse_raw_log(io.StringIO(good + "u1\ts1\t97\tx\t1\n"))
+    with pytest.raises(ParseError, match=r"^line 100001: duplicate"):
+        parse_raw_log(io.StringIO(good + "u1\ts1\t97\t0\t5\n"))

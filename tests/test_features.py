@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdbench.core import Dataset, KeyEvent, Session, Subject
+from kdbench.core import Dataset, Session, Subject
 from kdbench.features import (
     FeatureConfig,
     FeatureSet,
@@ -18,10 +18,10 @@ from oracles import channel_stats_brute
 # Worked example: 'a' pressed 0 released 80, 'b' 100/180, 'c' 250/340,
 # 'd' 300/420 (milliseconds). 'd' is pressed before 'c' is released.
 WORKED_EVENTS = (
-    KeyEvent(97, 0, 80),
-    KeyEvent(98, 100, 180),
-    KeyEvent(99, 250, 340),
-    KeyEvent(100, 300, 420),
+    (97, 0, 80),
+    (98, 100, 180),
+    (99, 250, 340),
+    (100, 300, 420),
 )
 WORKED_SESSION = Session("w", WORKED_EVENTS)
 
@@ -72,7 +72,7 @@ class TestWorkedExample:
         assert np.all(matrix.values[4:] == 0.0)
 
     def test_single_event_session(self):
-        session = Session("one", (KeyEvent(97, 0, 80),))
+        session = Session("one", [(97, 0, 80)])
         matrix = extract_features(session, config(FeatureSet.F10, max_len=3))
         assert matrix.values[0] == pytest.approx([0.08] + [0.0] * 9, abs=1e-12)
         assert np.all(matrix.values[1:] == 0.0)
@@ -92,7 +92,7 @@ class TestExtractContracts:
         assert matrix.values[1] == pytest.approx([0.08, 0, 0, 0, 98 / 255], abs=1e-12)
 
     def test_clipping_bounds_time_channels(self):
-        events = (KeyEvent(97, 0, 80), KeyEvent(98, 60_000, 60_080))
+        events = ((97, 0, 80), (98, 60_000, 60_080))
         matrix = extract_features(Session("slow", events), config(clip=10.0))
         assert matrix.values[0, 1] == 10.0  # press-press gap of 60 s clipped
 
@@ -120,20 +120,14 @@ def sessions(draw):
     for _ in range(n):
         press += draw(st.integers(1, 400))
         hold = draw(st.integers(0, 350))
-        events.append(KeyEvent(draw(st.integers(0, 255)), press, press + hold))
+        events.append((draw(st.integers(0, 255)), press, press + hold))
     return Session("h", tuple(events))
 
 
 @settings(max_examples=60, deadline=None)
 @given(sessions(), st.integers(-10**6, 10**6))
 def test_time_shift_invariance(session, offset):
-    shifted = Session(
-        session.session_id,
-        tuple(
-            KeyEvent(e.ascii_code, e.press_ms + offset, e.release_ms + offset)
-            for e in session.events
-        ),
-    )
+    shifted = Session(session.session_id, session.events + [0, offset, offset])
     cfg = config(FeatureSet.F11, max_len=12)
     assert np.array_equal(
         extract_features(session, cfg).values, extract_features(shifted, cfg).values
@@ -165,7 +159,7 @@ class TestChannelStatistics:
         # Each channel sees the same 4 rows three times over; stds are not
         # zero (rows differ) but a constant channel must report exactly 0.
         single = channel_statistics(
-            self._dataset([Session("s0", (KeyEvent(97, 0, 80),))]),
+            self._dataset([Session("s0", [(97, 0, 80)])]),
             config(FeatureSet.F5, max_len=1),
         )
         assert all(s == 0.0 for _, s in single)
@@ -175,7 +169,7 @@ class TestChannelStatistics:
         ds = self._dataset(
             [
                 WORKED_SESSION,
-                Session("s2", (KeyEvent(50, 0, 30), KeyEvent(60, 90, 200))),
+                Session("s2", [(50, 0, 30), (60, 90, 200)]),
             ]
         )
         cfg = config(FeatureSet.F10, max_len=6)
@@ -187,7 +181,7 @@ class TestChannelStatistics:
 
     def test_invariant_to_subject_order(self):
         a = Subject("a", None, (WORKED_SESSION,))
-        b = Subject("b", None, (Session("s2", (KeyEvent(50, 0, 30),)),))
+        b = Subject("b", None, (Session("s2", [(50, 0, 30)]),))
         cfg = config(FeatureSet.F5, max_len=4)
         assert channel_statistics(Dataset((a, b)), cfg) == channel_statistics(
             Dataset((b, a)), cfg

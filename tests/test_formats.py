@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kdbench.core import AgeGroup, Demographics, Gender, RawLogFormat
-from kdbench.errors import AlignmentError, ParseError
+from kdbench.core import AgeGroup, Demographics, Gender, attach_demographics
+from kdbench.errors import AlignmentError, ConfigError, ParseError
 from kdbench.fairmetrics import sir
 from kdbench.formats import (
     load_comparisons,
@@ -38,8 +38,10 @@ def dataset():
 
 def test_raw_log_round_trip(tmp_path, dataset):
     path = tmp_path / "raw.tsv"
-    write_raw_log(dataset, path, RawLogFormat.WITH_DEMOGRAPHICS)
-    parsed = load_raw_log(path, RawLogFormat.WITH_DEMOGRAPHICS)
+    write_raw_log(dataset, path)
+    parsed = attach_demographics(
+        load_raw_log(path), {s.subject_id: s.demographics for s in dataset.subjects}
+    )
     assert parsed.subjects == dataset.subjects
 
 
@@ -61,6 +63,13 @@ def test_demographics_bad_age_group(tmp_path):
     path = tmp_path / "demo.tsv"
     path.write_text("u1\t18-25\tM\n")
     with pytest.raises(ParseError, match="age group"):
+        load_demographics(path)
+
+
+def test_demographics_conflicting_lines(tmp_path):
+    path = tmp_path / "demo.tsv"
+    path.write_text("u1\t18-26\tF\nu2\t18-26\tM\nu1\t18-26\tF\nu1\t18-26\tM\n")
+    with pytest.raises(ParseError, match="^line 4: conflicting demographics for subject 'u1'"):
         load_demographics(path)
 
 
@@ -166,16 +175,16 @@ def test_sir_csv_missing_cells(tmp_path):
 
 
 def test_identifier_validation(tmp_path, dataset):
-    from kdbench.core import Dataset, Session, Subject, KeyEvent
+    from kdbench.core import Dataset, Session, Subject
 
     bad = Dataset(
         (
             Subject(
                 "u:1",
                 Demographics(AgeGroup.A10_13, Gender.MALE),
-                (Session("s0", (KeyEvent(97, 0, 10),)),),
+                (Session("s0", [(97, 0, 10)]),),
             ),
         )
     )
-    with pytest.raises(ValueError, match="colon"):
+    with pytest.raises(ConfigError, match="colon"):
         write_raw_log(bad, tmp_path / "x.tsv")

@@ -5,11 +5,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdbench.core import ALL_GROUPS, Gender, parse_raw_log
 from kdbench.errors import ConfigError
 from kdbench.formats import raw_log_lines
-from kdbench.synthgen import GeneratorConfig, generate, generate_scores
+from kdbench.synthgen import (
+    _EPOCH_BASE_MS,
+    _SESSION_SPACING_MS,
+    GeneratorConfig,
+    _event_times,
+    generate,
+    generate_scores,
+)
 from kdbench.verifmetrics import eer, roc
 
 
@@ -45,14 +54,15 @@ def test_generated_events_satisfy_invariants():
     saw_rollover = False
     for subject in ds.subjects:
         for session in subject.sessions:
-            presses = [e.press_ms for e in session.events]
+            rows = session.events.tolist()
+            presses = [press for _, press, _ in rows]
             assert presses == sorted(presses)
             assert len(set(presses)) == len(presses)  # strictly increasing
-            for e in session.events:
-                assert e.release_ms >= e.press_ms
-                assert 32 <= e.ascii_code <= 126
-            for a, b in zip(session.events, session.events[1:]):
-                if b.press_ms < a.release_ms:
+            for code, press, release in rows:
+                assert release >= press
+                assert 32 <= code <= 126
+            for (_, _, a_release), (_, b_press, _) in zip(rows, rows[1:]):
+                if b_press < a_release:
                     saw_rollover = True
     assert saw_rollover, "rollover events should occur at default settings"
 
@@ -70,9 +80,9 @@ def test_zero_skew_groups_statistically_indistinguishable():
     by_gender: dict[Gender, list[float]] = {g: [] for g in Gender}
     for subject in ds.subjects:
         holds = [
-            (e.release_ms - e.press_ms) / 1000.0
+            (release - press) / 1000.0
             for sess in subject.sessions
-            for e in sess.events
+            for _, press, release in sess.events.tolist()
         ]
         by_gender[subject.demographics.gender].append(float(np.mean(holds)))
     male = np.array(by_gender[Gender.MALE])
@@ -86,9 +96,9 @@ def test_skew_shifts_group_means():
     by_gender: dict[Gender, list[float]] = {g: [] for g in Gender}
     for subject in ds.subjects:
         holds = [
-            (e.release_ms - e.press_ms) / 1000.0
+            (release - press) / 1000.0
             for sess in subject.sessions
-            for e in sess.events
+            for _, press, release in sess.events.tolist()
         ]
         by_gender[subject.demographics.gender].append(float(np.mean(holds)))
     assert np.mean(by_gender[Gender.FEMALE]) > np.mean(by_gender[Gender.MALE])
@@ -148,3 +158,42 @@ class TestGenerateScores:
     def test_negative_separation_rejected(self):
         with pytest.raises(ConfigError):
             generate_scores(GeneratorConfig(n_subjects=1, seed=0), -0.1)
+
+
+def _event_times_loop(holds, flights):
+    # The per-event integration the generator used before it was vectorized.
+    press_rows, release_rows = [], []
+    for j in range(holds.shape[0]):
+        press_ms = _EPOCH_BASE_MS + j * _SESSION_SPACING_MS
+        presses, releases = [], []
+        for k in range(holds.shape[1]):
+            presses.append(press_ms)
+            releases.append(press_ms + max(1, round(holds[j, k] * 1000.0)))
+            next_press = press_ms + round((holds[j, k] + flights[j, k]) * 1000.0)
+            press_ms = max(press_ms + 1, next_press)
+        press_rows.append(presses)
+        release_rows.append(releases)
+    return press_rows, release_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            *(
+                st.lists(st.floats(0.0, 2.0), min_size=2 * n, max_size=2 * n)
+                for _ in range(2)
+            )
+        )
+    ),
+    st.booleans(),
+)
+def test_event_times_match_the_per_event_loop(draws, half_ms):
+    holds = np.array(draws[0]).reshape(2, -1)
+    flights = np.array(draws[1]).reshape(2, -1) - 1.0  # rollover: negative flights
+    if half_ms:
+        # Exact half milliseconds exercise round-half-to-even.
+        holds = np.round(holds * 1000.0) / 1000.0 + 0.0005
+        flights = np.round(flights * 1000.0) / 1000.0
+    press, release = _event_times(holds, flights)
+    assert (press.tolist(), release.tolist()) == _event_times_loop(holds, flights)
