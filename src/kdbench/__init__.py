@@ -12,7 +12,6 @@ from .core import (  # noqa: F401
     AgeGroup,
     ALL_GROUPS,
     Dataset,
-    DatasetLabel,
     Demographics,
     Gender,
     Session,
@@ -32,4 +31,4 @@ from .protocol import (  # noqa: F401
     build_comparison_plan,
     split_dataset,
 )
-from .synthgen import GeneratorConfig, TypingProfile, generate, generate_scores  # noqa: F401
+from .synthgen import GeneratorConfig, TypingProfile, generate  # noqa: F401

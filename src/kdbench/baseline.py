@@ -31,15 +31,6 @@ SessionKey = tuple[str, str]  # (subject_id, session_id)
 
 
 @dataclass(frozen=True)
-class SessionEmbedding:
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("embedding contains non-finite coordinates")
-
-
-@dataclass(frozen=True)
 class NormalizationStats:
     """Per-coordinate z-normalization parameters from a development set."""
 
@@ -89,19 +80,22 @@ def fit_normalization(development: Dataset, config: FeatureConfig) -> Normalizat
     )
 
 
-def embed_session(matrix: FeatureMatrix, stats: NormalizationStats) -> SessionEmbedding:
+def embed_session(matrix: FeatureMatrix, stats: NormalizationStats) -> np.ndarray:
     raw = raw_embedding(matrix)
     if raw.shape != stats.mean.shape:
         raise ValueError(
             f"embedding dimension {raw.shape[0]} does not match "
             f"normalization dimension {stats.mean.shape[0]}"
         )
-    return SessionEmbedding((raw - stats.mean) / stats.std)
+    vector = (raw - stats.mean) / stats.std
+    if not np.all(np.isfinite(vector)):
+        raise ValueError("embedding contains non-finite coordinates")
+    return vector
 
 
 def embed_dataset(
     dataset: Dataset, config: FeatureConfig, stats: NormalizationStats
-) -> dict[SessionKey, SessionEmbedding]:
+) -> dict[SessionKey, np.ndarray]:
     return {
         (subject.subject_id, session.session_id): embed_session(
             extract_features(session, config), stats
@@ -112,7 +106,7 @@ def embed_dataset(
 
 
 def score_comparisons(
-    plan: ComparisonPlan, embeddings: Mapping[SessionKey, SessionEmbedding]
+    plan: ComparisonPlan, embeddings: Mapping[SessionKey, np.ndarray]
 ) -> np.ndarray:
     """Similarity scores aligned with the plan entries, all in [0, 1].
 
@@ -121,7 +115,7 @@ def score_comparisons(
     """
     def lookup(subject: str, session: str) -> np.ndarray:
         try:
-            return embeddings[(subject, session)].vector
+            return embeddings[(subject, session)]
         except KeyError:
             raise DataReferenceError(
                 f"no embedding for session {session!r} of subject {subject!r}"

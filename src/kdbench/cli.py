@@ -37,7 +37,7 @@ from .protocol import (
     split_dataset,
 )
 from .synthgen import GeneratorConfig, generate
-from .verifmetrics import compute_metrics_report, pooled_scores, roc
+from .verifmetrics import compute_metrics_report
 
 _EXIT_CODES = (
     (ConfigError, 2),
@@ -73,6 +73,13 @@ def _require_file(path: Path, exc_type: type[KdbenchError] = ConfigError) -> Pat
     if not path.is_file():
         raise exc_type(f"input file not found: {path}")
     return path
+
+
+def _load_plan(comparisons_path: Path) -> ComparisonPlan:
+    plan = formats.load_comparisons(_require_file(comparisons_path))
+    if not plan.entries:
+        raise ConfigError(f"comparison file {comparisons_path} has no comparisons")
+    return plan
 
 
 def _load_labeled_dataset(data_path: Path, demographics_path: Path) -> Dataset:
@@ -184,7 +191,7 @@ def run_score(
     strict: bool = False,
 ) -> None:
     dataset = formats.load_raw_log(_require_file(data_path))
-    plan = formats.load_comparisons(_require_file(comparisons_path))
+    plan = _load_plan(comparisons_path)
 
     referenced = plan.referenced_sessions()
     referenced_subjects = {subject_id for subject_id, _ in referenced}
@@ -254,26 +261,19 @@ def run_evaluate(
     out_dir: Path,
     fairness_config: FairnessConfig = FairnessConfig(),
 ) -> dict:
-    plan = formats.load_comparisons(_require_file(comparisons_path))
+    plan = _load_plan(comparisons_path)
     raw_scores, digest = formats.load_scores(_require_file(scores_path))
     formats.verify_strict_digest(digest, comparisons_path)
     demographics = formats.load_demographics(_require_file(demographics_path))
 
     score_sets = aggregate_scores(plan, raw_scores)
-    if not score_sets:
-        raise ConfigError(f"comparison file {comparisons_path} has no comparisons")
     metrics = compute_metrics_report(score_sets)
-    fairness = compute_fairness_report(
-        score_sets,
-        demographics,
-        plan,
-        raw_scores,
-        eer_threshold=metrics.global_metrics.eer_threshold,
-        config=fairness_config,
-    )
-
     g = metrics.global_metrics
     p = metrics.per_subject
+    fairness = compute_fairness_report(
+        score_sets, demographics, plan, raw_scores, g, config=fairness_config
+    )
+
     fairness_payload = {
         "std": fairness.spread.std,
         "ser": fairness.spread.ser,
@@ -309,16 +309,13 @@ def run_evaluate(
     out_dir.mkdir(parents=True, exist_ok=True)
     formats.write_json(metrics_payload, out_dir / "metrics.json")
     formats.write_json(fairness_payload, out_dir / "fairness.json")
-    genuine, impostor = pooled_scores(score_sets)
-    formats.write_det_csv(roc(genuine, impostor), out_dir / "det.csv")
-    formats.write_sir_csv(fairness.sir_age_matrix, out_dir / "sir_age.csv")
-    formats.write_sir_csv(fairness.sir_gender_matrix, out_dir / "sir_gender.csv")
-    formats.write_sir_binarized_csv(
-        fairness.sir_age_matrix, out_dir / "sir_age_binarized.csv"
-    )
-    formats.write_sir_binarized_csv(
-        fairness.sir_gender_matrix, out_dir / "sir_gender_binarized.csv"
-    )
+    formats.write_det_csv(g.curve.thresholds, g.curve.fmr, g.curve.fnmr, out_dir / "det.csv")
+    for m in (fairness.sir_age_matrix, fairness.sir_gender_matrix):
+        name = f"sir_{m.attribute}"
+        formats.write_sir_csv(m.labels, m.values, m.missing, out_dir / f"{name}.csv")
+        formats.write_sir_csv(
+            m.labels, m.binarized.astype(int), m.missing, out_dir / f"{name}_binarized.csv"
+        )
     _write_manifest(
         out_dir,
         "evaluate",
@@ -476,13 +473,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
+    except UnicodeDecodeError as exc:
+        # Its byte position counts from the decoder's buffer, not the file.
+        print(f"error: an input file is not UTF-8 text ({exc.reason})", file=sys.stderr)
+        return 2
     except KdbenchError as exc:
-        for exc_type, code in _EXIT_CODES:
-            if isinstance(exc, exc_type):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for exc_type, code in _EXIT_CODES if isinstance(exc, exc_type)), 1)
 
 
 if __name__ == "__main__":

@@ -83,7 +83,7 @@ class Session:
     Timestamps are integer Unix epoch milliseconds. Construction checks
     every row: codes fit [0, 255], no key is released before it is
     pressed, and press times never decrease. An empty session can be
-    represented so that validation can report it (`issues`).
+    represented so that `validate_subject` can report it.
     """
 
     session_id: str
@@ -122,11 +122,6 @@ class Session:
             self.events, other.events
         )
 
-    def issues(self) -> list[str]:
-        if len(self.events) == 0:
-            return [f"session {self.session_id}: no events"]
-        return []
-
     def start_ms(self) -> int:
         if len(self.events) == 0:
             raise ValueError(f"session {self.session_id} is empty")
@@ -143,17 +138,11 @@ class Subject:
         return [s.session_id for s in self.sessions]
 
 
-class DatasetLabel(Enum):
-    DEVELOPMENT = "development"
-    EVALUATION = "evaluation"
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """A collection of subjects, optionally tagged with its protocol role."""
+    """A collection of subjects with unique ids."""
 
     subjects: tuple[Subject, ...]
-    label: DatasetLabel | None = None
 
     def __post_init__(self) -> None:
         ids = [s.subject_id for s in self.subjects]
@@ -169,12 +158,6 @@ class Dataset:
 
     def n_sessions(self) -> int:
         return sum(len(s.sessions) for s in self.subjects)
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    eligible: bool
-    issues: tuple[str, ...] = ()
 
 
 REQUIRED_SESSIONS = 15
@@ -310,51 +293,38 @@ def _first_conversion_error(
     raise AssertionError("a conversion failed but every line converted")
 
 
-def validate_subject(
-    subject: Subject, required_sessions: int = REQUIRED_SESSIONS
-) -> ValidationResult:
-    """Check protocol eligibility: session count and per-session invariants.
-
-    Issues are reported, never raised.
+def validate_subject(subject: Subject) -> list[str]:
+    """Protocol-eligibility issues (session count, duplicate session ids,
+    empty sessions); an eligible subject has none. Issues are reported,
+    never raised.
     """
     issues: list[str] = []
     n = len(subject.sessions)
-    if n != required_sessions:
-        issues.append(f"session count {n} < {required_sessions}" if n < required_sessions
-                      else f"session count {n} > {required_sessions}")
+    if n != REQUIRED_SESSIONS:
+        relation = "<" if n < REQUIRED_SESSIONS else ">"
+        issues.append(f"session count {n} {relation} {REQUIRED_SESSIONS}")
     ids = subject.session_ids()
     if len(ids) != len(set(ids)):
         issues.append("duplicate session ids")
-    for session in subject.sessions:
-        issues.extend(session.issues())
-    return ValidationResult(eligible=not issues, issues=tuple(issues))
-
-
-def filter_eligible(
-    dataset: Dataset, required_sessions: int = REQUIRED_SESSIONS
-) -> Dataset:
-    """Keep exactly the eligible subjects, preserving their original order."""
-    kept = tuple(
-        s for s in dataset.subjects if validate_subject(s, required_sessions).eligible
+    issues.extend(
+        f"session {s.session_id}: no events" for s in subject.sessions if len(s.events) == 0
     )
-    return Dataset(kept, label=dataset.label)
+    return issues
 
 
-def attach_demographics(
-    dataset: Dataset,
-    mapping: Mapping[str, Demographics],
-    require_all: bool = False,
-) -> Dataset:
+def filter_eligible(dataset: Dataset) -> Dataset:
+    """Keep exactly the eligible subjects, preserving their original order."""
+    return Dataset(tuple(s for s in dataset.subjects if not validate_subject(s)))
+
+
+def attach_demographics(dataset: Dataset, mapping: Mapping[str, Demographics]) -> Dataset:
     """Return a copy of the dataset with demographics from `mapping` attached.
 
-    Subjects absent from the mapping keep their existing annotation; with
-    `require_all` every subject must be covered.
+    Subjects absent from the mapping keep their existing annotation (the
+    protocol stage rejects a subject left without one).
     """
-    missing = [s.subject_id for s in dataset.subjects if s.subject_id not in mapping]
-    if require_all and missing:
-        raise ParseError(f"demographics missing for subjects: {missing[:5]}")
     subjects = tuple(
         replace(s, demographics=mapping.get(s.subject_id, s.demographics))
         for s in dataset.subjects
     )
-    return Dataset(subjects, label=dataset.label)
+    return Dataset(subjects)

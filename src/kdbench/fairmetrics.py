@@ -19,19 +19,16 @@ import numpy as np
 from .core import AgeGroup, ALL_GROUPS, Demographics, Gender
 from .errors import ConfigError, ProtocolError
 from .protocol import ComparisonKind, ComparisonPlan, ScoreSet
-from .verifmetrics import roc, threshold_at_fmr
+from .verifmetrics import GlobalMetrics, accuracy_at, operating_point, pooled_scores
 
 
 @dataclass(frozen=True)
 class FairnessConfig:
     """alpha weights false-match gaps against false-non-match gaps
-    (beta = 1 - alpha is implied). epsilon_rate floors zero rates in the
-    ratio metrics; by default it is 1 / (largest per-group impostor
-    count), the smallest resolvable rate."""
+    (beta = 1 - alpha is implied)."""
 
     alpha: float = 0.5
     operating_fmr_percent: float = 1.0
-    epsilon_rate: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -105,63 +102,47 @@ def accuracy_spread(values: Sequence[float]) -> tuple[float, float]:
     return std, ser
 
 
-def group_accuracy_spread(
-    score_sets: Sequence[ScoreSet],
-    demographics: Mapping[str, Demographics],
-    eer_threshold: float,
-) -> SpreadReport:
-    """Per-group verification accuracy at the global EER threshold, with
-    its spread. Unpopulated groups are excluded with a warning."""
+def group_scores(
+    score_sets: Sequence[ScoreSet], demographics: Mapping[str, Demographics]
+) -> dict[Demographics, list[ScoreSet]]:
+    """The score sets of each of the 12 groups, in `ALL_GROUPS` order; a
+    group without subjects maps to an empty list."""
     by_group: dict[Demographics, list[ScoreSet]] = {g: [] for g in ALL_GROUPS}
     for s in score_sets:
         by_group[_group_of(demographics, s.subject_id)].append(s)
+    return by_group
 
+
+def group_accuracy_spread(
+    by_group: Mapping[Demographics, Sequence[ScoreSet]], eer_threshold: float
+) -> SpreadReport:
+    """Per-group verification accuracy at the global EER threshold, with
+    its spread. Unpopulated groups are excluded with a warning."""
     per_group: dict[Demographics, float] = {}
     for group, members in by_group.items():
         if not members:
             warnings.warn(f"group {group.label()} has no subjects; excluded from spread")
             continue
-        genuine = np.array([v for s in members for v in s.genuine])
-        impostor = np.array([v for s in members for v in s.impostor()])
-        correct = int((genuine >= eer_threshold).sum()) + int(
-            (impostor < eer_threshold).sum()
-        )
-        per_group[group] = correct / (len(genuine) + len(impostor)) * 100.0
+        per_group[group] = accuracy_at(*pooled_scores(members), eer_threshold)
 
     std, ser = accuracy_spread(list(per_group.values()))
     return SpreadReport(per_group=per_group, std=std, ser=ser)
 
 
 def group_rates(
-    score_sets: Sequence[ScoreSet],
-    demographics: Mapping[str, Demographics],
-    config: FairnessConfig = FairnessConfig(),
+    by_group: Mapping[Demographics, Sequence[ScoreSet]], threshold: float
 ) -> GroupRates:
-    """Per-group FMR/FNMR at the global operating-FMR threshold.
-
-    The threshold is the smallest one keeping the pooled (all-impostor)
-    FMR at or below the target; group FMRs then use similar impostors
-    only.
-    """
-    genuine_all = np.array([v for s in score_sets for v in s.genuine])
-    impostor_all = np.array([v for s in score_sets for v in s.impostor()])
-    curve = roc(genuine_all, impostor_all)
-    threshold = threshold_at_fmr(curve, config.operating_fmr_percent)
-
-    by_group: dict[Demographics, list[ScoreSet]] = {}
-    for s in score_sets:
-        by_group.setdefault(_group_of(demographics, s.subject_id), []).append(s)
-
+    """Per-group FMR/FNMR at one global threshold (in the fairness report,
+    the smallest keeping the pooled all-impostor FMR at or below the
+    operating target). Group FMRs use similar impostors only; unpopulated
+    groups are skipped."""
     rates: dict[Demographics, tuple[float, float]] = {}
     counts: dict[Demographics, int] = {}
-    for group in ALL_GROUPS:
-        members = by_group.get(group)
+    for group, members in by_group.items():
         if not members:
             continue
         genuine = np.array([v for s in members for v in s.genuine])
         similar = np.array([v for s in members for v in s.similar])
-        if similar.size == 0:
-            raise ValueError(f"group {group.label()} has no impostor scores")
         rates[group] = (
             float((similar >= threshold).mean()),
             float((genuine < threshold).mean()),
@@ -181,9 +162,8 @@ def fdr(rates: GroupRates, config: FairnessConfig = FairnessConfig()) -> float:
     return 100.0 * (1.0 - (config.alpha * fmr_gap + (1.0 - config.alpha) * fnmr_gap))
 
 
-def _epsilon(rates: GroupRates, config: FairnessConfig) -> float:
-    if config.epsilon_rate is not None:
-        return config.epsilon_rate
+def _epsilon(rates: GroupRates) -> float:
+    # The smallest resolvable rate: one error in the largest group.
     if rates.impostor_counts:
         return 1.0 / max(rates.impostor_counts.values())
     return 1e-9
@@ -196,7 +176,7 @@ def inequity_rate(rates: GroupRates, config: FairnessConfig = FairnessConfig()) 
     ratios up to infinity.
     """
     _require_groups(rates)
-    eps = _epsilon(rates, config)
+    eps = _epsilon(rates)
     fmrs = np.maximum(rates.fmrs(), eps)
     fnmrs = np.maximum(rates.fnmrs(), eps)
     return float(
@@ -252,20 +232,31 @@ def impostor_score_entries(
     demographics: Mapping[str, Demographics],
 ) -> list[tuple[Demographics, Demographics, float]]:
     """(enrolled demographics, verification demographics, score) for every
-    impostor entry of the plan, aligned with the session-level scores."""
+    impostor entry of the plan, aligned with the session-level scores.
+
+    An S entry must pair two subjects of one group and a D entry two that
+    differ in both age bin and gender; otherwise the plan and the
+    demographics disagree (ProtocolError).
+    """
     if len(raw_scores) != len(plan.entries):
         raise ValueError("raw_scores not aligned with plan")
     out = []
     for entry, score in zip(plan.entries, raw_scores):
         if entry.kind is ComparisonKind.GENUINE:
             continue
-        out.append(
-            (
-                _group_of(demographics, entry.enrol_subject),
-                _group_of(demographics, entry.verif_subject),
-                float(score),
+        enrol = _group_of(demographics, entry.enrol_subject)
+        verif = _group_of(demographics, entry.verif_subject)
+        if entry.kind is ComparisonKind.SIMILAR:
+            consistent = enrol == verif
+        else:
+            consistent = enrol.age_group != verif.age_group and enrol.gender != verif.gender
+        if not consistent:
+            raise ProtocolError(
+                f"plan and demographics disagree: {entry.kind.letter} comparison of "
+                f"{entry.enrol_subject} ({enrol.label()}) against "
+                f"{entry.verif_subject} ({verif.label()})"
             )
-        )
+        out.append((enrol, verif, float(score)))
     return out
 
 
@@ -375,12 +366,17 @@ def compute_fairness_report(
     demographics: Mapping[str, Demographics],
     plan: ComparisonPlan,
     raw_scores: Sequence[float],
-    eer_threshold: float,
+    pooled: GlobalMetrics,
     config: FairnessConfig = FairnessConfig(),
 ) -> FairnessReport:
-    spread = group_accuracy_spread(score_sets, demographics, eer_threshold)
-    rates = group_rates(score_sets, demographics, config)
+    """Every fairness output; `pooled` supplies the EER threshold and the
+    pooled curve the operating-FMR threshold is read from."""
+    # The plan is checked against the demographics before any group metric.
     entries = impostor_score_entries(plan, raw_scores, demographics)
+    by_group = group_scores(score_sets, demographics)
+    spread = group_accuracy_spread(by_group, pooled.eer_threshold)
+    threshold, _ = operating_point(pooled.curve, config.operating_fmr_percent)
+    rates = group_rates(by_group, threshold)
     age_matrix, sir_age = sir(entries, "age")
     gender_matrix, sir_gender = sir(entries, "gender")
     return FairnessReport(

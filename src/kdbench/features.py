@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CODE, PRESS, RELEASE, Dataset, Session
+from .core import CODE, PRESS, RELEASE, Session
 from .errors import ConfigError
 
 # Channel identifiers. Time channels pair a latency kind with a lookahead
@@ -117,27 +117,6 @@ def extract_features(session: Session, config: FeatureConfig) -> FeatureMatrix:
         else:
             out[:n, j] = np.clip(columns[name], -clip, clip)
     return FeatureMatrix(values=out, valid_len=n, feature_set=config.feature_set)
-
-
-def channel_statistics(
-    dataset: Dataset, config: FeatureConfig
-) -> list[tuple[float, float]]:
-    """Per-channel (mean, std) over all non-padded rows of all sessions.
-
-    Uses the population standard deviation; a channel that is constant
-    across every row reports exactly 0. Reductions use correctly rounded
-    sums, so the result is bit-identical under any subject or session
-    ordering.
-    """
-    rows = [
-        extract_features(session, config).valid_rows()
-        for subject in dataset.subjects
-        for session in subject.sessions
-    ]
-    if not rows:
-        raise ValueError("dataset contains no sessions")
-    stacked = np.concatenate(rows, axis=0)
-    return [order_insensitive_mean_std(stacked[:, j]) for j in range(stacked.shape[1])]
 
 
 def order_insensitive_mean_std(column: np.ndarray) -> tuple[float, float]:

@@ -37,8 +37,6 @@ from .core import (
 )
 from .errors import AlignmentError, ConfigError, ParseError
 from .protocol import Comparison, ComparisonKind, ComparisonPlan
-from .verifmetrics import RocCurve
-from .fairmetrics import SirMatrix
 
 STRICT_HEADER_PREFIX = "# comparisons_sha256="
 
@@ -49,15 +47,23 @@ def _check_identifier(value: str, what: str) -> str:
     return value
 
 
+def _check_identifiers(pairs: Iterable[tuple[str, str]]) -> None:
+    """Check (subject_id, session_id) pairs. Writers call this before they
+    open their file, so a bad identifier leaves no partial file behind."""
+    for subject_id, session_id in pairs:
+        _check_identifier(subject_id, "subject_id")
+        _check_identifier(session_id, "session_id")
+
+
 # -- raw event logs ----------------------------------------------------
 
 
 def raw_log_lines(dataset: Dataset) -> Iterable[str]:
-    """The raw log's text, one session's lines at a time."""
+    """The raw log's text, one session's lines at a time (identifiers are
+    not checked here; `write_raw_log` checks them)."""
     for subject in dataset.subjects:
-        sid = _check_identifier(subject.subject_id, "subject_id")
         for session in subject.sessions:
-            prefix = f"{sid}\t{_check_identifier(session.session_id, 'session_id')}\t"
+            prefix = f"{subject.subject_id}\t{session.session_id}\t"
             yield "".join(
                 f"{prefix}{code}\t{press}\t{release}\n"
                 for code, press, release in session.events.tolist()
@@ -65,6 +71,11 @@ def raw_log_lines(dataset: Dataset) -> Iterable[str]:
 
 
 def write_raw_log(dataset: Dataset, path: Path) -> None:
+    _check_identifiers(
+        (subject.subject_id, session.session_id)
+        for subject in dataset.subjects
+        for session in subject.sessions
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(raw_log_lines(dataset))
 
@@ -78,13 +89,15 @@ def load_raw_log(path: Path) -> Dataset:
 
 
 def write_demographics(dataset: Dataset, path: Path) -> None:
+    # Lines are built first, so a bad identifier leaves no partial file.
+    lines = [
+        f"{_check_identifier(s.subject_id, 'subject_id')}\t"
+        f"{s.demographics.age_group.value}\t{s.demographics.gender.value}\n"
+        for s in dataset.subjects
+        if s.demographics is not None
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for subject in dataset.subjects:
-            if subject.demographics is None:
-                continue
-            sid = _check_identifier(subject.subject_id, "subject_id")
-            demo = subject.demographics
-            fh.write(f"{sid}\t{demo.age_group.value}\t{demo.gender.value}\n")
+        fh.writelines(lines)
 
 
 def load_demographics(path: Path) -> dict[str, Demographics]:
@@ -112,11 +125,7 @@ def load_demographics(path: Path) -> dict[str, Demographics]:
 
 
 def write_comparisons(plan: ComparisonPlan, path: Path) -> None:
-    # Every identifier is checked before the file is opened, so a bad one
-    # leaves no partial plan behind.
-    for subject_id, session_id in plan.referenced_sessions():
-        _check_identifier(subject_id, "subject_id")
-        _check_identifier(session_id, "session_id")
+    _check_identifiers(plan.referenced_sessions())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for e in plan.entries:
             fh.write(
@@ -219,14 +228,17 @@ def verify_strict_digest(digest: str | None, comparisons_path: Path) -> None:
 # -- curves and matrices --------------------------------------------------
 
 
-def write_det_csv(curve: RocCurve, path: Path) -> None:
+def write_det_csv(
+    thresholds: np.ndarray, fmr: np.ndarray, fnmr: np.ndarray, path: Path
+) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("threshold,fmr,fnmr\n")
-        for t, fm, fn in zip(curve.thresholds, curve.fmr, curve.fnmr):
+        for t, fm, fn in zip(thresholds, fmr, fnmr):
             fh.write(f"{float(t)!r},{float(fm)!r},{float(fn)!r}\n")
 
 
-def load_det_csv(path: Path) -> RocCurve:
+def load_det_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (thresholds, fmr, fnmr)."""
     thresholds, fmr, fnmr = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -242,22 +254,20 @@ def load_det_csv(path: Path) -> RocCurve:
                 fnmr.append(float(fields[2]))
             except ValueError:
                 raise ParseError(f"non-numeric DET row {fields!r}", lineno) from None
-    return RocCurve(
-        thresholds=np.asarray(thresholds),
-        fmr=np.asarray(fmr),
-        fnmr=np.asarray(fnmr),
-    )
+    return np.asarray(thresholds), np.asarray(fmr), np.asarray(fnmr)
 
 
-def write_sir_csv(matrix: SirMatrix, path: Path) -> None:
+def write_sir_csv(
+    labels: Sequence[str], cells: np.ndarray, missing: np.ndarray, path: Path
+) -> None:
+    """A labelled square matrix; each available cell is written as the
+    repr of its Python value (mean scores as floats, binarized cells as
+    0/1 integers), a missing one as the empty string."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("enrol\\verif," + ",".join(matrix.labels) + "\n")
-        for i, label in enumerate(matrix.labels):
-            cells = [
-                "" if matrix.missing[i, j] else repr(float(matrix.values[i, j]))
-                for j in range(len(matrix.labels))
-            ]
-            fh.write(label + "," + ",".join(cells) + "\n")
+        fh.write("enrol\\verif," + ",".join(labels) + "\n")
+        for label, row, gaps in zip(labels, cells.tolist(), missing.tolist()):
+            text = ",".join("" if m else repr(v) for v, m in zip(row, gaps))
+            fh.write(f"{label},{text}\n")
 
 
 def load_sir_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -278,17 +288,6 @@ def load_sir_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
                 else:
                     values[i, j] = float(cell)
     return labels, values, missing
-
-
-def write_sir_binarized_csv(matrix: SirMatrix, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("enrol\\verif," + ",".join(matrix.labels) + "\n")
-        for i, label in enumerate(matrix.labels):
-            cells = [
-                "" if matrix.missing[i, j] else str(int(matrix.binarized[i, j]))
-                for j in range(len(matrix.labels))
-            ]
-            fh.write(label + "," + ",".join(cells) + "\n")
 
 
 # -- json reports ----------------------------------------------------------

@@ -17,15 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    AgeGroup,
-    Dataset,
-    DatasetLabel,
-    Demographics,
-    Session,
-    Subject,
-    validate_subject,
-)
+from .core import AgeGroup, Dataset, Demographics, Session, Subject, validate_subject
 from .errors import AlignmentError, ConfigError, ProtocolError
 
 ENROL_SESSIONS = 5
@@ -146,11 +138,10 @@ def _require_protocol_ready(dataset: Dataset) -> None:
     for subject in dataset.subjects:
         if subject.demographics is None:
             raise ProtocolError(f"subject {subject.subject_id} has no demographics")
-        result = validate_subject(subject)
-        if not result.eligible:
+        issues = validate_subject(subject)
+        if issues:
             raise ProtocolError(
-                f"subject {subject.subject_id} not protocol-eligible: "
-                + "; ".join(result.issues)
+                f"subject {subject.subject_id} not protocol-eligible: " + "; ".join(issues)
             )
 
 
@@ -227,10 +218,7 @@ def _largest_remainder_quotas(sizes: list[int], total: int) -> list[int]:
 def _partition(dataset: Dataset, eval_indices: set[int]) -> tuple[Dataset, Dataset]:
     dev = tuple(s for i, s in enumerate(dataset.subjects) if i not in eval_indices)
     ev = tuple(s for i, s in enumerate(dataset.subjects) if i in eval_indices)
-    return (
-        Dataset(dev, label=DatasetLabel.DEVELOPMENT),
-        Dataset(ev, label=DatasetLabel.EVALUATION),
-    )
+    return Dataset(dev), Dataset(ev)
 
 
 def chronological_sessions(subject: Subject) -> list[Session]:
@@ -373,7 +361,9 @@ def aggregate_scores(
     """Average each slot's 5 enrolment comparisons into one score.
 
     Yields one ScoreSet per subject (10 genuine + 10 similar + 10
-    dissimilar slots), sorted by subject id.
+    dissimilar slots), sorted by subject id. A plan whose slot lies
+    outside [0, 10), whose genuine line pairs two subjects, or whose
+    impostor line pairs a subject with itself is rejected (ProtocolError).
     """
     scores = np.asarray(raw_scores, dtype=np.float64)
     if scores.ndim != 1 or len(scores) != len(plan.entries):
@@ -390,6 +380,15 @@ def aggregate_scores(
     slots: dict[tuple[str, ComparisonKind, int], list[float | None]] = {}
     for entry, score in zip(plan.entries, scores):
         key = (entry.enrol_subject, entry.kind, entry.score_index)
+        if not 0 <= entry.score_index < SLOTS_PER_KIND:
+            raise ProtocolError(
+                f"slot {key[0]}/{key[1].value}/{key[2]} outside [0, {SLOTS_PER_KIND})"
+            )
+        if (entry.kind is ComparisonKind.GENUINE) != (entry.verif_subject == key[0]):
+            raise ProtocolError(
+                f"{entry.kind.value} comparison of {key[0]} against {entry.verif_subject}: "
+                "genuine lines pair a subject with itself, impostor lines with another"
+            )
         values = slots.setdefault(key, [None] * ENROL_SESSIONS)
         if not 0 <= entry.enrol_index < ENROL_SESSIONS or values[entry.enrol_index] is not None:
             raise ProtocolError(

@@ -1,4 +1,4 @@
-"""Seeded generator of synthetic keystroke datasets and score fixtures.
+"""Seeded generator of synthetic keystroke datasets.
 
 The generator is a statistical stand-in for real typing behavior: every
 subject receives a typing profile drawn from population hyper-priors, with
@@ -28,27 +28,27 @@ from .core import (
     Subject,
 )
 from .errors import ConfigError
-from .protocol import ScoreSet
 
 PRINTABLE_ASCII = tuple(range(32, 127))
+_KEY_CODES = np.array(PRINTABLE_ASCII, dtype=np.int64)
 _EPOCH_BASE_MS = 1_600_000_000_000
 _SESSION_SPACING_MS = 3_600_000
 
-# RNG domain tags keep the dataset and score-fixture streams independent.
+# The dataset stream's RNG domain tag: every generated byte depends on it.
 _DOMAIN_DATASET = 0
-_DOMAIN_SCORES = 1
 
 
 @dataclass(frozen=True)
 class TypingProfile:
-    """Per-subject timing parameters (all times in seconds)."""
+    """Per-subject timing parameters (all times in seconds);
+    per_key_offset holds the hold-time offset of each of the 256 key codes."""
 
     mean_hold_s: float
     sd_hold_s: float
     mean_gap_s: float
     sd_gap_s: float
     rollover_prob: float
-    per_key_offset: dict[int, float]
+    per_key_offset: np.ndarray
 
     def __post_init__(self) -> None:
         if self.mean_hold_s <= 0 or self.mean_gap_s <= 0:
@@ -90,9 +90,9 @@ class GeneratorConfig:
             raise ConfigError(f"skew_strength must be >= 0, got {self.skew_strength}")
 
 
-def _subject_rng(config: GeneratorConfig, domain: int, index: int) -> np.random.Generator:
+def _subject_rng(config: GeneratorConfig, index: int) -> np.random.Generator:
     return np.random.default_rng(
-        np.random.SeedSequence([config.seed, domain, index])
+        np.random.SeedSequence([config.seed, _DOMAIN_DATASET, index])
     )
 
 
@@ -115,8 +115,8 @@ def _draw_profile(
     sd_hold = 0.25 * mean_hold * math.exp(rng.normal(0.0, 0.20))
     sd_gap = 0.45 * mean_gap * math.exp(rng.normal(0.0, 0.20))
     rollover = float(min(0.6, rng.beta(2.0, 10.0)))
-    drawn = rng.normal(0.0, 0.006, len(PRINTABLE_ASCII))
-    offsets = dict(zip(PRINTABLE_ASCII, drawn.tolist()))
+    offsets = np.zeros(256)
+    offsets[_KEY_CODES] = rng.normal(0.0, 0.006, len(PRINTABLE_ASCII))
     return TypingProfile(mean_hold, sd_hold, mean_gap, sd_gap, rollover, offsets)
 
 
@@ -137,9 +137,6 @@ def _key_distribution(rng: np.random.Generator) -> np.ndarray:
     return weights / weights.sum()
 
 
-_KEY_CODES = np.array(PRINTABLE_ASCII, dtype=np.int64)
-
-
 def _generate_subject_sessions(
     rng: np.random.Generator,
     profile: TypingProfile,
@@ -150,11 +147,8 @@ def _generate_subject_sessions(
     # All random draws for a subject are batched into per-distribution calls.
     shape = (n_sessions, n_keys)
     codes = rng.choice(_KEY_CODES, size=shape, p=key_probs)
-    offset_table = np.zeros(256)
-    for code, offset in profile.per_key_offset.items():
-        offset_table[code] = offset
     holds = _lognormal(rng, profile.mean_hold_s, profile.sd_hold_s, shape)
-    holds = np.maximum(0.002, holds + offset_table[codes])
+    holds = np.maximum(0.002, holds + profile.per_key_offset[codes])
     flight_mean = max(profile.mean_gap_s - profile.mean_hold_s, 0.02)
     flights = _lognormal(rng, flight_mean, profile.sd_gap_s, shape)
     rollover = rng.random(shape) < profile.rollover_prob
@@ -198,7 +192,7 @@ def generate(config: GeneratorConfig) -> Dataset:
     weights = weights / weights.sum()
     subjects = []
     for index in range(config.n_subjects):
-        rng = _subject_rng(config, _DOMAIN_DATASET, index)
+        rng = _subject_rng(config, index)
         demo = ALL_GROUPS[int(rng.choice(len(ALL_GROUPS), p=weights))]
         profile = _draw_profile(rng, demo, config.skew_strength)
         key_probs = _key_distribution(rng)
@@ -208,30 +202,3 @@ def generate(config: GeneratorConfig) -> Dataset:
         )
         subjects.append(Subject(f"u{index:05d}", demo, tuple(sessions)))
     return Dataset(tuple(subjects))
-
-
-def generate_scores(config: GeneratorConfig, separation: float) -> list[ScoreSet]:
-    """Synthetic per-subject score sets, bypassing features and scoring.
-
-    Genuine scores are drawn from Normal(0.5 + separation/2, 0.1) and
-    impostor scores from Normal(0.5 - separation/2, 0.1), clipped to
-    [0, 1]. A direct fixture for the metric modules.
-    """
-    if separation < 0:
-        raise ConfigError(f"separation must be >= 0, got {separation}")
-    out = []
-    for index in range(config.n_subjects):
-        rng = _subject_rng(config, _DOMAIN_SCORES, index)
-
-        def draw(mean: float) -> tuple[float, ...]:
-            return tuple(np.clip(rng.normal(mean, 0.1, 10), 0.0, 1.0).tolist())
-
-        out.append(
-            ScoreSet(
-                f"u{index:05d}",
-                genuine=draw(0.5 + separation / 2.0),
-                similar=draw(0.5 - separation / 2.0),
-                dissimilar=draw(0.5 - separation / 2.0),
-            )
-        )
-    return out

@@ -82,16 +82,9 @@ def eer(curve: RocCurve) -> tuple[float, float]:
     return value * 100.0, threshold
 
 
-def threshold_at_fmr(curve: RocCurve, x_percent: float) -> float:
-    """Smallest threshold whose FMR does not exceed x percent."""
-    if not 0 < x_percent <= 100:
-        raise ValueError(f"x_percent {x_percent} outside (0, 100]")
-    i = int(np.argmax(curve.fmr <= x_percent / 100.0))
-    return float(curve.thresholds[i])
-
-
-def fnmr_at_fmr(curve: RocCurve, x_percent: float) -> float:
-    """FNMR (percent) at the smallest threshold with FMR <= x percent.
+def operating_point(curve: RocCurve, x_percent: float) -> tuple[float, float]:
+    """(threshold, FNMR percent) at the smallest threshold whose FMR does
+    not exceed x percent.
 
     Conservative by construction: the realized FMR never exceeds the
     target.
@@ -99,7 +92,7 @@ def fnmr_at_fmr(curve: RocCurve, x_percent: float) -> float:
     if not 0 < x_percent <= 100:
         raise ValueError(f"x_percent {x_percent} outside (0, 100]")
     i = int(np.argmax(curve.fmr <= x_percent / 100.0))
-    return float(curve.fnmr[i]) * 100.0
+    return float(curve.thresholds[i]), float(curve.fnmr[i]) * 100.0
 
 
 def auc(genuine: Iterable[float], impostor: Iterable[float]) -> float:
@@ -130,6 +123,10 @@ def accuracy_at(
 
 @dataclass(frozen=True)
 class GlobalMetrics:
+    """Pooled single-threshold metrics, with the pooled curve they were read
+    from (the DET file and the fairness operating threshold reuse it)."""
+
+    curve: RocCurve
     eer: float
     eer_threshold: float
     fnmr_at_fmr: dict[float, float]
@@ -183,9 +180,10 @@ def global_metrics(
     curve = roc(genuine, impostor)
     eer_value, eer_thr = eer(curve)
     return GlobalMetrics(
+        curve=curve,
         eer=eer_value,
         eer_threshold=eer_thr,
-        fnmr_at_fmr={x: fnmr_at_fmr(curve, x) for x in fmr_targets},
+        fnmr_at_fmr={x: operating_point(curve, x)[1] for x in fmr_targets},
         auc=auc(genuine, impostor),
         accuracy=accuracy_at(genuine, impostor, eer_thr),
     )

@@ -89,27 +89,3 @@ def group_rates_brute(score_sets, demographics, threshold):
         fnmr = sum(1 for v in genuine if v < threshold) / len(genuine)
         out[group] = (fmr, fnmr)
     return out
-
-
-def channel_stats_brute(dataset, config):
-    """Flatten every valid feature row, then plain mean / population std."""
-    from kdbench.features import extract_features
-
-    columns: list[list[float]] = []
-    for subject in dataset.subjects:
-        for session in subject.sessions:
-            matrix = extract_features(session, config)
-            for row in matrix.values[: matrix.valid_len]:
-                if not columns:
-                    columns = [[] for _ in row]
-                for j, value in enumerate(row):
-                    columns[j].append(float(value))
-    stats = []
-    for col in columns:
-        mean = sum(col) / len(col)
-        if all(v == col[0] for v in col):
-            stats.append((mean, 0.0))
-        else:
-            var = sum((v - mean) ** 2 for v in col) / len(col)
-            stats.append((mean, var ** 0.5))
-    return stats

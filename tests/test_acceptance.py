@@ -22,7 +22,6 @@ from kdbench.fairmetrics import (
     accuracy_spread,
     fdr,
     garbe,
-    group_rates,
     inequity_rate,
     sir,
 )
@@ -40,7 +39,7 @@ from kdbench.verifmetrics import (
     auc,
     compute_metrics_report,
     eer,
-    fnmr_at_fmr,
+    operating_point,
     per_subject_metrics,
     roc,
 )
@@ -56,6 +55,7 @@ from oracles import (
 from test_fairmetrics import (
     DESKTOP_GROUP_ACCURACIES,
     MOBILE_GROUP_ACCURACIES,
+    rates_at,
     sir_entries_from_matrix,
 )
 
@@ -121,7 +121,7 @@ def test_metric_oracle_equivalence():
         curve = roc(genuine, impostor)
         assert eer(curve) == eer_brute(genuine, impostor)
         x = float(rng.choice([0.1, 1.0, 10.0]))
-        assert fnmr_at_fmr(curve, x) == fnmr_at_fmr_brute(genuine, impostor, x)
+        assert operating_point(curve, x)[1] == fnmr_at_fmr_brute(genuine, impostor, x)
         assert auc(genuine, impostor) == auc_brute(genuine, impostor)
 
         if i % 5 == 0:
@@ -139,7 +139,7 @@ def test_metric_oracle_equivalence():
                 )
                 demographics[sid] = ALL_GROUPS[int(rng.integers(len(ALL_GROUPS)))]
             assert per_subject_metrics(sets).rank1 == rank1_brute(sets)
-            rates = group_rates(sets, demographics)
+            rates = rates_at(sets, demographics)
             assert rates.rates == group_rates_brute(sets, demographics, rates.threshold)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"oracle sweep took {elapsed:.1f} s"

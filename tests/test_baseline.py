@@ -15,7 +15,6 @@ from kdbench.core import Dataset, Session, Subject
 from kdbench.errors import DataReferenceError
 from kdbench.features import FeatureConfig, FeatureMatrix, FeatureSet, extract_features
 from kdbench.protocol import Comparison, ComparisonKind, ComparisonPlan
-from kdbench.baseline import SessionEmbedding
 
 from test_features import WORKED_SESSION
 
@@ -128,7 +127,7 @@ class TestEmbedSession:
             mean=raw.copy(), std=np.full(raw.shape, 2.0)
         )
         embedded = embed_session(matrix, stats)
-        assert embedded.vector == pytest.approx(np.zeros_like(raw), abs=1e-12)
+        assert embedded == pytest.approx(np.zeros_like(raw), abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         matrix = extract_features(WORKED_SESSION, CFG)
@@ -145,10 +144,7 @@ def plan_of(pairs):
 
 
 def embeddings_of(vectors):
-    out = {}
-    for (subject, session), vec in vectors.items():
-        out[(subject, session)] = SessionEmbedding(np.asarray(vec, dtype=np.float64))
-    return out
+    return {key: np.asarray(vec, dtype=np.float64) for key, vec in vectors.items()}
 
 
 class TestScoreComparisons:

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdbench.cli import main
 from kdbench.formats import (
@@ -372,6 +379,107 @@ def _alpha_above_one(synth_dir, protocol_dir, scores_dir, tmp_path):
     )
 
 
+def _evaluate_edited(dirs, edit_comparisons=None, edit_demographics=None, extra_scores=""):
+    """evaluate on the fixture run with its comparison lines, demographics
+    lines or score file edited."""
+    synth_dir, protocol_dir, scores_dir, tmp_path = dirs
+    files = {
+        "comparisons.txt": (protocol_dir, edit_comparisons),
+        "demographics.tsv": (synth_dir, edit_demographics),
+    }
+    for name, (source, edit) in files.items():
+        lines = (source / name).read_text().splitlines(keepends=True)
+        (tmp_path / name).write_text("".join(edit(lines) if edit else lines))
+    (tmp_path / "scores.txt").write_text((scores_dir / "scores.txt").read_text() + extra_scores)
+    return (
+        "evaluate",
+        "--comparisons", tmp_path / "comparisons.txt",
+        "--scores", tmp_path / "scores.txt",
+        "--demographics", tmp_path / "demographics.tsv",
+        "--out", tmp_path / "out",
+    )
+
+
+def _fields(line):
+    return line.rstrip("\n").split("\t")
+
+
+def _slot_outside_range(*dirs):
+    # Five more genuine lines in slot 10, with five more scores: formerly
+    # ignored in silence.
+    def add_slot_ten(lines):
+        extra = ["\t".join(_fields(line)[:3] + ["10"]) + "\n" for line in lines[:5]]
+        return lines + extra
+
+    return _evaluate_edited(dirs, edit_comparisons=add_slot_ten, extra_scores="0.5\n" * 5)
+
+
+def _genuine_line_across_subjects(*dirs):
+    def point_at_impostor(lines):
+        enrol, verif, kind, slot = _fields(lines[0])
+        impostor = next(_fields(line)[1] for line in lines if _fields(line)[2] == "S")
+        assert kind == "G"
+        lines[0] = "\t".join([enrol, impostor, kind, slot]) + "\n"
+        return lines
+
+    return _evaluate_edited(dirs, edit_comparisons=point_at_impostor)
+
+
+def _impostor_is_enrolled_subject(*dirs):
+    def self_impostor(lines):
+        i = next(i for i, line in enumerate(lines) if _fields(line)[2] == "S")
+        enrol, verif, kind, slot = _fields(lines[i])
+        lines[i] = "\t".join([enrol, enrol, kind, slot]) + "\n"
+        return lines
+
+    return _evaluate_edited(dirs, edit_comparisons=self_impostor)
+
+
+def _flipped_gender(*dirs):
+    evaluated = json.loads((dirs[1] / "split.json").read_text())["evaluation"]
+
+    def flip(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(evaluated[0] + "\t"))
+        subject, age, gender = _fields(lines[i])
+        lines[i] = f"{subject}\t{age}\t{'F' if gender == 'M' else 'M'}\n"
+        return lines
+
+    return _evaluate_edited(dirs, edit_demographics=flip)
+
+
+def _non_utf8_scores(synth_dir, protocol_dir, scores_dir, tmp_path):
+    data = (scores_dir / "scores.txt").read_bytes()
+    (tmp_path / "scores.txt").write_bytes(data[:40] + b"\xff" + data[40:])
+    return (
+        "evaluate",
+        "--comparisons", protocol_dir / "comparisons.txt",
+        "--scores", tmp_path / "scores.txt",
+        "--demographics", synth_dir / "demographics.tsv",
+        "--out", tmp_path / "out",
+    )
+
+
+def _non_utf8_raw_log(synth_dir, protocol_dir, scores_dir, tmp_path):
+    data = (synth_dir / "raw_log.tsv").read_bytes()
+    (tmp_path / "raw_log.tsv").write_bytes(data[:300] + b"\xff" + data[300:])
+    return (
+        "score",
+        "--data", tmp_path / "raw_log.tsv",
+        "--comparisons", protocol_dir / "comparisons.txt",
+        "--out", tmp_path / "out",
+    )
+
+
+def _score_empty_comparisons(synth_dir, protocol_dir, scores_dir, tmp_path):
+    (tmp_path / "comparisons.txt").write_text("")
+    return (
+        "score",
+        "--data", synth_dir / "raw_log.tsv",
+        "--comparisons", tmp_path / "comparisons.txt",
+        "--out", tmp_path / "out",
+    )
+
+
 BAD_INPUTS = [
     (_colon_ids, 2, "contains tab/newline/colon"),
     (_demographics_missing_evaluated_subject, 3, "no demographics for subject"),
@@ -379,6 +487,13 @@ BAD_INPUTS = [
     (_malformed_raw_log, 2, "line 8: non-integer event field"),
     (_zero_max_len, 2, "max_len must be >= 1"),
     (_alpha_above_one, 2, "alpha 2.0 outside [0, 1]"),
+    (_slot_outside_range, 3, "outside [0, 10)"),
+    (_genuine_line_across_subjects, 3, "genuine lines pair a subject with itself"),
+    (_impostor_is_enrolled_subject, 3, "impostor lines with another"),
+    (_flipped_gender, 3, "plan and demographics disagree"),
+    (_non_utf8_scores, 2, "not UTF-8 text"),
+    (_non_utf8_raw_log, 2, "not UTF-8 text"),
+    (_score_empty_comparisons, 2, "has no comparisons"),
 ]
 
 
@@ -400,3 +515,62 @@ def test_bad_input_exit_code(
 
 def test_threads_flag_must_be_positive(tmp_path):
     assert run("synth", "--subjects", 1, "--threads", 0, "--out", tmp_path) == 2
+
+
+# -- fuzz: one input of a small valid run mutated, then run through main.
+
+# Each stage's arguments; those with a "." name an input file.
+STAGE_ARGS = {
+    "protocol": ("--data", "raw_log.tsv", "--demographics", "demographics.tsv",
+                 "--eval-count", "30", "--seed", "5"),
+    "score": ("--data", "raw_log.tsv", "--comparisons", "comparisons.txt"),
+    "evaluate": ("--comparisons", "comparisons.txt", "--scores", "scores.txt",
+                 "--demographics", "demographics.tsv"),
+}
+TOKENS = [b"", b"\t", b"\n", b":", b"\xff", b"-", b"0", b"9", b"e", b"nan", b"G", b"S", b"D"]
+
+
+def _inputs(command):
+    return [a for a in STAGE_ARGS[command] if "." in a]
+
+
+def _stage(command, inputs, out):
+    return run(command, *(inputs / a if "." in a else a for a in STAGE_ARGS[command]),
+               "--out", out)
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Every input of a 90-subject run with one key per session."""
+    d = tmp_path_factory.mktemp("small")
+    assert run("synth", "--subjects", 90, "--keys", 1, "--seed", 31, "--out", d) == 0
+    assert _stage("protocol", d, d) == 0 and _stage("score", d, d) == 0
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(STAGE_ARGS)), st.data())
+def test_mutated_input_ends_with_a_documented_exit_code(small_run, command, data):
+    name = data.draw(st.sampled_from(_inputs(command)), label="file")
+    lines = (small_run / name).read_bytes().splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    op = data.draw(st.sampled_from(["edit", "drop", "repeat"]), label="op")
+    if op == "edit":
+        at = data.draw(st.integers(0, len(lines[i])), label="at")
+        cut = data.draw(st.integers(0, 3), label="cut")
+        lines[i] = lines[i][:at] + data.draw(st.sampled_from(TOKENS)) + lines[i][at + cut:]
+    elif op == "drop":
+        del lines[i]
+    else:
+        lines.insert(data.draw(st.integers(0, len(lines)), label="to"), lines[i])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for other in _inputs(command):
+            shutil.copy(small_run / other, d / other)
+        (d / name).write_bytes(b"".join(lines))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = _stage(command, d, d / "out")
+    assert code in {0, 2, 3, 4, 5}, err.getvalue()
+    assert err.getvalue().count("\n") == (code != 0), err.getvalue()

@@ -21,8 +21,9 @@ from kdbench.core import (
     parse_raw_log,
     validate_subject,
 )
-from kdbench.errors import ParseError
+from kdbench.errors import ParseError, ProtocolError
 from kdbench.formats import raw_log_lines
+from kdbench.protocol import SplitConfig, split_dataset
 from kdbench.synthgen import GeneratorConfig, generate
 
 
@@ -114,22 +115,17 @@ class TestParseRawLog:
 
 class TestValidateSubject:
     def test_fifteen_valid_sessions_eligible(self):
-        assert validate_subject(make_subject()).eligible
+        assert validate_subject(make_subject()) == []
 
     def test_fourteen_sessions_ineligible(self):
-        result = validate_subject(make_subject(n_sessions=14))
-        assert not result.eligible
-        assert any("session count 14 < 15" in issue for issue in result.issues)
+        issues = validate_subject(make_subject(n_sessions=14))
+        assert any("session count 14 < 15" in issue for issue in issues)
 
     def test_empty_session_ineligible(self):
         subject = make_subject()
         sessions = subject.sessions[:-1] + (Session("s14", []),)
-        result = validate_subject(Subject("u1", None, sessions))
-        assert not result.eligible
-        assert any("no events" in issue for issue in result.issues)
-
-    def test_custom_required_sessions(self):
-        assert validate_subject(make_subject(n_sessions=3), required_sessions=3).eligible
+        issues = validate_subject(Subject("u1", None, sessions))
+        assert any("no events" in issue for issue in issues)
 
 
 class TestFilterEligible:
@@ -168,13 +164,15 @@ class TestDataset:
 
 
 def test_attach_demographics_requires_coverage():
+    # A subject the mapping misses keeps no demographics, and the protocol
+    # stage rejects it.
     ds = Dataset((make_subject("u1"), make_subject("u2")))
     mapping = {"u1": Demographics(AgeGroup.A10_13, Gender.MALE)}
-    with pytest.raises(ParseError, match="u2"):
-        attach_demographics(ds, mapping, require_all=True)
     out = attach_demographics(ds, mapping)
     assert out.subjects[0].demographics is not None
     assert out.subjects[1].demographics is None
+    with pytest.raises(ProtocolError, match="subject u2 has no demographics"):
+        split_dataset(out, SplitConfig(seed=0, eval_count=1))
 
 
 # A canonical dataset (events sorted by press/release/code with unique

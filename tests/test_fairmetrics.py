@@ -15,11 +15,13 @@ from kdbench.fairmetrics import (
     gini,
     group_accuracy_spread,
     group_rates,
+    group_scores,
     inequity_rate,
     otsu_threshold,
     sir,
 )
 from kdbench.protocol import ScoreSet
+from kdbench.verifmetrics import operating_point, pooled_scores, roc
 
 from oracles import group_rates_brute
 
@@ -47,6 +49,13 @@ def identical_group_rates(n=12, fmr=0.02, fnmr=0.05) -> GroupRates:
         rates={g: (fmr, fnmr) for g in ALL_GROUPS[:n]},
         threshold=0.5,
     )
+
+
+def rates_at(sets, demographics, config=FairnessConfig()) -> GroupRates:
+    """Group rates at the pooled curve's operating-FMR threshold, as
+    `compute_fairness_report` takes them."""
+    threshold, _ = operating_point(roc(*pooled_scores(sets)), config.operating_fmr_percent)
+    return group_rates(group_scores(sets, demographics), threshold)
 
 
 class TestAccuracySpread:
@@ -88,14 +97,14 @@ def make_sets(groups, per_group=3, shift=0.3, seed=0):
 class TestGroupAccuracySpread:
     def test_all_groups_reported(self):
         sets, demo = make_sets(ALL_GROUPS)
-        report = group_accuracy_spread(sets, demo, eer_threshold=0.5)
+        report = group_accuracy_spread(group_scores(sets, demo), eer_threshold=0.5)
         assert len(report.per_group) == 12
         assert report.ser >= 1.0
 
     def test_empty_group_excluded_with_warning(self):
         sets, demo = make_sets(ALL_GROUPS[:3])
         with pytest.warns(UserWarning, match="no subjects"):
-            report = group_accuracy_spread(sets, demo, eer_threshold=0.5)
+            report = group_accuracy_spread(group_scores(sets, demo), eer_threshold=0.5)
         assert len(report.per_group) == 3
 
 
@@ -107,26 +116,26 @@ class TestGroupRates:
             ScoreSet("b", scores, scores, scores),
         ]
         demo = {"a": ALL_GROUPS[0], "b": ALL_GROUPS[1]}
-        rates = group_rates(sets, demo)
+        rates = rates_at(sets, demo)
         values = list(rates.rates.values())
         assert values[0] == values[1]
 
     def test_matches_brute_force(self):
         sets, demo = make_sets(ALL_GROUPS, per_group=4, seed=3)
-        rates = group_rates(sets, demo)
+        rates = rates_at(sets, demo)
         expected = group_rates_brute(sets, demo, rates.threshold)
         assert rates.rates == expected
 
     def test_threshold_respects_global_target(self):
         sets, demo = make_sets(ALL_GROUPS, per_group=4, seed=5)
-        rates = group_rates(sets, demo, FairnessConfig(operating_fmr_percent=1.0))
+        rates = rates_at(sets, demo, FairnessConfig(operating_fmr_percent=1.0))
         impostor = np.array([v for s in sets for v in s.impostor()])
         assert np.mean(impostor >= rates.threshold) <= 0.01
 
     def test_raising_threshold_never_raises_group_fmr(self):
         sets, demo = make_sets(ALL_GROUPS, per_group=4, seed=7)
-        lo = group_rates(sets, demo, FairnessConfig(operating_fmr_percent=10.0))
-        hi = group_rates(sets, demo, FairnessConfig(operating_fmr_percent=1.0))
+        lo = rates_at(sets, demo, FairnessConfig(operating_fmr_percent=10.0))
+        hi = rates_at(sets, demo, FairnessConfig(operating_fmr_percent=1.0))
         assert hi.threshold >= lo.threshold
         for group in lo.rates:
             assert hi.rates[group][0] <= lo.rates[group][0]
@@ -282,10 +291,10 @@ class TestZeroSkewFixpoints:
                 sid = f"u{g_idx:02d}_{i}"
                 sets.append(ScoreSet(sid, genuine, scores, scores))
                 demographics[sid] = group
-        spread = group_accuracy_spread(sets, demographics, eer_threshold=0.5)
+        spread = group_accuracy_spread(group_scores(sets, demographics), eer_threshold=0.5)
         assert spread.std == pytest.approx(0.0, abs=1e-9)
         assert spread.ser == pytest.approx(1.0, abs=1e-9)
-        rates = group_rates(sets, demographics)
+        rates = rates_at(sets, demographics)
         assert fdr(rates) == pytest.approx(100.0, abs=1e-9)
         assert inequity_rate(rates) == pytest.approx(1.0, abs=1e-9)
         assert garbe(rates) == pytest.approx(0.0, abs=1e-9)

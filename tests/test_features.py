@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdbench.core import Dataset, Session, Subject
-from kdbench.features import (
-    FeatureConfig,
-    FeatureSet,
-    channel_statistics,
-    extract_features,
-)
-
-from oracles import channel_stats_brute
+from kdbench.core import Session
+from kdbench.features import FeatureConfig, FeatureSet, extract_features
 
 # Worked example: 'a' pressed 0 released 80, 'b' 100/180, 'c' 250/340,
 # 'd' 300/420 (milliseconds). 'd' is pressed before 'c' is released.
@@ -147,46 +140,3 @@ def test_prefix_consistency(session, k):
     full = extract_features(session, cfg).values[:k]
     part = extract_features(prefix, cfg).values[:k]
     assert np.array_equal(full, part)
-
-
-class TestChannelStatistics:
-    def _dataset(self, sessions_):
-        return Dataset((Subject("u1", None, tuple(sessions_)),))
-
-    def test_identical_sessions_constant_channels(self):
-        ds = self._dataset([Session(f"s{i}", WORKED_EVENTS) for i in range(3)])
-        stats = channel_statistics(ds, config(FeatureSet.F5, max_len=4))
-        # Each channel sees the same 4 rows three times over; stds are not
-        # zero (rows differ) but a constant channel must report exactly 0.
-        single = channel_statistics(
-            self._dataset([Session("s0", [(97, 0, 80)])]),
-            config(FeatureSet.F5, max_len=1),
-        )
-        assert all(s == 0.0 for _, s in single)
-        assert len(stats) == 5
-
-    def test_matches_brute_force(self):
-        ds = self._dataset(
-            [
-                WORKED_SESSION,
-                Session("s2", [(50, 0, 30), (60, 90, 200)]),
-            ]
-        )
-        cfg = config(FeatureSet.F10, max_len=6)
-        expected = channel_stats_brute(ds, cfg)
-        actual = channel_statistics(ds, cfg)
-        for (em, es), (am, as_) in zip(expected, actual):
-            assert am == pytest.approx(em, abs=1e-12)
-            assert as_ == pytest.approx(es, abs=1e-12)
-
-    def test_invariant_to_subject_order(self):
-        a = Subject("a", None, (WORKED_SESSION,))
-        b = Subject("b", None, (Session("s2", [(50, 0, 30)]),))
-        cfg = config(FeatureSet.F5, max_len=4)
-        assert channel_statistics(Dataset((a, b)), cfg) == channel_statistics(
-            Dataset((b, a)), cfg
-        )
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError, match="no sessions"):
-            channel_statistics(Dataset(()), config())

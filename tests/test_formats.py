@@ -3,7 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kdbench.core import AgeGroup, Demographics, Gender, attach_demographics
+from kdbench.core import (
+    AgeGroup,
+    Dataset,
+    Demographics,
+    Gender,
+    Session,
+    Subject,
+    attach_demographics,
+)
 from kdbench.errors import AlignmentError, ConfigError, ParseError
 from kdbench.fairmetrics import sir
 from kdbench.formats import (
@@ -133,18 +141,18 @@ def test_det_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     curve = roc(rng.uniform(0, 1, 50), rng.uniform(0, 1, 80))
     path = tmp_path / "det.csv"
-    write_det_csv(curve, path)
-    loaded = load_det_csv(path)
-    assert np.array_equal(loaded.thresholds, curve.thresholds)
-    assert np.array_equal(loaded.fmr, curve.fmr)
-    assert np.array_equal(loaded.fnmr, curve.fnmr)
+    write_det_csv(curve.thresholds, curve.fmr, curve.fnmr, path)
+    thresholds, fmr, fnmr = load_det_csv(path)
+    assert np.array_equal(thresholds, curve.thresholds)
+    assert np.array_equal(fmr, curve.fmr)
+    assert np.array_equal(fnmr, curve.fnmr)
 
 
 def test_det_csv_fmr_column_non_increasing(tmp_path):
     rng = np.random.default_rng(3)
     curve = roc(rng.uniform(0, 1, 50), rng.uniform(0, 1, 80))
     path = tmp_path / "det.csv"
-    write_det_csv(curve, path)
+    write_det_csv(curve.thresholds, curve.fmr, curve.fnmr, path)
     fmr = [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
     assert all(a >= b for a, b in zip(fmr, fmr[1:]))
 
@@ -152,7 +160,7 @@ def test_det_csv_fmr_column_non_increasing(tmp_path):
 def test_sir_csv_round_trip(tmp_path):
     matrix, _ = sir(sir_entries_from_matrix([[0.5, 0.3], [0.2, 0.6]]), "gender")
     path = tmp_path / "sir_gender.csv"
-    write_sir_csv(matrix, path)
+    write_sir_csv(matrix.labels, matrix.values, matrix.missing, path)
     labels, values, missing = load_sir_csv(path)
     assert labels == matrix.labels
     assert np.array_equal(values, matrix.values)
@@ -168,15 +176,13 @@ def test_sir_csv_missing_cells(tmp_path):
     with pytest.warns(UserWarning):
         matrix, _ = sir(entries, "gender")
     path = tmp_path / "sir_gender.csv"
-    write_sir_csv(matrix, path)
+    write_sir_csv(matrix.labels, matrix.values, matrix.missing, path)
     _, values, missing = load_sir_csv(path)
     assert missing[1, 0]
     assert not missing[0, 0]
 
 
 def test_identifier_validation(tmp_path, dataset):
-    from kdbench.core import Dataset, Session, Subject
-
     bad = Dataset(
         (
             Subject(
@@ -188,3 +194,16 @@ def test_identifier_validation(tmp_path, dataset):
     )
     with pytest.raises(ConfigError, match="colon"):
         write_raw_log(bad, tmp_path / "x.tsv")
+
+
+@pytest.mark.parametrize("write", [write_raw_log, write_demographics])
+def test_bad_identifier_leaves_no_file(tmp_path, write):
+    # The bad id comes second: a writer that checked while writing would
+    # already have written the first subject's line.
+    demo = Demographics(AgeGroup.A10_13, Gender.MALE)
+    ds = Dataset(
+        tuple(Subject(sid, demo, (Session("s0", [(97, 0, 10)]),)) for sid in ("u1", "u:2"))
+    )
+    with pytest.raises(ConfigError, match="'u:2' is empty or contains tab/newline/colon"):
+        write(ds, tmp_path / "out.tsv")
+    assert not (tmp_path / "out.tsv").exists()

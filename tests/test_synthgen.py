@@ -17,9 +17,7 @@ from kdbench.synthgen import (
     GeneratorConfig,
     _event_times,
     generate,
-    generate_scores,
 )
-from kdbench.verifmetrics import eer, roc
 
 
 def test_same_config_twice_is_byte_identical():
@@ -127,37 +125,6 @@ def test_degenerate_group_weights_permitted():
     weights = (1.0,) + (0.0,) * 11
     ds = generate(GeneratorConfig(n_subjects=8, seed=2, group_weights=weights))
     assert {s.demographics for s in ds.subjects} == {ALL_GROUPS[0]}
-
-
-class TestGenerateScores:
-    def test_same_seed_identical(self):
-        cfg = GeneratorConfig(n_subjects=6, seed=21)
-        assert generate_scores(cfg, 0.4) == generate_scores(cfg, 0.4)
-
-    def test_scores_in_unit_interval(self):
-        sets = generate_scores(GeneratorConfig(n_subjects=20, seed=3), 1.0)
-        for s in sets:
-            for v in s.genuine + s.similar + s.dissimilar:
-                assert 0.0 <= v <= 1.0
-
-    def test_large_separation_gives_zero_eer(self):
-        sets = generate_scores(GeneratorConfig(n_subjects=50, seed=8), 1.0)
-        genuine = [v for s in sets for v in s.genuine]
-        impostor = [v for s in sets for v in s.impostor()]
-        value, _ = eer(roc(genuine, impostor))
-        assert value == 0.0
-
-    def test_zero_separation_eer_near_half(self):
-        # 400 subjects -> 4,000 genuine and 8,000 impostor scores.
-        sets = generate_scores(GeneratorConfig(n_subjects=400, seed=8), 0.0)
-        genuine = [v for s in sets for v in s.genuine]
-        impostor = [v for s in sets for v in s.impostor()]
-        value, _ = eer(roc(genuine, impostor))
-        assert abs(value - 50.0) < 2.0
-
-    def test_negative_separation_rejected(self):
-        with pytest.raises(ConfigError):
-            generate_scores(GeneratorConfig(n_subjects=1, seed=0), -0.1)
 
 
 def _event_times_loop(holds, flights):

@@ -11,10 +11,9 @@ from kdbench.verifmetrics import (
     auc,
     compute_metrics_report,
     eer,
-    fnmr_at_fmr,
+    operating_point,
     per_subject_metrics,
     roc,
-    threshold_at_fmr,
 )
 
 from oracles import (
@@ -90,19 +89,19 @@ class TestEer:
 class TestFnmrAtFmr:
     def test_toy_example(self):
         curve = roc(TOY_GENUINE, TOY_IMPOSTOR)
-        assert fnmr_at_fmr(curve, 1.0) == pytest.approx(100 / 3, abs=1e-12)
+        assert operating_point(curve, 1.0)[1] == pytest.approx(100 / 3, abs=1e-12)
 
     def test_accept_all_endpoint(self):
         curve = roc(TOY_GENUINE, TOY_IMPOSTOR)
-        assert fnmr_at_fmr(curve, 100.0) == 0.0
+        assert operating_point(curve, 100.0)[1] == 0.0
 
     def test_monotone_in_target(self):
         rng = np.random.default_rng(3)
         curve = roc(rng.uniform(0, 1, 200), rng.uniform(0, 1, 300))
         assert (
-            fnmr_at_fmr(curve, 0.1)
-            >= fnmr_at_fmr(curve, 1.0)
-            >= fnmr_at_fmr(curve, 10.0)
+            operating_point(curve, 0.1)[1]
+            >= operating_point(curve, 1.0)[1]
+            >= operating_point(curve, 10.0)[1]
         )
 
     def test_realized_fmr_never_exceeds_target(self):
@@ -111,7 +110,7 @@ class TestFnmrAtFmr:
         impostor = rng.uniform(0, 1, 80)
         curve = roc(genuine, impostor)
         for x in (0.5, 1.0, 5.0, 10.0):
-            t = threshold_at_fmr(curve, x)
+            t, _ = operating_point(curve, x)
             realized = np.mean(impostor >= t)
             assert realized <= x / 100.0
 
@@ -178,9 +177,8 @@ class TestOracleEquivalence:
         for _ in range(200):
             genuine, impostor = self._instance(rng)
             for x in (0.1, 1.0, 10.0, 50.0):
-                assert fnmr_at_fmr(roc(genuine, impostor), x) == fnmr_at_fmr_brute(
-                    genuine, impostor, x
-                )
+                _, fnmr = operating_point(roc(genuine, impostor), x)
+                assert fnmr == fnmr_at_fmr_brute(genuine, impostor, x)
 
     def test_auc_exact(self):
         rng = np.random.default_rng(44)
