@@ -22,13 +22,10 @@ from .features import (
     extract_features,
     order_insensitive_mean_std,
 )
-from .protocol import ComparisonPlan
+from .protocol import ComparisonPlan, SessionKey
 
 STATS_PER_CHANNEL = 5
 STD_FLOOR = 1e-9
-
-SessionKey = tuple[str, str]  # (subject_id, session_id)
-
 
 @dataclass(frozen=True)
 class NormalizationStats:
@@ -121,8 +118,9 @@ def score_comparisons(
                 f"no embedding for session {session!r} of subject {subject!r}"
             ) from None
 
-    left = np.stack([lookup(e.enrol_subject, e.enrol_session) for e in plan.entries])
-    right = np.stack([lookup(e.verif_subject, e.verif_session) for e in plan.entries])
+    # One embedding per session-table row, indexed by both plan columns.
+    table = np.stack([lookup(subject, session) for subject, session in plan.sessions])
+    left, right = table[plan.enrol], table[plan.verif]
     distances = np.linalg.norm(left - right, axis=1)
     d_min, d_max = float(distances.min()), float(distances.max())
     if d_max == d_min:

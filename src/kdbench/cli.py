@@ -77,7 +77,7 @@ def _require_file(path: Path, exc_type: type[KdbenchError] = ConfigError) -> Pat
 
 def _load_plan(comparisons_path: Path) -> ComparisonPlan:
     plan = formats.load_comparisons(_require_file(comparisons_path))
-    if not plan.entries:
+    if not len(plan):
         raise ConfigError(f"comparison file {comparisons_path} has no comparisons")
     return plan
 
@@ -473,10 +473,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except UnicodeDecodeError as exc:
-        # Its byte position counts from the decoder's buffer, not the file.
-        print(f"error: an input file is not UTF-8 text ({exc.reason})", file=sys.stderr)
-        return 2
     except KdbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for exc_type, code in _EXIT_CODES if isinstance(exc, exc_type)), 1)

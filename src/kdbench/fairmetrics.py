@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import AgeGroup, ALL_GROUPS, Demographics, Gender
 from .errors import ConfigError, ProtocolError
-from .protocol import ComparisonKind, ComparisonPlan, ScoreSet
+from .protocol import GENUINE, KINDS, SIMILAR, ComparisonPlan, ScoreSet, subject_table
 from .verifmetrics import GlobalMetrics, accuracy_at, operating_point, pooled_scores
 
 
@@ -221,43 +221,57 @@ _ATTRIBUTES = {
     "gender": tuple(g.value for g in Gender),
 }
 
+# Impostor entries: enrolled groups, verification groups (indices into
+# ALL_GROUPS) and scores, one element per impostor line.
+ImpostorEntries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-def _attribute_value(demo: Demographics, attribute: str) -> str:
-    return demo.age_group.value if attribute == "age" else demo.gender.value
+
+def _attribute_index(groups: np.ndarray, attribute: str) -> np.ndarray:
+    # ALL_GROUPS runs over the genders within each age bin.
+    return groups // len(Gender) if attribute == "age" else groups % len(Gender)
 
 
 def impostor_score_entries(
     plan: ComparisonPlan,
     raw_scores: Sequence[float],
     demographics: Mapping[str, Demographics],
-) -> list[tuple[Demographics, Demographics, float]]:
-    """(enrolled demographics, verification demographics, score) for every
-    impostor entry of the plan, aligned with the session-level scores.
+) -> ImpostorEntries:
+    """The enrolled group, verification group and session-level score of
+    every impostor line of the plan, in plan order.
 
-    An S entry must pair two subjects of one group and a D entry two that
+    An S line must pair two subjects of one group and a D line two that
     differ in both age bin and gender; otherwise the plan and the
-    demographics disagree (ProtocolError).
+    demographics disagree (ProtocolError). When several lines are bad,
+    the first one is reported.
     """
-    if len(raw_scores) != len(plan.entries):
+    if len(raw_scores) != len(plan):
         raise ValueError("raw_scores not aligned with plan")
-    out = []
-    for entry, score in zip(plan.entries, raw_scores):
-        if entry.kind is ComparisonKind.GENUINE:
-            continue
-        enrol = _group_of(demographics, entry.enrol_subject)
-        verif = _group_of(demographics, entry.verif_subject)
-        if entry.kind is ComparisonKind.SIMILAR:
-            consistent = enrol == verif
-        else:
-            consistent = enrol.age_group != verif.age_group and enrol.gender != verif.gender
-        if not consistent:
-            raise ProtocolError(
-                f"plan and demographics disagree: {entry.kind.letter} comparison of "
-                f"{entry.enrol_subject} ({enrol.label()}) against "
-                f"{entry.verif_subject} ({verif.label()})"
-            )
-        out.append((enrol, verif, float(score)))
-    return out
+    subject_ids, subject_of = subject_table(plan.sessions)
+    # -1 marks a subject without demographics.
+    group_of_subject = np.array(
+        [ALL_GROUPS.index(demographics[s]) if s in demographics else -1 for s in subject_ids],
+        dtype=np.intp,
+    )
+    lines = np.flatnonzero(plan.kind != GENUINE)
+    enrol = group_of_subject[subject_of[plan.enrol[lines]]]
+    verif = group_of_subject[subject_of[plan.verif[lines]]]
+    consistent = np.where(
+        plan.kind[lines] == SIMILAR,
+        enrol == verif,
+        (_attribute_index(enrol, "age") != _attribute_index(verif, "age"))
+        & (_attribute_index(enrol, "gender") != _attribute_index(verif, "gender")),
+    )
+    bad = np.flatnonzero((enrol < 0) | (verif < 0) | ~consistent)
+    if bad.size:
+        line = int(lines[bad[0]])
+        names = [plan.sessions[plan.enrol[line]][0], plan.sessions[plan.verif[line]][0]]
+        # A subject without demographics fails here, the enrolled one first.
+        groups = [_group_of(demographics, name) for name in names]
+        raise ProtocolError(
+            f"plan and demographics disagree: {KINDS[plan.kind[line]].letter} comparison of "
+            f"{names[0]} ({groups[0].label()}) against {names[1]} ({groups[1].label()})"
+        )
+    return enrol, verif, np.asarray(raw_scores, dtype=np.float64)[lines]
 
 
 def otsu_threshold(values: np.ndarray) -> float:
@@ -282,10 +296,7 @@ def otsu_threshold(values: np.ndarray) -> float:
     return best_t
 
 
-def sir(
-    entries: Iterable[tuple[Demographics, Demographics, float]],
-    attribute: str,
-) -> tuple[SirMatrix, float]:
+def sir(entries: ImpostorEntries, attribute: str) -> tuple[SirMatrix, float]:
     """Skewed impostor rate for one attribute ("age" or "gender").
 
     The matrix holds mean impostor similarity per ordered (enrolled,
@@ -297,21 +308,18 @@ def sir(
         raise ValueError(f"attribute must be one of {sorted(_ATTRIBUTES)}")
     labels = _ATTRIBUTES[attribute]
     n = len(labels)
-    index = {label: i for i, label in enumerate(labels)}
+    enrol, verif, scores = (np.asarray(column) for column in entries)
 
-    cells: list[list[list[float]]] = [[[] for _ in range(n)] for _ in range(n)]
-    for enrol_demo, verif_demo, score in entries:
-        i = index[_attribute_value(enrol_demo, attribute)]
-        j = index[_attribute_value(verif_demo, attribute)]
-        cells[i][j].append(score)
-
-    missing = np.array([[not cells[i][j] for j in range(n)] for i in range(n)])
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if cells[i][j]:
-                # fsum keeps the cell mean independent of entry order.
-                values[i, j] = math.fsum(cells[i][j]) / len(cells[i][j])
+    cell = _attribute_index(enrol, attribute) * n + _attribute_index(verif, attribute)
+    order = np.argsort(cell)
+    bounds = np.searchsorted(cell[order], np.arange(n * n + 1)).tolist()
+    ranked = scores[order].tolist()
+    # fsum keeps each cell mean independent of entry order.
+    values = np.array([
+        math.fsum(ranked[start:stop]) / (stop - start) if stop > start else 0.0
+        for start, stop in zip(bounds, bounds[1:])
+    ]).reshape(n, n)
+    missing = (np.diff(bounds) == 0).reshape(n, n)
 
     gaps = []
     skipped = 0

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .core import (
     _parse_demographics_fields,
 )
 from .errors import AlignmentError, ConfigError, ParseError
-from .protocol import Comparison, ComparisonKind, ComparisonPlan
+from .protocol import KINDS, ComparisonPlan, subject_table
 
 STRICT_HEADER_PREFIX = "# comparisons_sha256="
 
@@ -47,12 +49,27 @@ def _check_identifier(value: str, what: str) -> str:
     return value
 
 
+@contextmanager
+def _reading(path: Path) -> Iterator[TextIO]:
+    """Open a text input; a byte that is not UTF-8 is reported with the
+    file's path, whichever loader reads it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def _check_identifiers(pairs: Iterable[tuple[str, str]]) -> None:
     """Check (subject_id, session_id) pairs. Writers call this before they
     open their file, so a bad identifier leaves no partial file behind."""
-    for subject_id, session_id in pairs:
-        _check_identifier(subject_id, "subject_id")
-        _check_identifier(session_id, "session_id")
+    ids = list(chain.from_iterable(pairs))
+    text = "".join(ids)
+    if "" not in ids and not any(c in text for c in "\t\n:"):
+        return
+    for i in range(0, len(ids), 2):
+        _check_identifier(ids[i], "subject_id")
+        _check_identifier(ids[i + 1], "session_id")
 
 
 # -- raw event logs ----------------------------------------------------
@@ -81,7 +98,7 @@ def write_raw_log(dataset: Dataset, path: Path) -> None:
 
 
 def load_raw_log(path: Path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         return parse_raw_log(fh)
 
 
@@ -102,7 +119,7 @@ def write_demographics(dataset: Dataset, path: Path) -> None:
 
 def load_demographics(path: Path) -> dict[str, Demographics]:
     mapping: dict[str, Demographics] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.rstrip("\n")
             if not line:
@@ -124,60 +141,138 @@ def load_demographics(path: Path) -> dict[str, Demographics]:
 # -- comparison plans ---------------------------------------------------
 
 
+# Lines per write of a comparison file, and characters per read.
+_WRITE_LINES = 1 << 16
+_READ_CHARS = 1 << 16
+_KIND_CODES = {kind.letter: code for code, kind in enumerate(KINDS)}
+
+
 def write_comparisons(plan: ComparisonPlan, path: Path) -> None:
-    _check_identifiers(plan.referenced_sessions())
+    _check_identifiers(plan.sessions)
+    names = np.array([f"{s}:{t}" for s, t in plan.sessions], dtype=object)
+    letters = np.array([kind.letter for kind in KINDS], dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in plan.entries:
-            fh.write(
-                f"{e.enrol_subject}:{e.enrol_session}\t"
-                f"{e.verif_subject}:{e.verif_session}\t"
-                f"{e.kind.letter}\t{e.score_index}\n"
+        for start in range(0, len(plan), _WRITE_LINES):
+            rows = slice(start, start + _WRITE_LINES)
+            lines = zip(
+                names[plan.enrol[rows]].tolist(),
+                names[plan.verif[rows]].tolist(),
+                letters[plan.kind[rows]].tolist(),
+                map(str, plan.slot[rows].tolist()),
             )
+            fh.write("\n".join(map("\t".join, lines)) + "\n")
 
 
 def load_comparisons(path: Path) -> ComparisonPlan:
     """Read a comparison file; enrolment indices are recovered from the
-    order of appearance within each (subject, kind, slot) group."""
-    entries: list[Comparison] = []
-    occurrence: dict[tuple[str, ComparisonKind, int], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ParseError(
-                    f"expected 4 tab-separated fields, got {len(fields)}", lineno
-                )
+    order of appearance within each (subject, kind, slot) group.
+
+    The file is read `_READ_CHARS` characters at a time and each chunk's
+    lines are split at once; identifiers are interned in a dict, so the
+    session table lists each pair in order of first appearance. Raises
+    ParseError with the line number of the first bad line.
+    """
+    table: dict[str, int] = {}  # "subject:session" -> session-table row
+    chunks = []
+    lineno = 0
+    with _reading(path) as fh:
+        pending = ""
+        while block := fh.read(_READ_CHARS):
+            lines = (pending + block).split("\n")
+            pending = lines.pop()
+            chunks.append(_read_comparison_lines(lines, lineno, table))
+            lineno += len(lines)
+        chunks.append(_read_comparison_lines([pending], lineno, table))
+
+    sessions = tuple([(s, t) for s, _, t in map(str.partition, table, repeat(":"))])
+    del table
+    ends, kind, slot = (np.concatenate(column) for column in zip(*chunks))
+    del chunks
+    enrol, verif = ends[0::2], ends[1::2]
+    enrolled = subject_table(sessions)[1][enrol]
+    return ComparisonPlan(
+        sessions, enrol, verif, kind, slot, _enrolment_indices(enrolled, kind, slot)
+    )
+
+
+def _enrolment_indices(
+    enrolled: np.ndarray, kind: np.ndarray, slot: np.ndarray
+) -> np.ndarray:
+    """Each line's count of the earlier lines with its (enrolled subject,
+    kind, slot)."""
+    keys = (slot, kind, enrolled)
+    order = np.lexsort(keys)  # stable: equal keys keep their line order
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    # Sorted position minus the position where the line's group starts.
+    offsets = np.flatnonzero(starts)[np.cumsum(starts) - 1]
+    np.subtract(np.arange(len(order)), offsets, out=offsets)
+    indices = np.empty(len(order), dtype=np.int64)
+    indices[order] = offsets
+    return indices
+
+
+def _read_comparison_lines(
+    lines: list[str], lineno: int, table: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The enrol and verif rows (interleaved), kinds and slots of `lines`,
+    numbered from `lineno + 1`; blank lines are skipped and new identifiers
+    join `table`. Every check runs over the whole chunk; the first bad line
+    wins, and a line that fails several checks reports the first of field
+    count, subject:session pair, kind and slot."""
+    numbers: Sequence[int] = range(lineno + 1, lineno + 1 + len(lines))
+    if "" in lines:
+        kept = [i for i, line in enumerate(lines) if line]
+        lines, numbers = [lines[i] for i in kept], [numbers[i] for i in kept]
+    error: ParseError | None = None
+    tabs = list(map(str.count, lines, repeat("\t")))
+    stop = len(lines)  # lines before `stop` passed every check so far
+    if tabs.count(3) != stop:
+        stop = next(i for i, n in enumerate(tabs) if n != 3)
+        error = ParseError(
+            f"expected 4 tab-separated fields, got {tabs[stop] + 1}", numbers[stop]
+        )
+    fields = "\t".join(lines[:stop]).split("\t") if stop else []
+
+    both = [""] * (2 * stop)
+    both[0::2], both[1::2] = fields[0::4], fields[1::4]
+    distinct = dict.fromkeys(both)
+    new = [name for name in distinct if name not in table]
+    malformed = next((name for name in new if ":" not in name), None)
+    if malformed is not None:
+        stop = both.index(malformed) // 2
+        error = ParseError("malformed subject:session pair", numbers[stop])
+    table.update(zip(new, range(len(table), len(table) + len(new))))
+
+    codes = list(map(_KIND_CODES.get, fields[2 : 4 * stop : 4]))
+    if None in codes:
+        stop = codes.index(None)
+        error = ParseError(
+            f"unknown comparison kind {fields[4 * stop + 2]!r}", numbers[stop]
+        )
+
+    tokens = fields[3 : 4 * stop : 4]
+    try:
+        slots = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+    except (ValueError, OverflowError):
+        for i, token in enumerate(tokens):
             try:
-                enrol_subject, enrol_session = fields[0].split(":", 1)
-                verif_subject, verif_session = fields[1].split(":", 1)
+                np.int64(int(token))  # one of these failed to convert
             except ValueError:
-                raise ParseError(f"malformed subject:session pair", lineno) from None
-            try:
-                kind = ComparisonKind.from_letter(fields[2])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            try:
-                slot = int(fields[3])
-            except ValueError:
-                raise ParseError(f"non-integer slot {fields[3]!r}", lineno) from None
-            key = (enrol_subject, kind, slot)
-            enrol_index = occurrence.get(key, 0)
-            occurrence[key] = enrol_index + 1
-            entries.append(
-                Comparison(
-                    enrol_subject,
-                    enrol_session,
-                    verif_subject,
-                    verif_session,
-                    kind,
-                    slot,
-                    enrol_index,
-                )
-            )
-    return ComparisonPlan(tuple(entries))
+                stop, error = i, ParseError(f"non-integer slot {token!r}", numbers[i])
+                break
+            except OverflowError:
+                stop, error = i, ParseError(f"slot {token!r} outside 64 bits", numbers[i])
+                break
+    if error is not None:
+        raise error
+    # Lookups go to the chunk's own small dict, not the whole table.
+    rows = dict(zip(distinct, map(table.__getitem__, distinct)))
+    ends = np.fromiter(map(rows.__getitem__, both), dtype=np.intp, count=len(both))
+    return ends, np.array(codes, dtype=np.int8), slots
 
 
 # -- score files ---------------------------------------------------------
@@ -197,7 +292,7 @@ def load_scores(path: Path) -> tuple[np.ndarray, str | None]:
     """Returns (scores, strict-mode digest or None)."""
     digest = None
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.rstrip("\n")
             if not line:
@@ -237,26 +332,6 @@ def write_det_csv(
             fh.write(f"{float(t)!r},{float(fm)!r},{float(fn)!r}\n")
 
 
-def load_det_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (thresholds, fmr, fnmr)."""
-    thresholds, fmr, fnmr = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "threshold,fmr,fnmr":
-            raise ParseError(f"unexpected DET header {header!r}", 1)
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split(",")
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 columns, got {len(fields)}", lineno)
-            try:
-                thresholds.append(float(fields[0]))
-                fmr.append(float(fields[1]))
-                fnmr.append(float(fields[2]))
-            except ValueError:
-                raise ParseError(f"non-numeric DET row {fields!r}", lineno) from None
-    return np.asarray(thresholds), np.asarray(fmr), np.asarray(fnmr)
-
-
 def write_sir_csv(
     labels: Sequence[str], cells: np.ndarray, missing: np.ndarray, path: Path
 ) -> None:
@@ -268,26 +343,6 @@ def write_sir_csv(
         for label, row, gaps in zip(labels, cells.tolist(), missing.tolist()):
             text = ",".join("" if m else repr(v) for v, m in zip(row, gaps))
             fh.write(f"{label},{text}\n")
-
-
-def load_sir_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Returns (labels, values, missing mask)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        labels = tuple(header[1:])
-        n = len(labels)
-        values = np.zeros((n, n))
-        missing = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            fields = fh.readline().rstrip("\n").split(",")
-            if len(fields) != n + 1 or fields[0] != labels[i]:
-                raise ParseError(f"malformed matrix row {fields!r}", i + 2)
-            for j, cell in enumerate(fields[1:]):
-                if cell == "":
-                    missing[i, j] = True
-                else:
-                    values[i, j] = float(cell)
-    return labels, values, missing
 
 
 # -- json reports ----------------------------------------------------------

@@ -9,11 +9,11 @@ age bin and gender, each also compared against the 5 enrolment sessions.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -35,16 +35,16 @@ class ComparisonKind(Enum):
     def letter(self) -> str:
         return self.value[0].upper()
 
-    @classmethod
-    def from_letter(cls, letter: str) -> "ComparisonKind":
-        for kind in cls:
-            if kind.letter == letter:
-                return kind
-        raise ValueError(f"unknown comparison kind {letter!r}")
+
+# A plan's `kind` column holds each kind's position here: 0/1/2 for G/S/D.
+KINDS: tuple[ComparisonKind, ...] = tuple(ComparisonKind)
+GENUINE, SIMILAR, DISSIMILAR = range(len(KINDS))
 
 
 @dataclass(frozen=True, slots=True)
 class Comparison:
+    """One plan line as an object; see `ComparisonPlan.entries`."""
+
     enrol_subject: str
     enrol_session: str
     verif_subject: str
@@ -54,25 +54,80 @@ class Comparison:
     enrol_index: int
 
 
-@dataclass(frozen=True)
+SessionKey = tuple[str, str]  # (subject_id, session_id)
+
+
+@dataclass(frozen=True, eq=False)
 class ComparisonPlan:
-    entries: tuple[Comparison, ...]
+    """The 1vs1 comparison list as integer columns, one row per line.
+
+    `sessions` is the session table: every (subject_id, session_id) the
+    plan references, once. `enrol` and `verif` index it; `kind` holds
+    0/1/2 for G/S/D (`KINDS`), `slot` the score index and `enrol_index`
+    the line's place among the five enrolment comparisons of its slot.
+    Two plans are equal when they list the same lines in the same order,
+    whatever the order of their session tables.
+    """
+
+    sessions: tuple[SessionKey, ...]
+    enrol: np.ndarray
+    verif: np.ndarray
+    kind: np.ndarray
+    slot: np.ndarray
+    enrol_index: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.kind)
+        for name, dtype in (
+            ("enrol", np.intp),
+            ("verif", np.intp),
+            ("kind", np.int8),
+            ("slot", np.int64),
+            ("enrol_index", np.int64),
+        ):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != (n,):
+                raise ValueError(f"plan column {name} must be 1-D of length {n}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.kind)
 
-    def subject_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for entry in self.entries:
-            seen.setdefault(entry.enrol_subject)
-        return list(seen)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ComparisonPlan):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self._resolved(), other._resolved())
+        )
 
-    def referenced_sessions(self) -> set[tuple[str, str]]:
-        refs = set()
-        for e in self.entries:
-            refs.add((e.enrol_subject, e.enrol_session))
-            refs.add((e.verif_subject, e.verif_session))
-        return refs
+    def _resolved(self) -> tuple[np.ndarray, ...]:
+        keys = np.array(self.sessions, dtype=object).reshape(-1, 2)
+        return keys[self.enrol], keys[self.verif], self.kind, self.slot, self.enrol_index
+
+    @property
+    def entries(self) -> tuple[Comparison, ...]:
+        """The plan as `Comparison` rows, built anew on each access."""
+        s = self.sessions
+        return tuple(
+            Comparison(*s[e], *s[v], KINDS[k], slot, i)
+            for e, v, k, slot, i in zip(
+                self.enrol.tolist(), self.verif.tolist(), self.kind.tolist(),
+                self.slot.tolist(), self.enrol_index.tolist(),
+            )
+        )
+
+    def referenced_sessions(self) -> set[SessionKey]:
+        return set(self.sessions)
+
+
+def subject_table(sessions: Sequence[SessionKey]) -> tuple[list[str], np.ndarray]:
+    """The distinct subject ids of a session table, in table order, and the
+    index into them of each session-table row."""
+    index: dict[str, int] = {}
+    rows = [index.setdefault(subject_id, len(index)) for subject_id, _ in sessions]
+    return list(index), np.array(rows, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -232,127 +287,87 @@ def build_comparison_plan(evaluation: Dataset, seed: int) -> ComparisonPlan:
     the remaining 10. Similar impostors come from the subject's own (age
     bin, gender) group, dissimilar impostors from subjects differing in
     both attributes. Sampling is seeded per subject, so the plan does not
-    depend on iteration order.
+    depend on iteration order. The session table lists every session of
+    the evaluation set, subject by subject, in chronological order.
     """
     _require_protocol_ready(evaluation)
     subjects = evaluation.subjects
+    demographics = [s.demographics for s in subjects]
 
     groups: dict[Demographics, list[int]] = {}
-    for idx, subject in enumerate(subjects):
-        groups.setdefault(subject.demographics, []).append(idx)
+    for idx, demo in enumerate(demographics):
+        groups.setdefault(demo, []).append(idx)
     for demo, members in groups.items():
         if len(members) < 2:
             raise ProtocolError(
                 f"group {demo.label()} has only {len(members)} subject(s); "
                 "similar impostors need at least 2"
             )
-    dissimilar_pool: dict[Demographics, list[int]] = {
-        demo: [
+    members_of = {demo: np.array(members) for demo, members in groups.items()}
+    dissimilar_pool = {
+        demo: np.array([
             idx
-            for idx, s in enumerate(subjects)
-            if s.demographics.age_group != demo.age_group
-            and s.demographics.gender != demo.gender
-        ]
+            for idx, other in enumerate(demographics)
+            if other.age_group != demo.age_group and other.gender != demo.gender
+        ], dtype=np.intp)
         for demo in groups
     }
 
     sessions_by_idx = [chronological_sessions(s) for s in subjects]
-    entries: list[Comparison] = []
-    # Millions of small acyclic entries are allocated below; keeping the
-    # cyclic collector out of the loop roughly halves construction time on
-    # full-scale plans.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        _build_entries(subjects, sessions_by_idx, groups, dissimilar_pool, seed, entries)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return ComparisonPlan(tuple(entries))
-
-
-def _build_entries(
-    subjects: tuple[Subject, ...],
-    sessions_by_idx: list[list[Session]],
-    groups: dict[Demographics, list[int]],
-    dissimilar_pool: dict[Demographics, list[int]],
-    seed: int,
-    entries: list[Comparison],
-) -> None:
+    counts = np.array([len(ordered) for ordered in sessions_by_idx], dtype=np.intp)
+    first_row = np.concatenate([[0], np.cumsum(counts)])
+    # Session-table rows of the similar (0) and dissimilar (1) impostors.
+    impostors = np.empty((len(subjects), 2, SLOTS_PER_KIND), dtype=np.intp)
     for idx, subject in enumerate(subjects):
         demo = subject.demographics
-        if not dissimilar_pool[demo]:
+        if not dissimilar_pool[demo].size:
             raise ProtocolError(
                 f"subject {subject.subject_id}: no subject differs in both "
                 "gender and age bin"
             )
-        ordered = sessions_by_idx[idx]
-        enrol = ordered[:ENROL_SESSIONS]
-        verif = ordered[ENROL_SESSIONS:]
         rng = _subject_stream(seed, subject.subject_id)
+        similar = members_of[demo]
+        for k, pool in enumerate((similar[similar != idx], dissimilar_pool[demo])):
+            impostors[idx, k] = _draw_impostors(rng, pool, counts, first_row)
 
-        for v_idx, verif_session in enumerate(verif):
-            for e_idx, enrol_session in enumerate(enrol):
-                entries.append(
-                    Comparison(
-                        subject.subject_id,
-                        enrol_session.session_id,
-                        subject.subject_id,
-                        verif_session.session_id,
-                        ComparisonKind.GENUINE,
-                        v_idx,
-                        e_idx,
-                    )
-                )
-
-        similar_candidates = [i for i in groups[demo] if i != idx]
-        for kind, pool in (
-            (ComparisonKind.SIMILAR, similar_candidates),
-            (ComparisonKind.DISSIMILAR, dissimilar_pool[demo]),
-        ):
-            for slot, (imp_idx, sess_idx) in enumerate(
-                _draw_impostors(rng, pool, sessions_by_idx)
-            ):
-                impostor = subjects[imp_idx]
-                impostor_session = sessions_by_idx[imp_idx][sess_idx]
-                for e_idx, enrol_session in enumerate(enrol):
-                    entries.append(
-                        Comparison(
-                            subject.subject_id,
-                            enrol_session.session_id,
-                            impostor.subject_id,
-                            impostor_session.session_id,
-                            kind,
-                            slot,
-                            e_idx,
-                        )
-                    )
+    # Lines run subject, kind, slot, enrolment session, as the file lists them.
+    shape = (len(subjects), len(KINDS), SLOTS_PER_KIND, ENROL_SESSIONS)
+    verif = np.empty(shape[:3], dtype=np.intp)
+    verif[:, GENUINE] = first_row[:-1, None] + ENROL_SESSIONS + np.arange(SLOTS_PER_KIND)
+    verif[:, SIMILAR:] = impostors
+    return ComparisonPlan(
+        sessions=tuple(
+            (subject.subject_id, session.session_id)
+            for subject, ordered in zip(subjects, sessions_by_idx)
+            for session in ordered
+        ),
+        enrol=np.broadcast_to(
+            first_row[:-1, None, None, None] + np.arange(ENROL_SESSIONS), shape
+        ).ravel(),
+        verif=np.broadcast_to(verif[..., None], shape).ravel(),
+        kind=np.broadcast_to(np.arange(len(KINDS))[:, None, None], shape).ravel(),
+        slot=np.broadcast_to(np.arange(SLOTS_PER_KIND)[:, None], shape).ravel(),
+        enrol_index=np.broadcast_to(np.arange(ENROL_SESSIONS), shape).ravel(),
+    )
 
 
 def _draw_impostors(
     rng: np.random.Generator,
-    pool: list[int],
-    sessions_by_idx: list[list[Session]],
-) -> list[tuple[int, int]]:
-    """Pick 10 (subject index, session index) impostor pairs.
+    pool: np.ndarray,
+    counts: np.ndarray,
+    first_row: np.ndarray,
+) -> np.ndarray:
+    """Session-table rows of 10 impostor sessions drawn from the subjects
+    in `pool` (`counts` sessions each, the first at `first_row`).
 
     Distinct subjects when the pool allows it; otherwise distinct
     (subject, session) pairs with subject reuse.
     """
     if len(pool) >= SLOTS_PER_KIND:
-        picked = rng.choice(len(pool), size=SLOTS_PER_KIND, replace=False)
-        counts = np.array([len(sessions_by_idx[pool[i]]) for i in picked])
-        session_picks = rng.integers(counts)
-        return [
-            (pool[i], int(s)) for i, s in zip(picked, session_picks)
-        ]
-    pairs = [
-        (subject_idx, sess_idx)
-        for subject_idx in pool
-        for sess_idx in range(len(sessions_by_idx[subject_idx]))
-    ]
-    picked = rng.choice(len(pairs), size=SLOTS_PER_KIND, replace=False)
-    return [pairs[i] for i in picked]
+        picked = pool[rng.choice(len(pool), size=SLOTS_PER_KIND, replace=False)]
+        return first_row[picked] + rng.integers(counts[picked])
+    rows = np.concatenate([np.arange(first_row[i], first_row[i + 1]) for i in pool])
+    return rows[rng.choice(len(rows), size=SLOTS_PER_KIND, replace=False)]
 
 
 def aggregate_scores(
@@ -363,70 +378,84 @@ def aggregate_scores(
     Yields one ScoreSet per subject (10 genuine + 10 similar + 10
     dissimilar slots), sorted by subject id. A plan whose slot lies
     outside [0, 10), whose genuine line pairs two subjects, or whose
-    impostor line pairs a subject with itself is rejected (ProtocolError).
+    impostor line pairs a subject with itself is rejected (ProtocolError);
+    when several lines are bad, the first one is reported.
     """
     scores = np.asarray(raw_scores, dtype=np.float64)
-    if scores.ndim != 1 or len(scores) != len(plan.entries):
-        raise AlignmentError(
-            f"{len(scores)} scores for {len(plan.entries)} plan entries"
-        )
+    if scores.ndim != 1 or len(scores) != len(plan):
+        raise AlignmentError(f"{len(scores)} scores for {len(plan)} plan entries")
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise AlignmentError(f"non-finite score at entry {int(bad[0])}")
 
-    # Values are keyed by enrolment index so the mean is taken in canonical
-    # order: permuting plan entries together with their scores cannot move
-    # the result by even an ulp.
-    slots: dict[tuple[str, ComparisonKind, int], list[float | None]] = {}
-    for entry, score in zip(plan.entries, scores):
-        key = (entry.enrol_subject, entry.kind, entry.score_index)
-        if not 0 <= entry.score_index < SLOTS_PER_KIND:
+    subject_ids, subject_of = subject_table(plan.sessions)
+    enrolled, verified = subject_of[plan.enrol], subject_of[plan.verif]
+    kind, slot, enrol_index = plan.kind, plan.slot, plan.enrol_index
+
+    def slot_name(line: int) -> str:
+        return f"{subject_ids[enrolled[line]]}/{KINDS[kind[line]].value}/{slot[line]}"
+
+    # Each line's cell in a (subjects, 3, 10, 5) block; -1 when out of range.
+    slot_ok = (slot >= 0) & (slot < SLOTS_PER_KIND)
+    index_ok = (enrol_index >= 0) & (enrol_index < ENROL_SESSIONS)
+    pairing_bad = (kind == GENUINE) != (verified == enrolled)
+    cell = np.where(
+        slot_ok & index_ok,
+        ((enrolled * len(KINDS) + kind) * SLOTS_PER_KIND + slot) * ENROL_SESSIONS
+        + enrol_index,
+        -1,
+    )
+    # A repeated cell is bad from its second line on.
+    order = np.argsort(cell, kind="stable")
+    ranked = cell[order]
+    repeated = np.zeros(len(plan), dtype=bool)
+    repeated[order[1:]] = (ranked[1:] == ranked[:-1]) & (ranked[1:] >= 0)
+    bad = np.flatnonzero(~slot_ok | pairing_bad | ~index_ok | repeated)
+    if bad.size:
+        line = int(bad[0])
+        if not slot_ok[line]:
             raise ProtocolError(
-                f"slot {key[0]}/{key[1].value}/{key[2]} outside [0, {SLOTS_PER_KIND})"
+                f"slot {slot_name(line)} outside [0, {SLOTS_PER_KIND})"
             )
-        if (entry.kind is ComparisonKind.GENUINE) != (entry.verif_subject == key[0]):
+        if pairing_bad[line]:
             raise ProtocolError(
-                f"{entry.kind.value} comparison of {key[0]} against {entry.verif_subject}: "
+                f"{KINDS[kind[line]].value} comparison of {subject_ids[enrolled[line]]} "
+                f"against {subject_ids[verified[line]]}: "
                 "genuine lines pair a subject with itself, impostor lines with another"
             )
-        values = slots.setdefault(key, [None] * ENROL_SESSIONS)
-        if not 0 <= entry.enrol_index < ENROL_SESSIONS or values[entry.enrol_index] is not None:
-            raise ProtocolError(
-                f"slot {key[0]}/{key[1].value}/{key[2]} has a duplicate or "
-                f"out-of-range enrolment index {entry.enrol_index}"
-            )
-        values[entry.enrol_index] = float(score)
-
-    for key, values in slots.items():
-        if any(v is None for v in values):
-            raise ProtocolError(
-                f"slot {key[0]}/{key[1].value}/{key[2]} has "
-                f"{sum(v is not None for v in values)} comparisons, "
-                f"expected {ENROL_SESSIONS}"
-            )
-
-    def slot_means(subject_id: str, kind: ComparisonKind) -> tuple[float, ...]:
-        means = []
-        for i in range(SLOTS_PER_KIND):
-            values = slots.get((subject_id, kind, i))
-            if values is None:
-                raise ProtocolError(
-                    f"subject {subject_id} is missing {kind.value} slot {i}"
-                )
-            # fsum: the mean cannot depend on the order the five enrolment
-            # lines appeared in the comparison file.
-            means.append(math.fsum(values) / ENROL_SESSIONS)
-        return tuple(means)
-
-    subject_ids = sorted({key[0] for key in slots})
-    out = []
-    for subject_id in subject_ids:
-        out.append(
-            ScoreSet(
-                subject_id,
-                genuine=slot_means(subject_id, ComparisonKind.GENUINE),
-                similar=slot_means(subject_id, ComparisonKind.SIMILAR),
-                dissimilar=slot_means(subject_id, ComparisonKind.DISSIMILAR),
-            )
+        raise ProtocolError(
+            f"slot {slot_name(line)} has a duplicate or out-of-range enrolment "
+            f"index {enrol_index[line]}"
         )
+
+    n_slots = len(subject_ids) * len(KINDS) * SLOTS_PER_KIND
+    slot_of = cell // ENROL_SESSIONS
+    filled = np.bincount(slot_of, minlength=n_slots)
+    short = np.flatnonzero(filled[slot_of] < ENROL_SESSIONS)
+    if short.size:
+        line = int(short[0])
+        raise ProtocolError(
+            f"slot {slot_name(line)} has {filled[slot_of[line]]} comparisons, "
+            f"expected {ENROL_SESSIONS}"
+        )
+
+    present = filled.reshape(len(subject_ids), len(KINDS), SLOTS_PER_KIND) > 0
+    block = np.zeros(n_slots * ENROL_SESSIONS)
+    block[cell] = scores
+    # Values sit at their enrolment index and fsum is exact, so permuting
+    # plan lines together with their scores cannot move a mean by an ulp.
+    means = [math.fsum(values) / ENROL_SESSIONS for values in
+             block.reshape(n_slots, ENROL_SESSIONS).tolist()]
+    out = []
+    for subject_id, s in sorted((subject_ids[s], s) for s in np.unique(enrolled).tolist()):
+        missing = np.argwhere(~present[s])
+        if missing.size:
+            k, i = missing[0].tolist()
+            raise ProtocolError(f"subject {subject_id} is missing {KINDS[k].value} slot {i}")
+        first = s * len(KINDS) * SLOTS_PER_KIND
+        genuine, similar, dissimilar = (
+            tuple(means[first + k * SLOTS_PER_KIND : first + (k + 1) * SLOTS_PER_KIND])
+            for k in range(len(KINDS))
+        )
+        out.append(ScoreSet(subject_id, genuine, similar, dissimilar))
     return out

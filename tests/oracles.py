@@ -1,15 +1,21 @@
 """Independent brute-force reference implementations.
 
-Every function here recomputes a metric straight from its definition,
-counting comparisons over full outer products instead of reusing the
-library's sort/cumsum machinery. Rates are formed as count / n and the
-crossing interpolation uses the same arithmetic expressions as the
-library, so agreement is expected to be bit-exact.
+Every metric function here recomputes a metric straight from its
+definition, counting comparisons over full outer products instead of
+reusing the library's sort/cumsum machinery. Rates are formed as count / n
+and the crossing interpolation uses the same arithmetic expressions as the
+library, so agreement is expected to be bit-exact. The comparison-file
+reader is the per-line loader the chunked one replaced.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
+
+from kdbench.errors import ParseError
+from kdbench.protocol import KINDS, Comparison, ComparisonKind, ComparisonPlan
 
 
 def sweep_rates(
@@ -89,3 +95,58 @@ def group_rates_brute(score_sets, demographics, threshold):
         fnmr = sum(1 for v in genuine if v < threshold) / len(genuine)
         out[group] = (fmr, fnmr)
     return out
+
+
+def plan_of_rows(rows: Iterable[Comparison]) -> ComparisonPlan:
+    """The columnar plan of `Comparison` rows; its session table lists each
+    (subject, session) in order of first appearance."""
+    table: dict[tuple[str, str], int] = {}
+    columns: list[list[int]] = [[], [], [], [], []]
+    for row in rows:
+        enrol = table.setdefault((row.enrol_subject, row.enrol_session), len(table))
+        verif = table.setdefault((row.verif_subject, row.verif_session), len(table))
+        values = (enrol, verif, KINDS.index(row.kind), row.score_index, row.enrol_index)
+        for column, value in zip(columns, values):
+            column.append(value)
+    return ComparisonPlan(tuple(table), *(np.array(c, dtype=np.int64) for c in columns))
+
+
+def load_comparisons_per_line(path) -> list[Comparison]:
+    """A comparison file's rows, one line at a time; enrolment indices are
+    recovered from the order of appearance within each (subject, kind,
+    slot) group."""
+    entries: list[Comparison] = []
+    occurrence: dict[tuple[str, ComparisonKind, int], int] = {}
+    letters = {kind.letter: kind for kind in ComparisonKind}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw_line in enumerate(fh, start=1):
+            line = raw_line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ParseError(
+                    f"expected 4 tab-separated fields, got {len(fields)}", lineno
+                )
+            try:
+                enrol_subject, enrol_session = fields[0].split(":", 1)
+                verif_subject, verif_session = fields[1].split(":", 1)
+            except ValueError:
+                raise ParseError("malformed subject:session pair", lineno) from None
+            if fields[2] not in letters:
+                raise ParseError(f"unknown comparison kind {fields[2]!r}", lineno)
+            kind = letters[fields[2]]
+            try:
+                slot = int(fields[3])
+            except ValueError:
+                raise ParseError(f"non-integer slot {fields[3]!r}", lineno) from None
+            key = (enrol_subject, kind, slot)
+            enrol_index = occurrence.get(key, 0)
+            occurrence[key] = enrol_index + 1
+            entries.append(
+                Comparison(
+                    enrol_subject, enrol_session, verif_subject, verif_session,
+                    kind, slot, enrol_index,
+                )
+            )
+    return entries

@@ -14,8 +14,9 @@ from kdbench.baseline import (
 from kdbench.core import Dataset, Session, Subject
 from kdbench.errors import DataReferenceError
 from kdbench.features import FeatureConfig, FeatureMatrix, FeatureSet, extract_features
-from kdbench.protocol import Comparison, ComparisonKind, ComparisonPlan
+from kdbench.protocol import Comparison, ComparisonKind
 
+from oracles import plan_of_rows
 from test_features import WORKED_SESSION
 
 CFG = FeatureConfig(FeatureSet.F5, max_len=8)
@@ -140,7 +141,7 @@ def plan_of(pairs):
         Comparison("a", left, "b", right, ComparisonKind.SIMILAR, i, 0)
         for i, (left, right) in enumerate(pairs)
     )
-    return ComparisonPlan(entries)
+    return plan_of_rows(entries)
 
 
 def embeddings_of(vectors):
@@ -206,5 +207,5 @@ class TestScoreComparisons:
             Comparison("u0", a, "u1", b, ComparisonKind.SIMILAR, i, 0)
             for i, (a, b) in enumerate(pairs)
         )
-        scores = score_comparisons(ComparisonPlan(entries), emb)
+        scores = score_comparisons(plan_of_rows(entries), emb)
         assert np.all((scores >= 0.0) & (scores <= 1.0))

@@ -23,6 +23,8 @@ from kdbench.formats import (
 from kdbench.protocol import ComparisonKind, build_comparison_plan
 from kdbench.synthgen import GeneratorConfig, generate
 
+from oracles import plan_of_rows
+
 METRIC_KEYS = {
     "eer_global",
     "fnmr_at_fmr_0p1",
@@ -160,13 +162,14 @@ class TestScoreCommand:
     def test_missing_session_exit_four(self, synth_dir, protocol_dir, tmp_path):
         # Point the plan at a session id that does not exist.
         plan = load_comparisons(protocol_dir / "comparisons.txt")
-        entry = plan.entries[0]
-        broken = type(plan)(
+        rows = plan.entries
+        entry = rows[0]
+        broken = plan_of_rows(
             (type(entry)(
                 entry.enrol_subject, "zz99", entry.verif_subject,
                 entry.verif_session, entry.kind, entry.score_index,
                 entry.enrol_index,
-            ),) + plan.entries[1:]
+            ),) + rows[1:]
         )
         write_comparisons(broken, tmp_path / "broken.txt")
         code = run(
@@ -260,7 +263,8 @@ class TestEvaluateCommand:
         scores, _ = load_scores(scores_dir / "scores.txt")
         rng = np.random.default_rng(3)
         order = rng.permutation(len(scores))
-        permuted = type(plan)(tuple(plan.entries[i] for i in order))
+        rows = plan.entries
+        permuted = plan_of_rows(rows[i] for i in order)
         write_comparisons(permuted, tmp_path / "comparisons.txt")
         write_scores(scores[order].tolist(), tmp_path / "scores.txt")
         for args, out in (
@@ -470,6 +474,18 @@ def _non_utf8_raw_log(synth_dir, protocol_dir, scores_dir, tmp_path):
     )
 
 
+def _non_utf8_comparisons(synth_dir, protocol_dir, scores_dir, tmp_path):
+    data = (protocol_dir / "comparisons.txt").read_bytes()
+    (tmp_path / "comparisons.txt").write_bytes(data[:50_000] + b"\xff" + data[50_000:])
+    return (
+        "evaluate",
+        "--comparisons", tmp_path / "comparisons.txt",
+        "--scores", scores_dir / "scores.txt",
+        "--demographics", synth_dir / "demographics.tsv",
+        "--out", tmp_path / "out",
+    )
+
+
 def _score_empty_comparisons(synth_dir, protocol_dir, scores_dir, tmp_path):
     (tmp_path / "comparisons.txt").write_text("")
     return (
@@ -491,8 +507,9 @@ BAD_INPUTS = [
     (_genuine_line_across_subjects, 3, "genuine lines pair a subject with itself"),
     (_impostor_is_enrolled_subject, 3, "impostor lines with another"),
     (_flipped_gender, 3, "plan and demographics disagree"),
-    (_non_utf8_scores, 2, "not UTF-8 text"),
-    (_non_utf8_raw_log, 2, "not UTF-8 text"),
+    (_non_utf8_scores, 2, "scores.txt is not UTF-8 text (invalid start byte)"),
+    (_non_utf8_raw_log, 2, "raw_log.tsv is not UTF-8 text (invalid start byte)"),
+    (_non_utf8_comparisons, 2, "comparisons.txt is not UTF-8 text (invalid start byte)"),
     (_score_empty_comparisons, 2, "has no comparisons"),
 ]
 

@@ -219,7 +219,28 @@ def sir_entries_from_matrix(matrix, attribute="gender", count=5):
         for j, gj in enumerate(values):
             for _ in range(count):
                 entries.append((demo[gi], demo[gj], matrix[i][j]))
-    return entries
+    return impostor_columns(entries)
+
+
+def impostor_columns(entries):
+    """(enrolled group, verification group, score) triples as the group-code
+    and score arrays `sir` takes."""
+    enrol, verif, scores = zip(*entries)
+    return (
+        np.array([ALL_GROUPS.index(d) for d in enrol]),
+        np.array([ALL_GROUPS.index(d) for d in verif]),
+        np.array(scores, dtype=np.float64),
+    )
+
+
+def without_female_to_male(entries):
+    """The entries minus those of a female enrolled against a male subject."""
+    enrol, verif, scores = entries
+    keep = [
+        not (ALL_GROUPS[a].gender is Gender.FEMALE and ALL_GROUPS[b].gender is Gender.MALE)
+        for a, b in zip(enrol, verif)
+    ]
+    return enrol[keep], verif[keep], scores[keep]
 
 
 class TestSir:
@@ -243,12 +264,7 @@ class TestSir:
         assert matrix.labels == tuple(a.value for a in AgeGroup)
 
     def test_missing_pair_flagged_and_warned(self):
-        entries = sir_entries_from_matrix([[0.5, 0.3], [0.3, 0.5]])
-        entries = [
-            (a, b, s)
-            for a, b, s in entries
-            if not (a.gender is Gender.FEMALE and b.gender is Gender.MALE)
-        ]
+        entries = without_female_to_male(sir_entries_from_matrix([[0.5, 0.3], [0.3, 0.5]]))
         with pytest.warns(UserWarning, match="no comparisons"):
             matrix, scalar = sir(entries, "gender")
         assert matrix.missing[1, 0]

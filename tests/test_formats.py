@@ -1,7 +1,15 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kdbench import formats
 
 from kdbench.core import (
     AgeGroup,
@@ -17,10 +25,8 @@ from kdbench.fairmetrics import sir
 from kdbench.formats import (
     load_comparisons,
     load_demographics,
-    load_det_csv,
     load_raw_log,
     load_scores,
-    load_sir_csv,
     sha256_file,
     verify_strict_digest,
     write_comparisons,
@@ -34,7 +40,30 @@ from kdbench.protocol import build_comparison_plan
 from kdbench.synthgen import GeneratorConfig, generate
 from kdbench.verifmetrics import roc
 
-from test_fairmetrics import sir_entries_from_matrix
+from oracles import load_comparisons_per_line, plan_of_rows
+from test_fairmetrics import sir_entries_from_matrix, without_female_to_male
+
+
+def load_det_csv(path):
+    """Returns (thresholds, fmr, fnmr) of a det.csv file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.readline() == "threshold,fmr,fnmr\n"
+        rows = [[float(v) for v in line.rstrip("\n").split(",")] for line in fh]
+    thresholds, fmr, fnmr = np.array(rows).reshape(-1, 3).T
+    return thresholds, fmr, fnmr
+
+
+def load_sir_csv(path):
+    """Returns (labels, values, missing mask) of a SIR matrix file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        labels = tuple(header[1:])
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    assert [row[0] for row in rows] == list(labels)
+    assert all(len(row) == len(labels) + 1 for row in rows)
+    missing = np.array([[cell == "" for cell in row[1:]] for row in rows])
+    values = np.array([[float(cell or 0.0) for cell in row[1:]] for row in rows])
+    return labels, values, missing
 
 
 @pytest.fixture
@@ -97,6 +126,86 @@ def test_comparisons_line_shape(tmp_path, dataset):
     assert ":" in first[0] and ":" in first[1]
     assert first[2] in {"G", "S", "D"}
     assert first[3].isdigit()
+
+
+def _read_both(path):
+    """(plan, None) from both comparison loaders, or (None, (message, line))
+    of the ParseError each raised."""
+    outcomes = []
+    for load in (load_comparisons, load_comparisons_per_line):
+        try:
+            outcomes.append((load(path), None))
+        except ParseError as exc:
+            outcomes.append((None, (str(exc), exc.line_number)))
+    return outcomes
+
+
+def assert_loaders_agree(path):
+    (plan, error), (rows, expected_error) = _read_both(path)
+    assert error == expected_error
+    if rows is not None:
+        expected = plan_of_rows(rows)
+        assert plan.sessions == expected.sessions
+        for name in ("enrol", "verif", "kind", "slot", "enrol_index"):
+            assert np.array_equal(getattr(plan, name), getattr(expected, name)), name
+    return error
+
+
+GOOD_PAIRS = ["a:s0", "a:s1", "b:s0", "b:s1:x", "c:s2"]
+GOOD_SLOTS = ["0", "3", " 3", "+3", "9", "10", "-1", "03", "3_0"]
+GOOD_LINE = st.tuples(
+    st.sampled_from(GOOD_PAIRS), st.sampled_from(GOOD_PAIRS),
+    st.sampled_from(["G", "S", "D"]), st.sampled_from(GOOD_SLOTS),
+).map("\t".join)
+FIELD = st.one_of(st.sampled_from(GOOD_PAIRS + ["a", "", "b:"]), st.text("ab:s0 ", max_size=4))
+ANY_LINE = st.one_of(
+    st.tuples(
+        FIELD, FIELD, st.sampled_from(["G", "S", "D", "X", "g", ""]),
+        st.sampled_from(GOOD_SLOTS + ["x", "3.0", "", "1e2"]),
+    ).map("\t".join),
+    st.lists(FIELD, max_size=6).map("\t".join),  # any field count, blank lines too
+)
+ENDING = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(GOOD_LINE, ENDING), max_size=12),
+    st.lists(st.tuples(st.integers(0, 12), ANY_LINE, ENDING), max_size=2),
+    st.booleans(),
+    st.sampled_from([1, 5, 16, formats._READ_CHARS]),
+)
+def test_chunked_loader_agrees_with_the_per_line_loader(lines, inserts, last_ended, chunk):
+    for at, line, ending in inserts:
+        lines.insert(at, (line, ending))
+    text = "".join(line + ending for line, ending in lines)
+    if lines and not last_ended:
+        text = text[: -len(lines[-1][1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "comparisons.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(formats, "_READ_CHARS", chunk):
+            assert_loaders_agree(path)
+
+
+def test_bad_line_after_the_first_read_chunk(tmp_path):
+    good = "".join(f"u{i % 97}:s{i % 15}\tu{i % 89}:s{i % 13}\tS\t{i % 10}\n" for i in range(6_000))
+    assert len(good) > formats._READ_CHARS
+    path = tmp_path / "comparisons.txt"
+    for bad, message in (
+        ("u1:s1\tu2\tS\t0\n", "malformed subject:session pair"),
+        ("u1:s1\tu2:s1\tS\t0\t\n", "expected 4 tab-separated fields, got 5"),
+        ("u1:s1\tu2:s1\tS\tx\n", "non-integer slot 'x'"),
+    ):
+        path.write_text(good + "\n" + bad + good)
+        assert assert_loaders_agree(path) == (f"line 6002: {message}", 6_002)
+
+
+def test_comparisons_reject_a_slot_beyond_64_bits(tmp_path):
+    path = tmp_path / "comparisons.txt"
+    path.write_text("a:s1\tb:s2\tS\t0\na:s1\tb:s2\tS\t99999999999999999999\n")
+    with pytest.raises(ParseError, match="^line 2: slot '99999999999999999999' outside 64 bits"):
+        load_comparisons(path)
 
 
 def test_comparisons_reject_bad_kind(tmp_path):
@@ -168,11 +277,7 @@ def test_sir_csv_round_trip(tmp_path):
 
 
 def test_sir_csv_missing_cells(tmp_path):
-    entries = [
-        e
-        for e in sir_entries_from_matrix([[0.5, 0.3], [0.2, 0.6]])
-        if not (e[0].gender is Gender.FEMALE and e[1].gender is Gender.MALE)
-    ]
+    entries = without_female_to_male(sir_entries_from_matrix([[0.5, 0.3], [0.2, 0.6]]))
     with pytest.warns(UserWarning):
         matrix, _ = sir(entries, "gender")
     path = tmp_path / "sir_gender.csv"

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,9 @@ from hypothesis import strategies as st
 
 from kdbench.core import AgeGroup, ALL_GROUPS, Gender
 from kdbench.errors import AlignmentError, ConfigError, ProtocolError
+from kdbench.fairmetrics import impostor_score_entries
 from kdbench.protocol import (
     ComparisonKind,
-    ComparisonPlan,
     ScoreSet,
     SplitConfig,
     aggregate_scores,
@@ -18,6 +21,7 @@ from kdbench.protocol import (
 )
 from kdbench.synthgen import GeneratorConfig, generate
 
+from oracles import plan_of_rows
 from test_core import make_subject
 from kdbench.core import Dataset
 
@@ -266,7 +270,8 @@ class TestAggregateScores:
         plan, scores = self._plan_and_scores()
         rng = np.random.default_rng(11)
         order = rng.permutation(len(plan))
-        permuted_plan = ComparisonPlan(tuple(plan.entries[i] for i in order))
+        rows = plan.entries
+        permuted_plan = plan_of_rows(rows[i] for i in order)
         assert aggregate_scores(permuted_plan, scores[order]) == aggregate_scores(
             plan, scores
         )
@@ -281,6 +286,68 @@ class TestAggregateScores:
         scores[17] = np.nan
         with pytest.raises(AlignmentError, match="entry 17"):
             aggregate_scores(plan, scores)
+
+
+def _moved_to(subject_id):
+    """A defect: the line's verification side becomes `subject_id`'s first
+    session ("self" for the enrolled subject's own)."""
+    def move(row, first_session):
+        target = row.enrol_subject if subject_id == "self" else subject_id
+        return replace(row, verif_subject=target, verif_session=first_session[target])
+    return move
+
+
+# defect -> (line within a subject's 150, edit, message naming the subject)
+PLAN_DEFECTS = {
+    "slot 10": (
+        7, lambda row, _: replace(row, score_index=10), "slot {}/genuine/10 outside [0, 10)"
+    ),
+    "G across subjects": (12, _moved_to("u05_0"), "genuine comparison of {} against u05_0:"),
+    "S against itself": (60, _moved_to("self"), "similar comparison of {0} against {0}:"),
+    # u01_0 is the enrolled subjects' age bin with the other gender.
+    "flipped-gender S": (63, _moved_to("u01_0"), "S comparison of {} (10-13/M) against u01_0"),
+    "D sharing the age bin": (110, _moved_to("u01_0"), "D comparison of {} (10-13/M) against"),
+}
+
+
+class TestPlanChecksReportTheFirstBadLine:
+    """Two defects, one in the first subject's lines and one in the
+    second's: the check reports the first subject's, whatever the kinds."""
+
+    def _check(self, check, first, second):
+        ev = uniform_dataset(n_per_group=2)
+        plan = build_comparison_plan(ev, seed=3)
+        rows = list(plan.entries)
+        first_session = {}
+        for subject_id, session_id in plan.sessions:
+            first_session.setdefault(subject_id, session_id)
+        subjects = [rows[0].enrol_subject, rows[150].enrol_subject]
+        assert subjects == ["u00_0", "u00_1"]
+        for block, defect in enumerate((first, second)):
+            line, edit, _ = PLAN_DEFECTS[defect]
+            rows[150 * block + line] = edit(rows[150 * block + line], first_session)
+        with pytest.raises(ProtocolError) as info:
+            check(plan_of_rows(rows), np.full(len(rows), 0.5))
+        assert PLAN_DEFECTS[first][2].format(subjects[0]) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        itertools.product(["slot 10", "G across subjects", "S against itself"], repeat=2),
+    )
+    def test_aggregate_scores(self, first, second):
+        self._check(aggregate_scores, first, second)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        itertools.product(["flipped-gender S", "D sharing the age bin"], repeat=2),
+    )
+    def test_impostor_score_entries(self, first, second):
+        ev = uniform_dataset(n_per_group=2)
+        demographics = {s.subject_id: s.demographics for s in ev.subjects}
+        self._check(
+            lambda plan, scores: impostor_score_entries(plan, scores, demographics),
+            first, second,
+        )
 
 
 class TestScoreSet:
