@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +41,7 @@ KINDS: tuple[ComparisonKind, ...] = tuple(ComparisonKind)
 GENUINE, SIMILAR, DISSIMILAR = range(len(KINDS))
 
 
-@dataclass(frozen=True, slots=True)
-class Comparison:
+class Comparison(NamedTuple):
     """One plan line as an object; see `ComparisonPlan.entries`."""
 
     enrol_subject: str
@@ -109,14 +108,14 @@ class ComparisonPlan:
     @property
     def entries(self) -> tuple[Comparison, ...]:
         """The plan as `Comparison` rows, built anew on each access."""
-        s = self.sessions
-        return tuple(
-            Comparison(*s[e], *s[v], KINDS[k], slot, i)
-            for e, v, k, slot, i in zip(
-                self.enrol.tolist(), self.verif.tolist(), self.kind.tolist(),
-                self.slot.tolist(), self.enrol_index.tolist(),
-            )
-        )
+        enrol, verif, kind, slot, enrol_index = self._resolved()
+        return tuple(map(
+            Comparison,
+            enrol[:, 0].tolist(), enrol[:, 1].tolist(),
+            verif[:, 0].tolist(), verif[:, 1].tolist(),
+            np.array(KINDS, dtype=object)[kind].tolist(),
+            slot.tolist(), enrol_index.tolist(),
+        ))
 
     def referenced_sessions(self) -> set[SessionKey]:
         return set(self.sessions)

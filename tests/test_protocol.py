@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -293,14 +292,14 @@ def _moved_to(subject_id):
     session ("self" for the enrolled subject's own)."""
     def move(row, first_session):
         target = row.enrol_subject if subject_id == "self" else subject_id
-        return replace(row, verif_subject=target, verif_session=first_session[target])
+        return row._replace(verif_subject=target, verif_session=first_session[target])
     return move
 
 
 # defect -> (line within a subject's 150, edit, message naming the subject)
 PLAN_DEFECTS = {
     "slot 10": (
-        7, lambda row, _: replace(row, score_index=10), "slot {}/genuine/10 outside [0, 10)"
+        7, lambda row, _: row._replace(score_index=10), "slot {}/genuine/10 outside [0, 10)"
     ),
     "G across subjects": (12, _moved_to("u05_0"), "genuine comparison of {} against u05_0:"),
     "S against itself": (60, _moved_to("self"), "similar comparison of {0} against {0}:"),
