@@ -62,7 +62,9 @@ def _reading(path: Path) -> Iterator[TextIO]:
 
 def _check_identifiers(pairs: Iterable[tuple[str, str]]) -> None:
     """Check (subject_id, session_id) pairs. Writers call this before they
-    open their file, so a bad identifier leaves no partial file behind."""
+    open their file, so a bad identifier leaves no partial file behind.
+    One scan covers every identifier; the per-identifier check runs only
+    to name the first bad one."""
     ids = list(chain.from_iterable(pairs))
     text = "".join(ids)
     if "" not in ids and not any(c in text for c in "\t\n:"):
