@@ -26,8 +26,9 @@ from .errors import (
     ProtocolError,
 )
 from .fairmetrics import FairnessConfig, compute_fairness_report
-# extract_features stays bound here: bench/tests checks that the tracer
-# rebinds it in every kdbench namespace that holds it.
+# extract_features stays bound here although cli never calls it:
+# bench/tests asserts that the tracer rebinds this binding and restores it,
+# and the tracer needs every function it wraps to stay defined.
 from .features import FeatureConfig, FeatureSet, extract_features  # noqa: F401
 from .protocol import (
     ComparisonPlan,
@@ -190,7 +191,9 @@ def run_score(
     out_dir: Path,
     strict: bool = False,
 ) -> None:
-    dataset = formats.load_raw_log(_require_file(data_path))
+    # Only eligible subjects reach the split in `protocol`, so only they may
+    # fit the normalization here.
+    dataset = filter_eligible(formats.load_raw_log(_require_file(data_path)))
     plan = _load_plan(comparisons_path)
 
     referenced = plan.referenced_sessions()
@@ -200,7 +203,7 @@ def run_score(
     )
     if not development.subjects:
         raise ProtocolError(
-            "every subject in the dataset is referenced by the comparison "
+            "every eligible subject in the dataset is referenced by the comparison "
             "file; no development subjects left to fit normalization"
         )
     stats = fit_normalization(development, feature_config)
@@ -212,7 +215,9 @@ def run_score(
     embeddings = embed_dataset(evaluation, feature_config, stats)
     for subject_id, session_id in sorted(referenced - embeddings.keys()):
         if subject_id not in subject_map:
-            raise DataReferenceError(f"subject {subject_id!r} not in dataset")
+            raise DataReferenceError(
+                f"subject {subject_id!r} not in dataset or not protocol-eligible"
+            )
         raise DataReferenceError(
             f"session {session_id!r} of subject {subject_id!r} not in dataset"
         )

@@ -1,9 +1,10 @@
-"""Per-session feature matrices for the four experimental feature sets.
+"""Feature channels for the four experimental feature sets.
 
-Each session becomes a fixed-shape matrix of time-domain channels (seconds)
-plus, for the 5- and 11-channel variants, a normalized key-code channel.
-Rows align with key indices; lookahead channels that would reference a key
-past the end of the session are zero.
+A session becomes a matrix of time-domain channels (seconds) plus, for the
+5- and 11-channel variants, a normalized key-code channel. Rows align with
+key indices; lookahead channels that would reference a key past the end of
+the session are zero. One kernel computes the channels for a whole block
+of equally long sessions; a single session is the block of one.
 """
 
 from __future__ import annotations
@@ -77,46 +78,55 @@ class FeatureMatrix:
         return self.values[: self.valid_len]
 
 
-def extract_features(session: Session, config: FeatureConfig) -> FeatureMatrix:
-    """Extract the configured channels from one session.
+# Time channels as (later column, earlier column, lookahead k): row i holds
+# the gap from the earlier event of key i to the later event of key i+k.
+_TIME_CHANNELS: dict[str, tuple[int, int, int]] = {"ht": (RELEASE, PRESS, 0)} | {
+    f"{kind}{'' if k == 1 else k}": (later, earlier, k)
+    for k in (1, 2, 3)
+    for kind, later, earlier in (
+        ("ipt", PRESS, PRESS), ("irt", RELEASE, RELEASE), ("ikt", PRESS, RELEASE)
+    )
+}
 
-    Sessions longer than max_len are truncated to their first max_len
-    events. Times are converted to seconds and clipped symmetrically to
+
+def channel_block(events: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """The configured channels of a block of equally long sessions: an
+    (S, n, 3) event block becomes an (S, n, channels) block.
+
+    Times are converted to seconds and clipped symmetrically to
     +-clip_seconds; the key-code channel is the ASCII value divided by 255.
-    Negative release-to-press gaps (rollover typing) are preserved.
+    Negative release-to-press gaps (rollover typing) are preserved, and
+    lookahead rows past the end of a session are zero.
     """
-    if len(session.events) == 0:
-        raise ValueError(f"session {session.session_id} has no events")
-
-    events = session.events[: config.max_len]
-    n = len(events)
-    # Latencies are integer-millisecond differences converted to seconds
-    # afterwards, so shifting all timestamps by a constant is an exact
-    # no-op.
-    press = events[:, PRESS]
-    release = events[:, RELEASE]
-
-    def lookahead(target: np.ndarray, base: np.ndarray, k: int) -> np.ndarray:
-        col = np.zeros(n)
-        if n > k:
-            col[: n - k] = (target[k:] - base[: n - k]) / 1000.0
-        return col
-
-    columns: dict[str, np.ndarray] = {"ht": (release - press) / 1000.0}
-    for k in (1, 2, 3):
-        suffix = "" if k == 1 else str(k)
-        columns[f"ipt{suffix}"] = lookahead(press, press, k)
-        columns[f"irt{suffix}"] = lookahead(release, release, k)
-        columns[f"ikt{suffix}"] = lookahead(press, release, k)
-
-    out = np.zeros((config.max_len, config.feature_set.n_channels))
+    n = events.shape[1]
+    out = np.zeros(events.shape[:2] + (config.feature_set.n_channels,))
     clip = config.clip_seconds
     for j, name in enumerate(config.feature_set.channels):
         if name == ASCII_CHANNEL:
-            out[:n, j] = events[:, CODE] / 255.0
-        else:
-            out[:n, j] = np.clip(columns[name], -clip, clip)
-    return FeatureMatrix(values=out, valid_len=n, feature_set=config.feature_set)
+            out[:, :, j] = events[:, :, CODE] / 255.0
+            continue
+        later, earlier, k = _TIME_CHANNELS[name]
+        if n > k:
+            # Latencies are integer-millisecond differences converted to
+            # seconds afterwards, so shifting all timestamps by a constant
+            # is an exact no-op.
+            gaps = (events[:, k:, later] - events[:, : n - k, earlier]) / 1000.0
+            np.clip(gaps, -clip, clip, out=out[:, : n - k, j])
+    return out
+
+
+def extract_features(session: Session, config: FeatureConfig) -> FeatureMatrix:
+    """The one-session case of `channel_block`, zero-padded to max_len.
+
+    Sessions longer than max_len are truncated to their first max_len
+    events.
+    """
+    if len(session.events) == 0:
+        raise ValueError(f"session {session.session_id} has no events")
+    events = session.events[: config.max_len]
+    out = np.zeros((config.max_len, config.feature_set.n_channels))
+    out[: len(events)] = channel_block(events[None], config)[0]
+    return FeatureMatrix(values=out, valid_len=len(events), feature_set=config.feature_set)
 
 
 def order_insensitive_mean_std(column: np.ndarray) -> tuple[float, float]:

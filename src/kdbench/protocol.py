@@ -21,9 +21,7 @@ from .core import AgeGroup, Dataset, Demographics, Session, Subject, validate_su
 from .errors import AlignmentError, ConfigError, ProtocolError
 
 ENROL_SESSIONS = 5
-VERIF_SESSIONS = 10
 SLOTS_PER_KIND = 10  # genuine, similar, and dissimilar scores per subject
-ENTRIES_PER_SUBJECT = 150
 
 
 class ComparisonKind(Enum):

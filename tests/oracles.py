@@ -5,7 +5,8 @@ definition, counting comparisons over full outer products instead of
 reusing the library's sort/cumsum machinery. Rates are formed as count / n
 and the crossing interpolation uses the same arithmetic expressions as the
 library, so agreement is expected to be bit-exact. The comparison-file
-reader is the per-line loader the chunked one replaced.
+reader is the per-line loader the chunked one replaced, and the session
+embedder is the one-session-at-a-time path the block embedder replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
+from kdbench.core import CODE, PRESS, RELEASE, Session
 from kdbench.errors import ParseError
+from kdbench.features import ASCII_CHANNEL, FeatureConfig, order_insensitive_mean_std
 from kdbench.protocol import KINDS, Comparison, ComparisonKind, ComparisonPlan
 
 
@@ -150,3 +153,63 @@ def load_comparisons_per_line(path) -> list[Comparison]:
                 )
             )
     return entries
+
+
+def features_per_session(session: Session, config: FeatureConfig) -> np.ndarray:
+    """The (n, channels) rows of one session, truncated to max_len, built
+    from one temporary column per channel."""
+    if len(session.events) == 0:
+        raise ValueError(f"session {session.session_id} has no events")
+    events = session.events[: config.max_len]
+    n = len(events)
+    press, release = events[:, PRESS], events[:, RELEASE]
+
+    def lookahead(target: np.ndarray, base: np.ndarray, k: int) -> np.ndarray:
+        col = np.zeros(n)
+        if n > k:
+            col[: n - k] = (target[k:] - base[: n - k]) / 1000.0
+        return col
+
+    columns = {"ht": (release - press) / 1000.0}
+    for k in (1, 2, 3):
+        suffix = "" if k == 1 else str(k)
+        columns[f"ipt{suffix}"] = lookahead(press, press, k)
+        columns[f"irt{suffix}"] = lookahead(release, release, k)
+        columns[f"ikt{suffix}"] = lookahead(press, release, k)
+    out = np.zeros((n, config.feature_set.n_channels))
+    clip = config.clip_seconds
+    for j, name in enumerate(config.feature_set.channels):
+        if name == ASCII_CHANNEL:
+            out[:, j] = events[:, CODE] / 255.0
+        else:
+            out[:, j] = np.clip(columns[name], -clip, clip)
+    return out
+
+
+def raw_embeddings_per_session(sessions, config: FeatureConfig) -> np.ndarray:
+    """One summary row (per channel: mean, std, median, p25, p75) per
+    session, each from its own `np.percentile` call."""
+    vectors = []
+    for session in sessions:
+        rows = features_per_session(session, config)
+        p25, median, p75 = np.percentile(rows, [25.0, 50.0, 75.0], axis=0)
+        stats = np.stack([rows.mean(axis=0), rows.std(axis=0), median, p25, p75], axis=1)
+        vectors.append(stats.reshape(-1))
+    return np.stack(vectors)
+
+
+def normalization_per_session(sessions, config: FeatureConfig, floor: float):
+    """(mean, std) per embedding coordinate, stds floored at `floor`."""
+    stacked = raw_embeddings_per_session(sessions, config)
+    stats = [order_insensitive_mean_std(stacked[:, j]) for j in range(stacked.shape[1])]
+    return (
+        np.array([m for m, _ in stats]),
+        np.maximum(np.array([s for _, s in stats]), floor),
+    )
+
+
+def embed_per_session(sessions, config: FeatureConfig, mean, std) -> np.ndarray:
+    """z-normalized embeddings, one session at a time."""
+    return np.stack(
+        [(raw - mean) / std for raw in raw_embeddings_per_session(sessions, config)]
+    )

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kdbench import baseline
 from kdbench.baseline import (
     NormalizationStats,
     embed_dataset,
     embed_session,
     fit_normalization,
     raw_embedding,
+    raw_embeddings,
     score_comparisons,
 )
 from kdbench.core import Dataset, Session, Subject
@@ -16,7 +23,12 @@ from kdbench.errors import DataReferenceError
 from kdbench.features import FeatureConfig, FeatureMatrix, FeatureSet, extract_features
 from kdbench.protocol import Comparison, ComparisonKind
 
-from oracles import plan_of_rows
+from oracles import (
+    embed_per_session,
+    normalization_per_session,
+    plan_of_rows,
+    raw_embeddings_per_session,
+)
 from test_features import WORKED_SESSION
 
 CFG = FeatureConfig(FeatureSet.F5, max_len=8)
@@ -134,6 +146,129 @@ class TestEmbedSession:
         matrix = extract_features(WORKED_SESSION, CFG)
         with pytest.raises(ValueError, match="dimension"):
             embed_session(matrix, identity_stats(7))
+
+
+def random_session(session_id, n, rng):
+    """A valid session of n events; press gaps reach past 10 s now and then."""
+    gaps = np.where(rng.random(n) < 0.1, rng.integers(1, 30_000, n), rng.integers(1, 400, n))
+    press = 1_600_000_000_000 + np.cumsum(gaps)
+    release = press + rng.integers(0, 350, n)
+    return Session(session_id, np.stack([rng.integers(0, 256, n), press, release], axis=1))
+
+
+def dataset_of(sessions, per_subject=5):
+    return Dataset(tuple(
+        Subject(f"u{i}", None, tuple(sessions[i * per_subject : (i + 1) * per_subject]))
+        for i in range(-(-len(sessions) // per_subject))
+    ))
+
+
+@st.composite
+def session_blocks(draw):
+    """(sessions, config): lengths mix 1-4 events (zero look-ahead rows),
+    exactly max_len, longer than max_len, and anything in between."""
+    config = FeatureConfig(
+        draw(st.sampled_from(list(FeatureSet))),
+        max_len=draw(st.integers(1, 12)),
+        clip_seconds=draw(st.sampled_from([0.3, 10.0])),
+    )
+    lengths = draw(st.lists(
+        st.one_of(
+            st.integers(1, 4),
+            st.just(config.max_len),
+            st.integers(config.max_len + 1, config.max_len + 6),
+            st.integers(1, 16),
+        ),
+        min_size=1, max_size=30,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [random_session(f"s{i}", n, rng) for i, n in enumerate(lengths)], config
+
+
+class TestBlockPathMatchesPerSessionPath:
+    """The block embedder against the one-session-at-a-time oracle, to the
+    bit; small chunks make every length group span several blocks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(session_blocks(), st.sampled_from([1, 2, 3, 256]))
+    def test_embeddings_and_stats_identical(self, block, chunk):
+        sessions, config = block
+        dataset = dataset_of(sessions)
+        with mock.patch.object(baseline, "CHUNK_SESSIONS", chunk):
+            raw = raw_embeddings(sessions, config)
+            stats = fit_normalization(dataset, config)
+            embedded = embed_dataset(dataset, config, stats)
+        assert raw.tobytes() == raw_embeddings_per_session(sessions, config).tobytes()
+        mean, std = normalization_per_session(sessions, config, baseline.STD_FLOOR)
+        assert (stats.mean.tobytes(), stats.std.tobytes()) == (mean.tobytes(), std.tobytes())
+        assert list(embedded) == [
+            (subject.subject_id, session.session_id)
+            for subject in dataset.subjects for session in subject.sessions
+        ]
+        expected = embed_per_session(sessions, config, stats.mean, stats.std)
+        assert np.stack(list(embedded.values())).tobytes() == expected.tobytes()
+
+    def test_one_length_beyond_one_chunk(self):
+        rng = np.random.default_rng(5)
+        count = 2 * baseline.CHUNK_SESSIONS + 7
+        sessions = [random_session(f"s{i}", 20, rng) for i in range(count)]
+        sessions.insert(300, random_session("short", 3, rng))
+        config = FeatureConfig(FeatureSet.F11, max_len=16)
+        expected = raw_embeddings_per_session(sessions, config)
+        assert raw_embeddings(sessions, config).tobytes() == expected.tobytes()
+
+    def test_no_sessions_give_an_empty_block(self):
+        assert raw_embeddings([], CFG).shape == (0, 25)
+
+
+class TestBlockPathErrors:
+    def test_empty_session_named(self):
+        rng = np.random.default_rng(1)
+        sessions = [random_session("s0", 5, rng), Session("e1", ()), Session("e2", ())]
+        dataset = dataset_of(sessions)
+        for call in (
+            lambda: raw_embeddings(sessions, CFG),
+            lambda: fit_normalization(dataset, CFG),
+            lambda: embed_dataset(dataset, CFG, identity_stats(25)),
+        ):
+            with pytest.raises(ValueError, match="^session e1 has no events$"):
+                call()
+
+    def test_non_finite_coordinate_rejected(self):
+        stats = NormalizationStats(mean=np.full(25, np.inf), std=np.ones(25))
+        with pytest.raises(ValueError, match="^embedding contains non-finite coordinates$"):
+            embed_dataset(tiny_dataset(), CFG, stats)
+        with pytest.raises(ValueError, match="^embedding contains non-finite coordinates$"):
+            embed_session(extract_features(WORKED_SESSION, CFG), stats)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(
+            ValueError,
+            match="^embedding dimension 25 does not match normalization dimension 7$",
+        ):
+            embed_dataset(tiny_dataset(), CFG, identity_stats(7))
+
+
+def test_working_memory_is_a_few_chunks():
+    # 4,000 sessions of one length: the block path's working memory (the
+    # peak beyond the returned array) stays a few chunk feature blocks,
+    # whatever the session count. One unchunked block would be ~16 times
+    # larger.
+    count, config = 4000, FeatureConfig(FeatureSet.F11, max_len=64)
+    rng = np.random.default_rng(3)
+    block = np.empty((count, 64, 3), dtype=np.int64)
+    block[:, :, 0] = rng.integers(0, 256, (count, 64))
+    block[:, :, 1] = np.cumsum(rng.integers(1, 400, (count, 64)), axis=1)
+    block[:, :, 2] = block[:, :, 1] + rng.integers(0, 350, (count, 64))
+    sessions = [Session.of_checked_rows(f"s{i}", block[i]) for i in range(count)]
+    chunk_block = baseline.CHUNK_SESSIONS * 64 * config.feature_set.n_channels * 8
+    tracemalloc.start()
+    try:
+        out = raw_embeddings(sessions, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 5 * chunk_block
 
 
 def plan_of(pairs):

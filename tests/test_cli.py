@@ -180,6 +180,30 @@ class TestScoreCommand:
         )
         assert code == 4
 
+    def test_ineligible_subject_leaves_scores_unchanged(
+        self, synth_dir, scores_dir, protocol_dir, tmp_path
+    ):
+        # A 4-session copy of u00000 is not protocol-eligible, so it must not
+        # join the subjects that fit the normalization.
+        log = (synth_dir / "raw_log.tsv").read_text()
+        copy = [
+            "zz_short" + line[len("u00000"):]
+            for line in log.splitlines(keepends=True)
+            if line.split("\t")[:2] in (["u00000", f"s{j:02d}"] for j in range(4))
+        ]
+        assert copy
+        (tmp_path / "raw_log.tsv").write_text(log + "".join(copy))
+        code = run(
+            "score",
+            "--data", tmp_path / "raw_log.tsv",
+            "--comparisons", protocol_dir / "comparisons.txt",
+            "--features", "5f",
+            "--out", tmp_path / "out",
+        )
+        assert code == 0
+        expected = (scores_dir / "scores.txt").read_bytes()
+        assert (tmp_path / "out" / "scores.txt").read_bytes() == expected
+
 
 class TestEvaluateCommand:
     def test_full_report_keys(self, synth_dir, protocol_dir, scores_dir, tmp_path):
