@@ -16,9 +16,9 @@ from .core import (  # noqa: F401
     Gender,
     Session,
     Subject,
+    eligibility_issues,
     filter_eligible,
     parse_raw_log,
-    validate_subject,
 )
 from .features import FeatureConfig, FeatureMatrix, FeatureSet, extract_features  # noqa: F401
 from .protocol import (  # noqa: F401

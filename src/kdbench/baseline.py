@@ -10,11 +10,11 @@ are interchangeable with external submissions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .core import Dataset, Session
+from .core import Dataset
 from .errors import DataReferenceError
 # extract_features stays bound here although nothing below calls it:
 # bench/tests asserts that the tracer rebinds this binding, like the one
@@ -68,23 +68,25 @@ def raw_embedding(matrix: FeatureMatrix) -> np.ndarray:
     return summary_block(matrix.valid_rows()[None])[0]
 
 
-def raw_embeddings(sessions: Sequence[Session], config: FeatureConfig) -> np.ndarray:
-    """Un-normalized summary vectors of `sessions`, one row each, in input
-    order.
+def raw_embeddings(dataset: Dataset, config: FeatureConfig) -> np.ndarray:
+    """Un-normalized summary vectors of the dataset's sessions, one row
+    each, in dataset order.
 
     Sessions are grouped by their length after truncation to max_len, and
-    each group is summarized in blocks of at most CHUNK_SESSIONS sessions.
+    each group is summarized in blocks of at most CHUNK_SESSIONS sessions,
+    gathered straight from the event block.
     """
-    lengths = np.array([min(len(s.events), config.max_len) for s in sessions], dtype=np.int64)
+    starts = dataset.event_offsets[:-1]
+    lengths = np.minimum(np.diff(dataset.event_offsets), config.max_len)
     empty = np.flatnonzero(lengths == 0)
     if len(empty):
-        raise ValueError(f"session {sessions[empty[0]].session_id} has no events")
-    out = np.empty((len(sessions), STATS_PER_CHANNEL * config.feature_set.n_channels))
+        raise ValueError(f"session {dataset.session_ids[empty[0]]} has no events")
+    out = np.empty((len(lengths), STATS_PER_CHANNEL * config.feature_set.n_channels))
     for n in np.unique(lengths).tolist():
         group = np.flatnonzero(lengths == n)
         for start in range(0, len(group), CHUNK_SESSIONS):
             chunk = group[start : start + CHUNK_SESSIONS]
-            events = np.stack([sessions[i].events[:n] for i in chunk.tolist()])
+            events = dataset.events[starts[chunk, None] + np.arange(n)]
             out[chunk] = summary_block(channel_block(events, config))
     return out
 
@@ -108,10 +110,9 @@ def fit_normalization(development: Dataset, config: FeatureConfig) -> Normalizat
     Uses permutation-invariant sums, so the statistics do not depend on
     subject ordering; stds are floored to keep z-normalization finite.
     """
-    sessions = [session for subject in development.subjects for session in subject.sessions]
-    if not sessions:
+    if not development.n_sessions():
         raise ValueError("development dataset contains no sessions")
-    stacked = raw_embeddings(sessions, config)
+    stacked = raw_embeddings(development, config)
     stats = [order_insensitive_mean_std(stacked[:, j]) for j in range(stacked.shape[1])]
     return NormalizationStats(
         mean=np.array([m for m, _ in stats]),
@@ -126,10 +127,7 @@ def embed_session(matrix: FeatureMatrix, stats: NormalizationStats) -> np.ndarra
 def embed_dataset(
     dataset: Dataset, config: FeatureConfig, stats: NormalizationStats
 ) -> dict[SessionKey, np.ndarray]:
-    sessions = [session for subject in dataset.subjects for session in subject.sessions]
-    keys = [(subject.subject_id, session.session_id)
-            for subject in dataset.subjects for session in subject.sessions]
-    return dict(zip(keys, normalize(raw_embeddings(sessions, config), stats)))
+    return dict(zip(dataset.session_keys(), normalize(raw_embeddings(dataset, config), stats)))
 
 
 def score_comparisons(

@@ -14,6 +14,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import formats
 from .baseline import embed_dataset, fit_normalization, score_comparisons
@@ -143,8 +145,8 @@ def run_protocol(
     formats.write_comparisons(plan, out_dir / "comparisons.txt")
     formats.write_json(
         {
-            "development": [s.subject_id for s in development.subjects],
-            "evaluation": [s.subject_id for s in evaluation.subjects],
+            "development": development.subject_ids.tolist(),
+            "evaluation": evaluation.subject_ids.tolist(),
         },
         out_dir / "split.json",
     )
@@ -198,23 +200,20 @@ def run_score(
 
     referenced = plan.referenced_sessions()
     referenced_subjects = {subject_id for subject_id, _ in referenced}
-    development = Dataset(
-        tuple(s for s in dataset.subjects if s.subject_id not in referenced_subjects)
-    )
-    if not development.subjects:
+    is_referenced = np.isin(dataset.subject_ids, list(referenced_subjects))
+    development = dataset.select(np.flatnonzero(~is_referenced))
+    if not len(development):
         raise ProtocolError(
             "every eligible subject in the dataset is referenced by the comparison "
             "file; no development subjects left to fit normalization"
         )
     stats = fit_normalization(development, feature_config)
 
-    subject_map = dataset.subject_map()
-    evaluation = Dataset(
-        tuple(subject_map[s] for s in referenced_subjects if s in subject_map)
-    )
+    evaluation = dataset.select(np.flatnonzero(is_referenced))
     embeddings = embed_dataset(evaluation, feature_config, stats)
+    evaluated = set(evaluation.subject_ids.tolist())
     for subject_id, session_id in sorted(referenced - embeddings.keys()):
-        if subject_id not in subject_map:
+        if subject_id not in evaluated:
             raise DataReferenceError(
                 f"subject {subject_id!r} not in dataset or not protocol-eligible"
             )

@@ -3,17 +3,19 @@
 A raw log is a stream of press/release events with millisecond Unix
 timestamps. Events are grouped into sessions, sessions into subjects, and
 subjects (optionally annotated with age group and gender) into a dataset
-that the protocol and feature stages consume. Events are never objects:
-each session holds an (n, 3) int64 block of (code, press, release) rows,
-and the parser's sessions are views into one block per log.
+that the protocol and feature stages consume. A dataset is columns: one
+(N, 3) int64 block of (code, press, release) rows, offsets that cut it
+into sessions and sessions into subjects, and id and demographics
+columns. `Subject` and `Session` are views a dataset builds on request.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,7 +54,7 @@ ALL_GROUPS: tuple[Demographics, ...] = tuple(
 )
 
 
-# Column layout of a session's event block: one int64 row per key event.
+# Column layout of the event block: one int64 row per key event.
 CODE, PRESS, RELEASE = 0, 1, 2
 _EVENT_COLUMNS = 3
 
@@ -75,89 +77,170 @@ def _first_bad_row(events: np.ndarray) -> int | None:
     return int(bad.argmax()) if bad.any() else None
 
 
-@dataclass(frozen=True, eq=False)
-class Session:
-    """One acquisition session: an (n, 3) int64 block of (key code,
-    press_ms, release_ms) rows in press order.
-
-    Timestamps are integer Unix epoch milliseconds. Construction checks
-    every row: codes fit [0, 255], no key is released before it is
-    pressed, and press times never decrease. An empty session can be
-    represented so that `validate_subject` can report it.
-    """
+class Session(NamedTuple):
+    """A view of one session: its id and its (n, 3) event rows in press order."""
 
     session_id: str
     events: np.ndarray
 
-    def __post_init__(self) -> None:
-        events = np.array(self.events, dtype=np.int64)
-        if events.size == 0:
-            events = events.reshape(0, _EVENT_COLUMNS)
-        if events.ndim != 2 or events.shape[1] != _EVENT_COLUMNS:
-            raise ValueError(
-                f"session {self.session_id}: events must be (code, press, release) rows"
-            )
-        bad = _first_bad_row(events)
-        if bad is not None:
-            raise ValueError(_event_problem(*events[bad].tolist()))
-        if np.any(events[1:, PRESS] < events[:-1, PRESS]):
-            raise ValueError(f"session {self.session_id}: press times not sorted")
-        events.flags.writeable = False
-        object.__setattr__(self, "events", events)
 
-    @classmethod
-    def of_checked_rows(cls, session_id: str, events: np.ndarray) -> "Session":
-        """A session over a read-only block whose rows a bulk producer (the
-        parser, the generator) has already checked; skips the per-session
-        checks."""
-        session = object.__new__(cls)
-        object.__setattr__(session, "session_id", session_id)
-        object.__setattr__(session, "events", events)
-        return session
+class Subject(NamedTuple):
+    """A view of one subject and its sessions."""
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Session):
-            return NotImplemented
-        return self.session_id == other.session_id and np.array_equal(
-            self.events, other.events
-        )
-
-    def start_ms(self) -> int:
-        if len(self.events) == 0:
-            raise ValueError(f"session {self.session_id} is empty")
-        return int(self.events[0, PRESS])
-
-
-@dataclass(frozen=True)
-class Subject:
     subject_id: str
     demographics: Demographics | None
     sessions: tuple[Session, ...]
 
-    def session_ids(self) -> list[str]:
-        return [s.session_id for s in self.sessions]
+
+def _offsets(counts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Offsets of consecutive groups of `counts` rows."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.intp)])
 
 
-@dataclass(frozen=True)
+def _ranges(offsets: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The rows of `groups` under `offsets`, group after group."""
+    starts, firsts = offsets[groups], _offsets(np.diff(offsets)[groups])
+    return np.repeat(starts - firsts[:-1], np.diff(firsts)) + np.arange(firsts[-1])
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A collection of subjects with unique ids."""
+    """Subjects, their sessions and the sessions' key events, as columns.
 
-    subjects: tuple[Subject, ...]
+    Subject i has `subject_ids[i]`, `demographics[i]` (None when
+    unlabeled) and the sessions `session_offsets[i]` up to
+    `session_offsets[i + 1]`. Session j has `session_ids[j]` and the rows
+    `event_offsets[j]` up to `event_offsets[j + 1]` of `events`, one
+    (N, 3) int64 block of (code, press_ms, release_ms) rows with Unix
+    epoch millisecond times. The arrays given are made read-only.
+
+    Construction checks the whole dataset once: the offsets are
+    consistent, codes fit [0, 255], no key is released before it is
+    pressed, press times never decrease within a session, and subject ids
+    and (subject, session) keys are unique. A session may be empty, for
+    `eligibility_issues` to report.
+    """
+
+    subject_ids: np.ndarray
+    demographics: np.ndarray
+    session_offsets: np.ndarray
+    session_ids: np.ndarray
+    event_offsets: np.ndarray
+    events: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = [s.subject_id for s in self.subjects]
-        if len(ids) != len(set(ids)):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate subject ids: {dupes}")
+        dtypes = (object, object, np.intp, object, np.intp, np.int64)
+        for field, dtype in zip(fields(self), dtypes):
+            column = np.asarray(getattr(self, field.name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, field.name, column)
+        events, bounds = self.events, self.event_offsets
+        if events.shape[1:] != (_EVENT_COLUMNS,) or len(self.demographics) != len(self):
+            raise ValueError("events must be (code, press, release) rows, with one "
+                             "demographics entry per subject")
+        for offsets, groups, rows in (
+            (self.session_offsets, len(self), self.n_sessions()),
+            (bounds, self.n_sessions(), len(events)),
+        ):
+            if (
+                len(offsets) != groups + 1
+                or offsets[0] != 0
+                or offsets[-1] != rows
+                or np.any(np.diff(offsets) < 0)
+            ):
+                raise ValueError(f"offsets {offsets.tolist()} do not cut {rows} rows in {groups}")
+
+        # The first session with a bad row wins; within it, a bad code or
+        # release wins over a press drop. A drop onto a session's first row
+        # is none: presses may fall across a session boundary.
+        drops = np.flatnonzero(events[1:, PRESS] < events[:-1, PRESS]) + 1
+        drops = drops[~np.isin(drops, bounds)]
+        bad = _first_bad_row(events)
+
+        def session_of(row: int) -> int:
+            return int(np.searchsorted(bounds, row, side="right")) - 1
+
+        if bad is not None and (not drops.size or session_of(bad) <= session_of(drops[0])):
+            raise ValueError(_event_problem(*events[bad].tolist()))
+        if drops.size:
+            session_id = self.session_ids[session_of(drops[0])]
+            raise ValueError(f"session {session_id}: press times not sorted")
+        for what, values in (
+            ("subject ids", self.subject_ids.tolist()),
+            ("(subject, session) keys", self.session_keys()),
+        ):
+            if len(set(values)) != len(values):
+                dupes = sorted(value for value, n in Counter(values).items() if n > 1)
+                raise ValueError(f"duplicate {what}: {dupes}")
+
+    @classmethod
+    def of(cls, subjects: Iterable[Subject]) -> "Dataset":
+        """The dataset of nested values, such as hand-built data."""
+        subjects = tuple(subjects)
+        sessions = [session for subject in subjects for session in subject.sessions]
+        blocks = [
+            np.asarray(s.events, dtype=np.int64).reshape(-1, _EVENT_COLUMNS) for s in sessions
+        ]
+        return cls(
+            subject_ids=[s.subject_id for s in subjects],
+            demographics=[s.demographics for s in subjects],
+            session_offsets=_offsets([len(s.sessions) for s in subjects]),
+            session_ids=[s.session_id for s in sessions],
+            event_offsets=_offsets([len(b) for b in blocks]),
+            events=np.concatenate([np.empty((0, _EVENT_COLUMNS), np.int64), *blocks]),
+        )
 
     def __len__(self) -> int:
-        return len(self.subjects)
+        return len(self.subject_ids)
 
-    def subject_map(self) -> dict[str, Subject]:
-        return {s.subject_id: s for s in self.subjects}
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
     def n_sessions(self) -> int:
-        return sum(len(s.sessions) for s in self.subjects)
+        return len(self.session_ids)
+
+    def subject_of_session(self) -> np.ndarray:
+        """The subject index of each session."""
+        return np.repeat(np.arange(len(self)), np.diff(self.session_offsets))
+
+    def session_keys(self) -> list[tuple[str, str]]:
+        """The (subject_id, session_id) of each session."""
+        subject_ids = self.subject_ids[self.subject_of_session()]
+        return list(zip(subject_ids.tolist(), self.session_ids.tolist()))
+
+    def select(self, subject_indices: Sequence[int] | np.ndarray) -> "Dataset":
+        """The subjects at `subject_indices`, in that order, with their
+        sessions and events."""
+        chosen = np.asarray(subject_indices, dtype=np.intp)
+        sessions = _ranges(self.session_offsets, chosen)
+        return Dataset(
+            subject_ids=self.subject_ids[chosen],
+            demographics=self.demographics[chosen],
+            session_offsets=_offsets(np.diff(self.session_offsets)[chosen]),
+            session_ids=self.session_ids[sessions],
+            event_offsets=_offsets(np.diff(self.event_offsets)[sessions]),
+            events=self.events[_ranges(self.event_offsets, sessions)],
+        )
+
+    @property
+    def subjects(self) -> tuple[Subject, ...]:
+        """`Subject` and `Session` views of the columns, built anew on each
+        access. No pipeline stage reads them."""
+        bounds, first = self.event_offsets.tolist(), self.session_offsets.tolist()
+        sessions = [
+            Session(session_id, self.events[start:stop])
+            for session_id, start, stop in zip(self.session_ids.tolist(), bounds, bounds[1:])
+        ]
+        return tuple(
+            Subject(subject_id, demographics, tuple(sessions[start:stop]))
+            for subject_id, demographics, start, stop in zip(
+                self.subject_ids.tolist(), self.demographics.tolist(), first, first[1:]
+            )
+        )
 
 
 REQUIRED_SESSIONS = 15
@@ -183,9 +266,9 @@ def parse_raw_log(lines: Iterable[str]) -> Dataset:
     """Parse a raw log TSV stream into a Dataset.
 
     Each line is `subject_id  session_id  ascii  press_ms  release_ms`.
-    Events are grouped by (subject_id, session_id) in order of first
-    appearance and sorted by (press, release, ascii code) within each
-    session; every session is a row view into one sorted event block.
+    Subjects and, within each subject, sessions keep their order of first
+    appearance; events are sorted by (press, release, ascii code) within
+    each session.
     Raises ParseError with the offending line number on malformed lines,
     invariant violations, or duplicated events; when several lines are
     bad, the first one is reported.
@@ -221,8 +304,22 @@ def parse_raw_log(lines: Iterable[str]) -> Dataset:
     error = _convert_fields(pending, values, linenos) or error
 
     n = len(values) // _EVENT_COLUMNS
-    events = np.array(values, dtype=np.int64).reshape(n, _EVENT_COLUMNS)
-    groups = np.array(session_of[:n], dtype=np.int64)
+    # A view of the buffer, not a copy: the sorted block is the one copy.
+    events = np.frombuffer(values, dtype=np.int64, count=n * _EVENT_COLUMNS).reshape(
+        n, _EVENT_COLUMNS
+    )
+    keys = [head.split("\t") for head in heads]
+    subjects: dict[str, int] = {}
+    subject_of = np.array(
+        [subjects.setdefault(subject_id, len(subjects)) for subject_id, _ in keys],
+        dtype=np.intp,
+    )
+    # Sessions are ranked subject by subject, so sorting on the rank also
+    # groups the block by subject, with no extra sort key or block copy.
+    by_subject = np.argsort(subject_of, kind="stable")
+    rank = np.empty_like(by_subject)
+    rank[by_subject] = np.arange(len(by_subject))
+    groups = rank[np.array(session_of[:n], dtype=np.intp)]
     order = np.lexsort((events[:, CODE], events[:, RELEASE], events[:, PRESS], groups))
     block, groups = events[order], groups[order]
 
@@ -233,24 +330,20 @@ def parse_raw_log(lines: Iterable[str]) -> Dataset:
     ]
     first_repeat = int(repeats.min()) if repeats.size else None
     if first_repeat is not None and (bad is None or first_repeat < bad):
-        head = next(h for h, g in heads.items() if g == session_of[first_repeat])
-        event = (*head.split("\t"), *events[first_repeat].tolist())
+        event = (*keys[session_of[first_repeat]], *events[first_repeat].tolist())
         raise ParseError(f"duplicate event {event!r}", linenos[first_repeat])
     if bad is not None:
         raise ParseError(_event_problem(*events[bad].tolist()), linenos[bad])
     if error is not None:
         raise error
 
-    block.flags.writeable = False
-    bounds = np.searchsorted(groups, np.arange(len(heads) + 1)).tolist()
-    sessions: dict[str, list[Session]] = {}
-    for g, head in enumerate(heads):
-        subject_id, session_id = head.split("\t")
-        sessions.setdefault(subject_id, []).append(
-            Session.of_checked_rows(session_id, block[bounds[g] : bounds[g + 1]])
-        )
     return Dataset(
-        tuple(Subject(subject_id, None, tuple(s)) for subject_id, s in sessions.items())
+        subject_ids=list(subjects),
+        demographics=[None] * len(subjects),
+        session_offsets=_offsets(np.bincount(subject_of, minlength=len(subjects))),
+        session_ids=[keys[h][1] for h in by_subject.tolist()],
+        event_offsets=_offsets(np.bincount(groups, minlength=len(keys))),
+        events=block,
     )
 
 
@@ -293,28 +386,28 @@ def _first_conversion_error(
     raise AssertionError("a conversion failed but every line converted")
 
 
-def validate_subject(subject: Subject) -> list[str]:
-    """Protocol-eligibility issues (session count, duplicate session ids,
-    empty sessions); an eligible subject has none. Issues are reported,
-    never raised.
+def eligibility_issues(dataset: Dataset) -> dict[int, list[str]]:
+    """Protocol-eligibility issues (session count, empty sessions) of each
+    ineligible subject, by subject index in dataset order; an eligible
+    subject has no entry. Issues are reported, never raised.
     """
-    issues: list[str] = []
-    n = len(subject.sessions)
-    if n != REQUIRED_SESSIONS:
-        relation = "<" if n < REQUIRED_SESSIONS else ">"
-        issues.append(f"session count {n} {relation} {REQUIRED_SESSIONS}")
-    ids = subject.session_ids()
-    if len(ids) != len(set(ids)):
-        issues.append("duplicate session ids")
-    issues.extend(
-        f"session {s.session_id}: no events" for s in subject.sessions if len(s.events) == 0
-    )
-    return issues
+    counts = np.diff(dataset.session_offsets)
+    issues: dict[int, list[str]] = {}
+    for i in np.flatnonzero(counts != REQUIRED_SESSIONS).tolist():
+        relation = "<" if counts[i] < REQUIRED_SESSIONS else ">"
+        issues[i] = [f"session count {counts[i]} {relation} {REQUIRED_SESSIONS}"]
+    empty = np.flatnonzero(np.diff(dataset.event_offsets) == 0)
+    for i, j in zip(dataset.subject_of_session()[empty].tolist(), empty.tolist()):
+        issues.setdefault(i, []).append(f"session {dataset.session_ids[j]}: no events")
+    return dict(sorted(issues.items()))
 
 
 def filter_eligible(dataset: Dataset) -> Dataset:
     """Keep exactly the eligible subjects, preserving their original order."""
-    return Dataset(tuple(s for s in dataset.subjects if not validate_subject(s)))
+    issues = eligibility_issues(dataset)
+    if not issues:
+        return dataset
+    return dataset.select(np.setdiff1d(np.arange(len(dataset)), list(issues)))
 
 
 def attach_demographics(dataset: Dataset, mapping: Mapping[str, Demographics]) -> Dataset:
@@ -323,8 +416,9 @@ def attach_demographics(dataset: Dataset, mapping: Mapping[str, Demographics]) -
     Subjects absent from the mapping keep their existing annotation (the
     protocol stage rejects a subject left without one).
     """
-    subjects = tuple(
-        replace(s, demographics=mapping.get(s.subject_id, s.demographics))
-        for s in dataset.subjects
-    )
-    return Dataset(subjects)
+    return replace(dataset, demographics=[
+        mapping.get(subject_id, demographics)
+        for subject_id, demographics in zip(
+            dataset.subject_ids.tolist(), dataset.demographics.tolist()
+        )
+    ])

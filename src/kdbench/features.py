@@ -40,10 +40,6 @@ class FeatureSet(Enum):
     def n_channels(self) -> int:
         return len(_CHANNELS[self])
 
-    @property
-    def has_ascii(self) -> bool:
-        return ASCII_CHANNEL in _CHANNELS[self]
-
 
 _CHANNELS: dict[FeatureSet, tuple[str, ...]] = {
     FeatureSet.F4: _TIME_BASE,

@@ -80,21 +80,17 @@ def _check_identifiers(pairs: Iterable[tuple[str, str]]) -> None:
 def raw_log_lines(dataset: Dataset) -> Iterable[str]:
     """The raw log's text, one session's lines at a time (identifiers are
     not checked here; `write_raw_log` checks them)."""
-    for subject in dataset.subjects:
-        for session in subject.sessions:
-            prefix = f"{subject.subject_id}\t{session.session_id}\t"
-            yield "".join(
-                f"{prefix}{code}\t{press}\t{release}\n"
-                for code, press, release in session.events.tolist()
-            )
+    bounds = dataset.event_offsets.tolist()
+    for j, (subject_id, session_id) in enumerate(dataset.session_keys()):
+        prefix = f"{subject_id}\t{session_id}\t"
+        yield "".join(
+            f"{prefix}{code}\t{press}\t{release}\n"
+            for code, press, release in dataset.events[bounds[j] : bounds[j + 1]].tolist()
+        )
 
 
 def write_raw_log(dataset: Dataset, path: Path) -> None:
-    _check_identifiers(
-        (subject.subject_id, session.session_id)
-        for subject in dataset.subjects
-        for session in subject.sessions
-    )
+    _check_identifiers(dataset.session_keys())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(raw_log_lines(dataset))
 
@@ -110,10 +106,12 @@ def load_raw_log(path: Path) -> Dataset:
 def write_demographics(dataset: Dataset, path: Path) -> None:
     # Lines are built first, so a bad identifier leaves no partial file.
     lines = [
-        f"{_check_identifier(s.subject_id, 'subject_id')}\t"
-        f"{s.demographics.age_group.value}\t{s.demographics.gender.value}\n"
-        for s in dataset.subjects
-        if s.demographics is not None
+        f"{_check_identifier(subject_id, 'subject_id')}\t"
+        f"{demographics.age_group.value}\t{demographics.gender.value}\n"
+        for subject_id, demographics in zip(
+            dataset.subject_ids.tolist(), dataset.demographics.tolist()
+        )
+        if demographics is not None
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import AgeGroup, Dataset, Demographics, Session, Subject, validate_subject
+from .core import PRESS, AgeGroup, Dataset, Demographics, eligibility_issues
 from .errors import AlignmentError, ConfigError, ProtocolError
 
 ENROL_SESSIONS = 5
@@ -187,13 +187,15 @@ def _subject_stream(seed: int, subject_id: str) -> np.random.Generator:
 
 
 def _require_protocol_ready(dataset: Dataset) -> None:
-    for subject in dataset.subjects:
-        if subject.demographics is None:
-            raise ProtocolError(f"subject {subject.subject_id} has no demographics")
-        issues = validate_subject(subject)
-        if issues:
+    issues = eligibility_issues(dataset)
+    for i, (subject_id, demographics) in enumerate(
+        zip(dataset.subject_ids.tolist(), dataset.demographics.tolist())
+    ):
+        if demographics is None:
+            raise ProtocolError(f"subject {subject_id} has no demographics")
+        if i in issues:
             raise ProtocolError(
-                f"subject {subject.subject_id} not protocol-eligible: " + "; ".join(issues)
+                f"subject {subject_id} not protocol-eligible: " + "; ".join(issues[i])
             )
 
 
@@ -206,7 +208,7 @@ def split_dataset(dataset: Dataset, config: SplitConfig) -> tuple[Dataset, Datas
     in development.
     """
     _require_protocol_ready(dataset)
-    n = len(dataset.subjects)
+    n = len(dataset)
     if config.eval_count is not None:
         eval_count = config.eval_count
     else:
@@ -216,40 +218,41 @@ def split_dataset(dataset: Dataset, config: SplitConfig) -> tuple[Dataset, Datas
     if eval_count < 1:
         raise ConfigError("evaluation size must be at least 1")
 
+    evaluation = np.zeros(n, dtype=bool)
     if not config.gender_balance:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
-        chosen = set(rng.choice(n, size=eval_count, replace=False).tolist())
-        return _partition(dataset, chosen)
+        evaluation[rng.choice(n, size=eval_count, replace=False)] = True
+    else:
+        pairs_total = eval_count // 2
+        if pairs_total < 1:
+            raise ConfigError("gender-balanced split needs an evaluation size of >= 2")
 
-    pairs_total = eval_count // 2
-    if pairs_total < 1:
-        raise ConfigError("gender-balanced split needs an evaluation size of >= 2")
+        bins: dict[AgeGroup, dict[str, list[int]]] = {
+            age: {"M": [], "F": []} for age in AgeGroup
+        }
+        for idx, demo in enumerate(dataset.demographics.tolist()):
+            bins[demo.age_group][demo.gender.value].append(idx)
 
-    bins: dict[AgeGroup, dict[str, list[int]]] = {
-        age: {"M": [], "F": []} for age in AgeGroup
-    }
-    for idx, subject in enumerate(dataset.subjects):
-        demo = subject.demographics
-        bins[demo.age_group][demo.gender.value].append(idx)
-
-    quotas = _largest_remainder_quotas(
-        [len(b["M"]) + len(b["F"]) for b in bins.values()], pairs_total
+        quotas = _largest_remainder_quotas(
+            [len(b["M"]) + len(b["F"]) for b in bins.values()], pairs_total
+        )
+        for bin_index, (age, members) in enumerate(bins.items()):
+            k = quotas[bin_index]
+            if k == 0:
+                continue
+            if k > min(len(members["M"]), len(members["F"])):
+                raise ProtocolError(
+                    f"age bin {age.value}: needs {k} subjects per gender, has "
+                    f"{len(members['M'])} male / {len(members['F'])} female"
+                )
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, bin_index]))
+            for gender in ("M", "F"):
+                order = rng.permutation(len(members[gender]))
+                evaluation[[members[gender][i] for i in order[:k]]] = True
+    return (
+        dataset.select(np.flatnonzero(~evaluation)),
+        dataset.select(np.flatnonzero(evaluation)),
     )
-    chosen: set[int] = set()
-    for bin_index, (age, members) in enumerate(bins.items()):
-        k = quotas[bin_index]
-        if k == 0:
-            continue
-        if k > min(len(members["M"]), len(members["F"])):
-            raise ProtocolError(
-                f"age bin {age.value}: needs {k} subjects per gender, has "
-                f"{len(members['M'])} male / {len(members['F'])} female"
-            )
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, bin_index]))
-        for gender in ("M", "F"):
-            order = rng.permutation(len(members[gender]))
-            chosen.update(members[gender][i] for i in order[:k])
-    return _partition(dataset, chosen)
 
 
 def _largest_remainder_quotas(sizes: list[int], total: int) -> list[int]:
@@ -267,16 +270,6 @@ def _largest_remainder_quotas(sizes: list[int], total: int) -> list[int]:
     return quotas
 
 
-def _partition(dataset: Dataset, eval_indices: set[int]) -> tuple[Dataset, Dataset]:
-    dev = tuple(s for i, s in enumerate(dataset.subjects) if i not in eval_indices)
-    ev = tuple(s for i, s in enumerate(dataset.subjects) if i in eval_indices)
-    return Dataset(dev), Dataset(ev)
-
-
-def chronological_sessions(subject: Subject) -> list[Session]:
-    return sorted(subject.sessions, key=lambda s: (s.start_ms(), s.session_id))
-
-
 def build_comparison_plan(evaluation: Dataset, seed: int) -> ComparisonPlan:
     """Construct the full 1vs1 comparison list for an evaluation set.
 
@@ -285,11 +278,12 @@ def build_comparison_plan(evaluation: Dataset, seed: int) -> ComparisonPlan:
     bin, gender) group, dissimilar impostors from subjects differing in
     both attributes. Sampling is seeded per subject, so the plan does not
     depend on iteration order. The session table lists every session of
-    the evaluation set, subject by subject, in chronological order.
+    the evaluation set, subject by subject, in chronological order: by
+    first press, ties broken by session id.
     """
     _require_protocol_ready(evaluation)
-    subjects = evaluation.subjects
-    demographics = [s.demographics for s in subjects]
+    subject_ids = evaluation.subject_ids.tolist()
+    demographics = evaluation.demographics.tolist()
 
     groups: dict[Demographics, list[int]] = {}
     for idx, demo in enumerate(demographics):
@@ -310,34 +304,31 @@ def build_comparison_plan(evaluation: Dataset, seed: int) -> ComparisonPlan:
         for demo in groups
     }
 
-    sessions_by_idx = [chronological_sessions(s) for s in subjects]
-    counts = np.array([len(ordered) for ordered in sessions_by_idx], dtype=np.intp)
-    first_row = np.concatenate([[0], np.cumsum(counts)])
+    keys, subject_of = evaluation.session_keys(), evaluation.subject_of_session()
+    first_press = evaluation.events[evaluation.event_offsets[:-1], PRESS]
+    id_rank = np.unique(evaluation.session_ids, return_inverse=True)[1]
+    chronological = np.lexsort((id_rank, first_press, subject_of))
+    first_row = evaluation.session_offsets
+    counts = np.diff(first_row)
     # Session-table rows of the similar (0) and dissimilar (1) impostors.
-    impostors = np.empty((len(subjects), 2, SLOTS_PER_KIND), dtype=np.intp)
-    for idx, subject in enumerate(subjects):
-        demo = subject.demographics
+    impostors = np.empty((len(subject_ids), 2, SLOTS_PER_KIND), dtype=np.intp)
+    for idx, (subject_id, demo) in enumerate(zip(subject_ids, demographics)):
         if not dissimilar_pool[demo].size:
             raise ProtocolError(
-                f"subject {subject.subject_id}: no subject differs in both "
-                "gender and age bin"
+                f"subject {subject_id}: no subject differs in both gender and age bin"
             )
-        rng = _subject_stream(seed, subject.subject_id)
+        rng = _subject_stream(seed, subject_id)
         similar = members_of[demo]
         for k, pool in enumerate((similar[similar != idx], dissimilar_pool[demo])):
             impostors[idx, k] = _draw_impostors(rng, pool, counts, first_row)
 
     # Lines run subject, kind, slot, enrolment session, as the file lists them.
-    shape = (len(subjects), len(KINDS), SLOTS_PER_KIND, ENROL_SESSIONS)
+    shape = (len(subject_ids), len(KINDS), SLOTS_PER_KIND, ENROL_SESSIONS)
     verif = np.empty(shape[:3], dtype=np.intp)
     verif[:, GENUINE] = first_row[:-1, None] + ENROL_SESSIONS + np.arange(SLOTS_PER_KIND)
     verif[:, SIMILAR:] = impostors
     return ComparisonPlan(
-        sessions=tuple(
-            (subject.subject_id, session.session_id)
-            for subject, ordered in zip(subjects, sessions_by_idx)
-            for session in ordered
-        ),
+        sessions=tuple(keys[j] for j in chronological.tolist()),
         enrol=np.broadcast_to(
             first_row[:-1, None, None, None] + np.arange(ENROL_SESSIONS), shape
         ).ravel(),

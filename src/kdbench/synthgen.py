@@ -24,8 +24,6 @@ from .core import (
     Dataset,
     Demographics,
     Gender,
-    Session,
-    Subject,
 )
 from .errors import ConfigError
 
@@ -141,11 +139,11 @@ def _generate_subject_sessions(
     rng: np.random.Generator,
     profile: TypingProfile,
     key_probs: np.ndarray,
-    n_sessions: int,
-    n_keys: int,
-) -> list[Session]:
+    out: np.ndarray,
+) -> None:
+    """Fill `out`, a (sessions, keys, 3) block, with one subject's events."""
     # All random draws for a subject are batched into per-distribution calls.
-    shape = (n_sessions, n_keys)
+    shape = out.shape[:2]
     codes = rng.choice(_KEY_CODES, size=shape, p=key_probs)
     holds = _lognormal(rng, profile.mean_hold_s, profile.sd_hold_s, shape)
     holds = np.maximum(0.002, holds + profile.per_key_offset[codes])
@@ -157,11 +155,8 @@ def _generate_subject_sessions(
     rollover_scale = rng.uniform(0.2, 0.8, shape)
     flights = np.where(rollover, -holds * rollover_scale, flights)
 
-    block = np.empty((n_sessions, n_keys, 3), dtype=np.int64)
-    block[:, :, CODE] = codes
-    block[:, :, PRESS], block[:, :, RELEASE] = _event_times(holds, flights)
-    block.flags.writeable = False
-    return [Session.of_checked_rows(f"s{j:02d}", block[j]) for j in range(n_sessions)]
+    out[:, :, CODE] = codes
+    out[:, :, PRESS], out[:, :, RELEASE] = _event_times(holds, flights)
 
 
 def _event_times(holds: np.ndarray, flights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,15 +185,20 @@ def generate(config: GeneratorConfig) -> Dataset:
     """
     weights = np.asarray(config.group_weights, dtype=np.float64)
     weights = weights / weights.sum()
-    subjects = []
-    for index in range(config.n_subjects):
+    n, sessions = config.n_subjects, config.sessions_per_subject
+    events = np.empty((n, sessions, config.keys_per_session, 3), dtype=np.int64)
+    demographics = []
+    for index in range(n):
         rng = _subject_rng(config, index)
         demo = ALL_GROUPS[int(rng.choice(len(ALL_GROUPS), p=weights))]
         profile = _draw_profile(rng, demo, config.skew_strength)
-        key_probs = _key_distribution(rng)
-        sessions = _generate_subject_sessions(
-            rng, profile, key_probs,
-            config.sessions_per_subject, config.keys_per_session,
-        )
-        subjects.append(Subject(f"u{index:05d}", demo, tuple(sessions)))
-    return Dataset(tuple(subjects))
+        demographics.append(demo)
+        _generate_subject_sessions(rng, profile, _key_distribution(rng), events[index])
+    return Dataset(
+        subject_ids=[f"u{index:05d}" for index in range(n)],
+        demographics=demographics,
+        session_offsets=np.arange(n + 1) * sessions,
+        session_ids=np.tile(np.array([f"s{j:02d}" for j in range(sessions)], object), n),
+        event_offsets=np.arange(n * sessions + 1) * config.keys_per_session,
+        events=events.reshape(-1, 3),
+    )

@@ -7,6 +7,8 @@ and the crossing interpolation uses the same arithmetic expressions as the
 library, so agreement is expected to be bit-exact. The comparison-file
 reader is the per-line loader the chunked one replaced, and the session
 embedder is the one-session-at-a-time path the block embedder replaced.
+The event-row checks and the chronological session order are the
+per-session code the columnar dataset replaced.
 """
 
 from __future__ import annotations
@@ -15,10 +17,33 @@ from typing import Iterable
 
 import numpy as np
 
-from kdbench.core import CODE, PRESS, RELEASE, Session
+from kdbench.core import CODE, PRESS, RELEASE, Session, Subject
 from kdbench.errors import ParseError
 from kdbench.features import ASCII_CHANNEL, FeatureConfig, order_insensitive_mean_std
 from kdbench.protocol import KINDS, Comparison, ComparisonKind, ComparisonPlan
+
+
+def check_session_rows(session_id: str, events) -> None:
+    """Check one session's (code, press, release) rows on their own: codes
+    fit [0, 255], no key is released before it is pressed, and press times
+    never decrease. The first bad row is reported before an unsorted press."""
+    events = np.array(events, dtype=np.int64)
+    if events.size == 0:
+        events = events.reshape(0, 3)
+    if events.ndim != 2 or events.shape[1] != 3:
+        raise ValueError(f"session {session_id}: events must be (code, press, release) rows")
+    for code, press, release in events.tolist():
+        if not 0 <= code <= 255:
+            raise ValueError(f"key code {code} outside [0, 255]")
+        if release < press:
+            raise ValueError(f"release {release} precedes press {press}")
+    if np.any(events[1:, PRESS] < events[:-1, PRESS]):
+        raise ValueError(f"session {session_id}: press times not sorted")
+
+
+def chronological_sessions(subject: Subject) -> list[Session]:
+    """A subject's sessions by first press, ties broken by session id."""
+    return sorted(subject.sessions, key=lambda s: (int(s.events[0, PRESS]), s.session_id))
 
 
 def sweep_rates(

@@ -15,7 +15,7 @@ import pytest
 
 from kdbench.baseline import embed_dataset, fit_normalization, score_comparisons
 from kdbench.cli import main
-from kdbench.core import ALL_GROUPS, Session
+from kdbench.core import ALL_GROUPS
 from kdbench.fairmetrics import (
     FairnessConfig,
     GroupRates,
@@ -58,6 +58,7 @@ from test_fairmetrics import (
     rates_at,
     sir_entries_from_matrix,
 )
+from test_core import session_view
 
 
 @pytest.mark.acceptance("Comparison-count law (15k/750k/2.25M entries, 15k case < 60 s)")
@@ -173,7 +174,7 @@ def test_fairness_fixpoints_and_hand_cases():
 
 @pytest.mark.acceptance("Feature extraction exactness on the 4-key example (1e-12)")
 def test_feature_extraction_exactness():
-    session = Session(
+    session = session_view(
         "w",
         (
             (97, 0, 80),

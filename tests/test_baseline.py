@@ -93,20 +93,20 @@ def tiny_dataset(n_subjects=3, n_sessions=4):
             )
             sessions.append(Session(f"s{j}", events))
         subjects.append(Subject(f"u{i}", None, tuple(sessions)))
-    return Dataset(tuple(subjects))
+    return Dataset.of(subjects)
 
 
 class TestFitNormalization:
     def test_identical_sessions_floor_stds(self):
         events = WORKED_SESSION.events
         sessions = tuple(Session(f"s{j}", events) for j in range(3))
-        ds = Dataset((Subject("u0", None, sessions),))
+        ds = Dataset.of([Subject("u0", None, sessions)])
         stats = fit_normalization(ds, CFG)
         assert np.all(stats.std == 1e-9)
 
     def test_subject_order_invariance(self):
         ds = tiny_dataset()
-        reversed_ds = Dataset(tuple(reversed(ds.subjects)))
+        reversed_ds = ds.select([2, 1, 0])
         a = fit_normalization(ds, CFG)
         b = fit_normalization(reversed_ds, CFG)
         assert np.array_equal(a.mean, b.mean)
@@ -129,7 +129,7 @@ class TestFitNormalization:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="no sessions"):
-            fit_normalization(Dataset(()), CFG)
+            fit_normalization(Dataset.of([]), CFG)
 
 
 class TestEmbedSession:
@@ -157,10 +157,10 @@ def random_session(session_id, n, rng):
 
 
 def dataset_of(sessions, per_subject=5):
-    return Dataset(tuple(
+    return Dataset.of(
         Subject(f"u{i}", None, tuple(sessions[i * per_subject : (i + 1) * per_subject]))
         for i in range(-(-len(sessions) // per_subject))
-    ))
+    )
 
 
 @st.composite
@@ -195,7 +195,7 @@ class TestBlockPathMatchesPerSessionPath:
         sessions, config = block
         dataset = dataset_of(sessions)
         with mock.patch.object(baseline, "CHUNK_SESSIONS", chunk):
-            raw = raw_embeddings(sessions, config)
+            raw = raw_embeddings(dataset, config)
             stats = fit_normalization(dataset, config)
             embedded = embed_dataset(dataset, config, stats)
         assert raw.tobytes() == raw_embeddings_per_session(sessions, config).tobytes()
@@ -215,10 +215,10 @@ class TestBlockPathMatchesPerSessionPath:
         sessions.insert(300, random_session("short", 3, rng))
         config = FeatureConfig(FeatureSet.F11, max_len=16)
         expected = raw_embeddings_per_session(sessions, config)
-        assert raw_embeddings(sessions, config).tobytes() == expected.tobytes()
+        assert raw_embeddings(dataset_of(sessions), config).tobytes() == expected.tobytes()
 
     def test_no_sessions_give_an_empty_block(self):
-        assert raw_embeddings([], CFG).shape == (0, 25)
+        assert raw_embeddings(Dataset.of([]), CFG).shape == (0, 25)
 
 
 class TestBlockPathErrors:
@@ -227,7 +227,7 @@ class TestBlockPathErrors:
         sessions = [random_session("s0", 5, rng), Session("e1", ()), Session("e2", ())]
         dataset = dataset_of(sessions)
         for call in (
-            lambda: raw_embeddings(sessions, CFG),
+            lambda: raw_embeddings(dataset, CFG),
             lambda: fit_normalization(dataset, CFG),
             lambda: embed_dataset(dataset, CFG, identity_stats(25)),
         ):
@@ -260,11 +260,18 @@ def test_working_memory_is_a_few_chunks():
     block[:, :, 0] = rng.integers(0, 256, (count, 64))
     block[:, :, 1] = np.cumsum(rng.integers(1, 400, (count, 64)), axis=1)
     block[:, :, 2] = block[:, :, 1] + rng.integers(0, 350, (count, 64))
-    sessions = [Session.of_checked_rows(f"s{i}", block[i]) for i in range(count)]
+    dataset = Dataset(
+        subject_ids=["u0"],
+        demographics=[None],
+        session_offsets=[0, count],
+        session_ids=[f"s{i}" for i in range(count)],
+        event_offsets=np.arange(count + 1) * 64,
+        events=block.reshape(-1, 3),
+    )
     chunk_block = baseline.CHUNK_SESSIONS * 64 * config.feature_set.n_channels * 8
     tracemalloc.start()
     try:
-        out = raw_embeddings(sessions, config)
+        out = raw_embeddings(dataset, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

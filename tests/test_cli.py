@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdbench.cli import main
+from kdbench.core import Dataset
 from kdbench.formats import (
     load_comparisons,
     load_scores,
@@ -327,6 +328,20 @@ class TestDemo:
             "sir_gender.csv",
         ):
             assert (tmp_path / name).is_file()
+
+    def test_pipeline_builds_no_subject_views(self, tmp_path, monkeypatch):
+        # Every stage reads the dataset's columns: with the views refused,
+        # the demo still runs and scores the same.
+        args = ("demo", "--subjects", 100, "--eval-count", 30, "--seed", 31)
+        assert run(*args, "--out", tmp_path / "plain") == 0
+
+        def refuse(dataset):
+            raise AssertionError("a pipeline stage built Subject/Session views")
+
+        monkeypatch.setattr(Dataset, "subjects", property(refuse))
+        assert run(*args, "--out", tmp_path / "columns") == 0
+        scores = [(tmp_path / out / "scores.txt").read_bytes() for out in ("plain", "columns")]
+        assert scores[0] == scores[1]
 
 
 # -- bad inputs: each ends with its documented exit code and a one-line

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,19 +18,27 @@ from kdbench.core import (
     Session,
     Subject,
     attach_demographics,
+    eligibility_issues,
     filter_eligible,
     parse_raw_log,
-    validate_subject,
 )
 from kdbench.errors import ParseError, ProtocolError
 from kdbench.formats import raw_log_lines
 from kdbench.protocol import SplitConfig, split_dataset
 from kdbench.synthgen import GeneratorConfig, generate
 
+from oracles import check_session_rows
+
 
 def make_session(session_id="s00", n_events=4, t0=0):
     events = [(97 + k, t0 + 100 * k, t0 + 100 * k + 80) for k in range(n_events)]
     return Session(session_id, events)
+
+
+def session_view(session_id, events):
+    """A checked session: the one session of a one-subject dataset."""
+    subject = Subject("u", None, (Session(session_id, events),))
+    return Dataset.of([subject]).subjects[0].sessions[0]
 
 
 def make_subject(subject_id="u1", n_sessions=15, demographics=None):
@@ -40,27 +49,27 @@ def make_subject(subject_id="u1", n_sessions=15, demographics=None):
 
 
 class TestKeyEvent:
-    """The per-event invariants, checked on every row of a Session."""
+    """The per-event invariants, checked on every row of a dataset."""
 
     def test_rejects_release_before_press(self):
         with pytest.raises(ValueError, match="precedes"):
-            Session("s", [(97, 0, 20), (97, 80, 0)])
+            session_view("s", [(97, 0, 20), (97, 80, 0)])
 
     def test_rejects_code_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            Session("s", [(300, 0, 80)])
+            session_view("s", [(300, 0, 80)])
         with pytest.raises(ValueError, match="outside"):
-            Session("s", [(-1, 0, 80)])
+            session_view("s", [(-1, 0, 80)])
 
     def test_zero_length_hold_allowed(self):
-        assert Session("s", [(97, 50, 50)]).events.tolist() == [[97, 50, 50]]
+        assert session_view("s", [(97, 50, 50)]).events.tolist() == [[97, 50, 50]]
 
     def test_rejects_unsorted_presses(self):
         with pytest.raises(ValueError, match="not sorted"):
-            Session("s", [(97, 100, 180), (98, 0, 80)])
+            session_view("s", [(97, 100, 180), (98, 0, 80)])
 
     def test_events_are_read_only_int64_rows(self):
-        session = make_session(n_events=3)
+        session = session_view("s00", make_session(n_events=3).events)
         assert session.events.dtype == np.int64
         assert session.events.shape == (3, 3)
         with pytest.raises(ValueError):
@@ -97,6 +106,19 @@ class TestParseRawLog:
         with pytest.raises(ParseError, match="outside"):
             parse_raw_log(io.StringIO("u1\ts1\t256\t0\t80\n"))
 
+    def test_interleaved_subjects_grouped_in_first_appearance_order(self):
+        text = "".join(
+            f"{subject}\t{session}\t97\t{t}\t{t + 5}\n"
+            for t, (subject, session) in enumerate(
+                [("u2", "b"), ("u1", "z"), ("u2", "a"), ("u1", "z"), ("u2", "b")]
+            )
+        )
+        ds = parse_raw_log(io.StringIO(text))
+        assert ds.subject_ids.tolist() == ["u2", "u1"]
+        assert ds.session_ids.tolist() == ["b", "a", "z"]
+        assert ds.session_offsets.tolist() == [0, 2, 3]
+        assert ds.events[:, PRESS].tolist() == [0, 4, 2, 1, 3]
+
     def test_events_resorted_by_press_time(self):
         text = "u1\ts1\t98\t100\t180\nu1\ts1\t97\t0\t80\n"
         ds = parse_raw_log(io.StringIO(text))
@@ -108,24 +130,24 @@ class TestParseRawLog:
         text = "".join(raw_log_lines(dataset))
         parsed = attach_demographics(
             parse_raw_log(io.StringIO(text)),
-            {s.subject_id: s.demographics for s in dataset.subjects},
+            dict(zip(dataset.subject_ids, dataset.demographics)),
         )
-        assert parsed.subjects == dataset.subjects
+        assert parsed == dataset
 
 
-class TestValidateSubject:
+class TestEligibilityIssues:
     def test_fifteen_valid_sessions_eligible(self):
-        assert validate_subject(make_subject()) == []
+        assert eligibility_issues(Dataset.of([make_subject()])) == {}
 
     def test_fourteen_sessions_ineligible(self):
-        issues = validate_subject(make_subject(n_sessions=14))
-        assert any("session count 14 < 15" in issue for issue in issues)
+        issues = eligibility_issues(Dataset.of([make_subject(n_sessions=14)]))
+        assert any("session count 14 < 15" in issue for issue in issues[0])
 
     def test_empty_session_ineligible(self):
         subject = make_subject()
         sessions = subject.sessions[:-1] + (Session("s14", []),)
-        issues = validate_subject(Subject("u1", None, sessions))
-        assert any("no events" in issue for issue in issues)
+        issues = eligibility_issues(Dataset.of([Subject("u1", None, sessions)]))
+        assert any("no events" in issue for issue in issues[0])
 
 
 class TestFilterEligible:
@@ -133,30 +155,54 @@ class TestFilterEligible:
         subjects = tuple(make_subject(f"u{i}") for i in range(10)) + tuple(
             make_subject(f"v{i}", n_sessions=14) for i in range(3)
         )
-        out = filter_eligible(Dataset(subjects))
+        out = filter_eligible(Dataset.of(subjects))
         assert len(out) == 10
         assert [s.subject_id for s in out.subjects] == [f"u{i}" for i in range(10)]
 
     def test_empty_dataset(self):
-        assert len(filter_eligible(Dataset(()))) == 0
+        assert len(filter_eligible(Dataset.of([]))) == 0
 
     def test_identity_when_all_eligible(self):
-        ds = Dataset(tuple(make_subject(f"u{i}") for i in range(4)))
-        assert filter_eligible(ds).subjects == ds.subjects
+        ds = Dataset.of(make_subject(f"u{i}") for i in range(4))
+        assert filter_eligible(ds) == ds
 
     def test_idempotent(self):
         subjects = tuple(make_subject(f"u{i}") for i in range(3)) + (
             make_subject("bad", n_sessions=2),
         )
-        once = filter_eligible(Dataset(subjects))
+        once = filter_eligible(Dataset.of(subjects))
         twice = filter_eligible(once)
-        assert once.subjects == twice.subjects
+        assert once == twice
 
 
 class TestDataset:
     def test_duplicate_subject_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate subject ids"):
-            Dataset((make_subject("u1"), make_subject("u1")))
+            Dataset.of((make_subject("u1"), make_subject("u1")))
+
+    def test_duplicate_session_keys_rejected(self):
+        sessions = (make_session("s0"), make_session("s1"), make_session("s0", t0=10_000))
+        with pytest.raises(
+            ValueError, match=r"^duplicate \(subject, session\) keys: \[\('u1', 's0'\)\]$"
+        ):
+            Dataset.of([Subject("u1", None, sessions)])
+        # The same session id under two subjects is two keys.
+        Dataset.of([Subject("u1", None, sessions[:1]), Subject("u2", None, sessions[2:])])
+
+    def test_inconsistent_offsets_rejected(self):
+        ds = Dataset.of([make_subject("u1", n_sessions=2)])
+        with pytest.raises(ValueError, match=r"^offsets \[0, 9, 8\] do not cut 8 rows in 2$"):
+            replace(ds, event_offsets=[0, 9, 8])
+        with pytest.raises(ValueError, match=r"^offsets \[0, 3\] do not cut 2 rows in 1$"):
+            replace(ds, session_offsets=[0, 3])
+        with pytest.raises(ValueError, match=r"^offsets \[0, 2\] do not cut 8 rows in 2$"):
+            replace(ds, event_offsets=[0, 2])
+
+    def test_select_keeps_the_given_subjects_in_order(self):
+        ds = Dataset.of(make_subject(f"u{i}", n_sessions=i + 1) for i in range(4))
+        picked = ds.select([3, 1])
+        assert picked == Dataset.of([ds.subjects[3], ds.subjects[1]])
+        assert len(ds.select([])) == 0 and ds.select([]).events.shape == (0, 3)
 
     def test_twelve_demographic_groups(self):
         assert len(ALL_GROUPS) == 12
@@ -166,7 +212,7 @@ class TestDataset:
 def test_attach_demographics_requires_coverage():
     # A subject the mapping misses keeps no demographics, and the protocol
     # stage rejects it.
-    ds = Dataset((make_subject("u1"), make_subject("u2")))
+    ds = Dataset.of((make_subject("u1"), make_subject("u2")))
     mapping = {"u1": Demographics(AgeGroup.A10_13, Gender.MALE)}
     out = attach_demographics(ds, mapping)
     assert out.subjects[0].demographics is not None
@@ -196,14 +242,14 @@ def canonical_datasets(draw):
                 events.append((code, press, press + hold))
             sessions.append(Session(f"s{j}", events))
         subjects.append(Subject(f"u{i}", None, tuple(sessions)))
-    return Dataset(tuple(subjects))
+    return Dataset.of(subjects)
 
 
 @settings(max_examples=50, deadline=None)
 @given(canonical_datasets())
 def test_round_trip_identity_property(dataset):
     text = "".join(raw_log_lines(dataset))
-    assert parse_raw_log(io.StringIO(text)).subjects == dataset.subjects
+    assert parse_raw_log(io.StringIO(text)) == dataset
 
 
 @settings(max_examples=50, deadline=None)
@@ -232,6 +278,53 @@ def test_any_line_order_parses_to_the_same_sessions(dataset, random):
         }
 
     assert by_session("".join(shuffled)) == by_session("".join(lines))
+
+
+@st.composite
+def event_blocks(draw):
+    """(session lengths, rows): random rows cut into random sessions, some
+    empty. Each session starts at a fresh press time, so presses often drop
+    exactly at a session boundary."""
+    lengths = draw(st.lists(st.integers(0, 4), max_size=6))
+    rows = []
+    for n in lengths:
+        press = draw(st.integers(0, 1000))
+        for _ in range(n):
+            press += draw(st.integers(-1, 50))
+            code = draw(st.integers(-1, 256))
+            rows.append((code, press, press + draw(st.integers(-1, 100))))
+    return lengths, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(event_blocks())
+def test_block_checks_agree_with_the_per_session_checks(block):
+    lengths, rows = block
+    session_ids = [f"s{j}" for j in range(len(lengths))]
+    bounds = np.cumsum([0, *lengths])
+
+    def first_error(check):
+        try:
+            check()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    def per_session():
+        for j, session_id in enumerate(session_ids):
+            check_session_rows(session_id, rows[bounds[j] : bounds[j + 1]])
+
+    def constructor():
+        Dataset(
+            subject_ids=["u"],
+            demographics=[None],
+            session_offsets=[0, len(lengths)],
+            session_ids=session_ids,
+            event_offsets=bounds,
+            events=np.array(rows, dtype=np.int64).reshape(-1, 3),
+        )
+
+    assert first_error(constructor) == first_error(per_session)
 
 
 # Each bad log with its exact error: the first bad line is reported,

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from kdbench.core import Session
 from kdbench.features import FeatureConfig, FeatureSet, extract_features
 
+from test_core import session_view
+
 # Worked example: 'a' pressed 0 released 80, 'b' 100/180, 'c' 250/340,
 # 'd' 300/420 (milliseconds). 'd' is pressed before 'c' is released.
 WORKED_EVENTS = (
@@ -16,7 +18,7 @@ WORKED_EVENTS = (
     (99, 250, 340),
     (100, 300, 420),
 )
-WORKED_SESSION = Session("w", WORKED_EVENTS)
+WORKED_SESSION = session_view("w", WORKED_EVENTS)
 
 
 def config(feature_set=FeatureSet.F5, max_len=8, clip=10.0):
@@ -65,7 +67,7 @@ class TestWorkedExample:
         assert np.all(matrix.values[4:] == 0.0)
 
     def test_single_event_session(self):
-        session = Session("one", [(97, 0, 80)])
+        session = session_view("one", [(97, 0, 80)])
         matrix = extract_features(session, config(FeatureSet.F10, max_len=3))
         assert matrix.values[0] == pytest.approx([0.08] + [0.0] * 9, abs=1e-12)
         assert np.all(matrix.values[1:] == 0.0)
@@ -74,7 +76,7 @@ class TestWorkedExample:
 class TestExtractContracts:
     def test_empty_session_rejected(self):
         with pytest.raises(ValueError, match="no events"):
-            extract_features(Session("e", ()), config())
+            extract_features(session_view("e", ()), config())
 
     def test_truncation_to_max_len(self):
         matrix = extract_features(WORKED_SESSION, config(FeatureSet.F5, max_len=2))
@@ -86,7 +88,7 @@ class TestExtractContracts:
 
     def test_clipping_bounds_time_channels(self):
         events = ((97, 0, 80), (98, 60_000, 60_080))
-        matrix = extract_features(Session("slow", events), config(clip=10.0))
+        matrix = extract_features(session_view("slow", events), config(clip=10.0))
         assert matrix.values[0, 1] == 10.0  # press-press gap of 60 s clipped
 
     def test_f4_equals_f5_without_ascii_column(self):
@@ -114,7 +116,7 @@ def sessions(draw):
         press += draw(st.integers(1, 400))
         hold = draw(st.integers(0, 350))
         events.append((draw(st.integers(0, 255)), press, press + hold))
-    return Session("h", tuple(events))
+    return session_view("h", events)
 
 
 @settings(max_examples=60, deadline=None)

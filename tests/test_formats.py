@@ -77,9 +77,9 @@ def test_raw_log_round_trip(tmp_path, dataset):
     path = tmp_path / "raw.tsv"
     write_raw_log(dataset, path)
     parsed = attach_demographics(
-        load_raw_log(path), {s.subject_id: s.demographics for s in dataset.subjects}
+        load_raw_log(path), dict(zip(dataset.subject_ids, dataset.demographics))
     )
-    assert parsed.subjects == dataset.subjects
+    assert parsed == dataset
 
 
 def test_demographics_round_trip(tmp_path, dataset):
@@ -288,7 +288,7 @@ def test_sir_csv_missing_cells(tmp_path):
 
 
 def test_identifier_validation(tmp_path, dataset):
-    bad = Dataset(
+    bad = Dataset.of(
         (
             Subject(
                 "u:1",
@@ -306,8 +306,8 @@ def test_bad_identifier_leaves_no_file(tmp_path, write):
     # The bad id comes second: a writer that checked while writing would
     # already have written the first subject's line.
     demo = Demographics(AgeGroup.A10_13, Gender.MALE)
-    ds = Dataset(
-        tuple(Subject(sid, demo, (Session("s0", [(97, 0, 10)]),)) for sid in ("u1", "u:2"))
+    ds = Dataset.of(
+        Subject(sid, demo, (Session("s0", [(97, 0, 10)]),)) for sid in ("u1", "u:2")
     )
     with pytest.raises(ConfigError, match="'u:2' is empty or contains tab/newline/colon"):
         write(ds, tmp_path / "out.tsv")

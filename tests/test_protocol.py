@@ -20,9 +20,9 @@ from kdbench.protocol import (
 )
 from kdbench.synthgen import GeneratorConfig, generate
 
-from oracles import plan_of_rows
-from test_core import make_subject
-from kdbench.core import Dataset
+from oracles import chronological_sessions, plan_of_rows
+from test_core import make_session, make_subject
+from kdbench.core import Dataset, Subject
 
 
 def uniform_dataset(n_per_group=4, n_sessions=15):
@@ -33,7 +33,7 @@ def uniform_dataset(n_per_group=4, n_sessions=15):
             subjects.append(
                 make_subject(f"u{g_idx:02d}_{i}", n_sessions, demographics=demo)
             )
-    return Dataset(tuple(subjects))
+    return Dataset.of(subjects)
 
 
 class TestSplitDataset:
@@ -80,7 +80,7 @@ class TestSplitDataset:
             )
         ]
         with pytest.raises(ProtocolError, match="45-79"):
-            split_dataset(Dataset(tuple(subjects)), SplitConfig(seed=0, eval_count=24))
+            split_dataset(Dataset.of(subjects), SplitConfig(seed=0, eval_count=24))
 
     def test_eval_fraction(self):
         ds = uniform_dataset(n_per_group=4)  # 48 subjects
@@ -185,7 +185,7 @@ class TestBuildComparisonPlan:
     def test_lone_group_member_rejected(self):
         demo_a = ALL_GROUPS[0]
         demo_b = ALL_GROUPS[-1]
-        ds = Dataset(
+        ds = Dataset.of(
             (
                 make_subject("a", demographics=demo_a),
                 make_subject("b", demographics=demo_b),
@@ -197,7 +197,7 @@ class TestBuildComparisonPlan:
 
     def test_same_group_only_dataset_rejected(self):
         demo = ALL_GROUPS[0]
-        ds = Dataset(
+        ds = Dataset.of(
             (
                 make_subject("a", demographics=demo),
                 make_subject("b", demographics=demo),
@@ -207,12 +207,12 @@ class TestBuildComparisonPlan:
             build_comparison_plan(ds, seed=0)
 
     def test_missing_demographics_rejected(self):
-        ds = Dataset((make_subject("a"), make_subject("b")))
+        ds = Dataset.of((make_subject("a"), make_subject("b")))
         with pytest.raises(ProtocolError, match="demographics"):
             build_comparison_plan(ds, seed=0)
 
     def test_wrong_session_count_rejected(self):
-        ds = Dataset(
+        ds = Dataset.of(
             (
                 make_subject("a", n_sessions=14, demographics=ALL_GROUPS[0]),
                 make_subject("b", demographics=ALL_GROUPS[0]),
@@ -222,6 +222,26 @@ class TestBuildComparisonPlan:
         )
         with pytest.raises(ProtocolError, match="subject a "):
             build_comparison_plan(ds, seed=0)
+
+    def test_session_table_is_each_subjects_chronological_order(self):
+        # Ids are listed out of order and first presses repeat within a
+        # subject, so the ties are broken by session id ("s10" < "s2").
+        rng = np.random.default_rng(4)
+        subjects = []
+        for g_idx, demo in enumerate(ALL_GROUPS):
+            for i in range(2):
+                sessions = tuple(
+                    make_session(f"s{j}", t0=1000 * int(rng.integers(0, 4)))
+                    for j in rng.permutation(15).tolist()
+                )
+                subjects.append(Subject(f"u{g_idx:02d}_{i}", demo, sessions))
+        ev = Dataset.of(subjects)
+        plan = build_comparison_plan(ev, seed=3)
+        assert plan.sessions == tuple(
+            (subject.subject_id, session.session_id)
+            for subject in ev.subjects
+            for session in chronological_sessions(subject)
+        )
 
     def test_synthetic_pipeline_count(self):
         ev = generate(GeneratorConfig(n_subjects=100, seed=123))
