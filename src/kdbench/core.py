@@ -12,10 +12,11 @@ columns. `Subject` and `Session` are views a dataset builds on request.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -258,57 +259,68 @@ def _parse_demographics_fields(age_token: str, gender_token: str, lineno: int) -
     return Demographics(age, gender)
 
 
-# Event fields are converted to integers in chunks of this many strings.
-_CHUNK_FIELDS = 3 << 15
+# Bytes of a raw log read per scan (512 KiB); each scanned chunk ends
+# after a line. Larger chunks are no faster and leave more freed scan
+# arrays in the heap for the stage that follows.
+CHUNK_BYTES = 1 << 19
+_TAB, _NEWLINE, _MINUS, _ZERO = 9, 10, 45, 48
+# Fields of at most this many digits (after an optional minus) are
+# converted in bulk; 18 digits always fit 64 bits. Others go through int().
+_BULK_DIGITS = 18
+# Bytes after a chunk: a line end for a last line that has none, then
+# zero bytes, so that any 8-byte word of a line can be read.
+_WORD_PAD = b"\n" + bytes(7)
+# _BYTE_MASKS[k] keeps the first k bytes of a little-endian 8-byte word.
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def parse_raw_log(lines: Iterable[str]) -> Dataset:
-    """Parse a raw log TSV stream into a Dataset.
+def parse_raw_log(fh: BinaryIO) -> Dataset:
+    """Parse a raw log, read as bytes from `fh`, into a Dataset.
 
-    Each line is `subject_id  session_id  ascii  press_ms  release_ms`.
+    Each line is `subject_id  session_id  ascii  press_ms  release_ms`, in
+    UTF-8. As in text mode, `\\n`, `\\r\\n` and a lone `\\r` each end a line
+    and count as one; empty lines are skipped, and an event field is any
+    integer Python's `int()` reads. The log is scanned `CHUNK_BYTES` at a
+    time, with array operations over each chunk's bytes.
     Subjects and, within each subject, sessions keep their order of first
     appearance; events are sorted by (press, release, ascii code) within
     each session.
     Raises ParseError with the offending line number on malformed lines,
     invariant violations, or duplicated events; when several lines are
-    bad, the first one is reported.
+    bad, the first one is reported. Raises UnicodeDecodeError when the
+    first bad line is not UTF-8.
     """
-    heads: dict[str, int] = {}  # "subject\tsession" -> session index
+    heads: dict[bytes, int] = {}  # b"subject\tsession" -> session index
     session_of = array("q")
-    linenos = array("q")
     values = array("q")  # code, press, release of each event
-    pending: list[str] = []
-    error: ParseError | None = None
-    for lineno, raw_line in enumerate(lines, start=1):
-        parts = raw_line.rsplit("\t", 3)
-        session = heads.get(parts[0]) if len(parts) == 4 else None
-        if session is None:
-            line = raw_line.rstrip("\n")
-            if not line:
-                continue
-            if len(parts) != 4 or parts[0].count("\t") != 1:
-                error = ParseError(
-                    f"expected 5 tab-separated fields, got {line.count(chr(9)) + 1}",
-                    lineno,
-                )
-                break
-            session = heads[parts[0]] = len(heads)
-        session_of.append(session)
-        linenos.append(lineno)
-        pending += parts[1:]
-        if len(pending) >= _CHUNK_FIELDS:
-            error = _convert_fields(pending, values, linenos)
-            if error:
-                break
-    # Lines whose fields fail to convert precede the line that stopped the loop.
-    error = _convert_fields(pending, values, linenos) or error
+    # Line numbers, needed only to name a bad line, in runs of consecutive
+    # lines: the first event of each run and its line. One number per event
+    # would hold 29 MB more at 5,000 subjects.
+    run_events, run_lines = array("q"), array("q")
+    error: ParseError | UnicodeDecodeError | None = None
+    lineno = 0
+    for chunk in _line_chunks(fh):
+        sessions, numbers, events, error = _scan_lines(chunk, lineno, heads)
+        # A run starts at a chunk's first line and after each blank line.
+        runs = np.flatnonzero(np.diff(numbers, prepend=-1) != 1)
+        run_events.frombytes((runs + len(session_of)).tobytes())
+        run_lines.frombytes(numbers[runs].tobytes())
+        session_of.frombytes(sessions.tobytes())
+        values.frombytes(events.tobytes())
+        if error is not None:
+            break
+        lineno += chunk.count(b"\n")
+
+    def line_of(event: int) -> int:
+        run = bisect_right(run_events, event) - 1
+        return run_lines[run] + event - run_events[run]
 
     n = len(values) // _EVENT_COLUMNS
     # A view of the buffer, not a copy: the sorted block is the one copy.
     events = np.frombuffer(values, dtype=np.int64, count=n * _EVENT_COLUMNS).reshape(
         n, _EVENT_COLUMNS
     )
-    keys = [head.split("\t") for head in heads]
+    keys = [head.decode().split("\t") for head in heads]
     subjects: dict[str, int] = {}
     subject_of = np.array(
         [subjects.setdefault(subject_id, len(subjects)) for subject_id, _ in keys],
@@ -331,9 +343,9 @@ def parse_raw_log(lines: Iterable[str]) -> Dataset:
     first_repeat = int(repeats.min()) if repeats.size else None
     if first_repeat is not None and (bad is None or first_repeat < bad):
         event = (*keys[session_of[first_repeat]], *events[first_repeat].tolist())
-        raise ParseError(f"duplicate event {event!r}", linenos[first_repeat])
+        raise ParseError(f"duplicate event {event!r}", line_of(first_repeat))
     if bad is not None:
-        raise ParseError(_event_problem(*events[bad].tolist()), linenos[bad])
+        raise ParseError(_event_problem(*events[bad].tolist()), line_of(bad))
     if error is not None:
         raise error
 
@@ -347,43 +359,152 @@ def parse_raw_log(lines: Iterable[str]) -> Dataset:
     )
 
 
-def _convert_fields(
-    pending: list[str], values: array, linenos: array
-) -> ParseError | None:
-    """Move the integer values of `pending` (three fields per line) into
-    `values`. On the first line whose fields are not 64-bit integers, keep
-    only the lines before it and return that line's error."""
-    done = len(values)
-    try:
-        values.extend(map(int, pending))
-        return None
-    except (ValueError, OverflowError):
-        del values[done:]
-        return _first_conversion_error(pending, values, linenos)
-    finally:
-        pending.clear()
+def _line_chunks(fh: BinaryIO) -> Iterator[bytes]:
+    """The bytes of `fh` in chunks of whole lines, about `CHUNK_BYTES` each,
+    with `\\r\\n` and a lone `\\r` turned into b"\\n". Every chunk ends in
+    b"\\n" but the last, whose line may have no end."""
+    rest = b""
+    while True:
+        # A line longer than a chunk is read in doubling blocks, not re-copied
+        # once per chunk.
+        block = fh.read(max(CHUNK_BYTES, len(rest)))
+        data = rest + block
+        # While more may follow, a closing \r may be the start of a \r\n.
+        split = len(data) - (bool(block) and data.endswith(b"\r"))
+        lines = data[:split]
+        if b"\r" in lines:
+            lines = lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not block:
+            if lines:
+                yield lines
+            return
+        cut = lines.rfind(b"\n") + 1
+        chunk, rest = lines[:cut], lines[cut:] + data[split:]
+        del data, lines  # only the chunk is held while it is scanned
+        if chunk:
+            yield chunk
 
 
-def _first_conversion_error(
-    pending: list[str], values: array, linenos: array
-) -> ParseError:
-    for i in range(0, len(pending), _EVENT_COLUMNS):
-        fields = pending[i : i + _EVENT_COLUMNS]
-        lineno = linenos[len(values) // _EVENT_COLUMNS]
+def _scan_lines(
+    chunk: bytes, lineno: int, heads: dict[bytes, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ParseError | UnicodeDecodeError | None]:
+    """The session indices, line numbers and (code, press, release) rows of
+    the lines of `chunk`, numbered from `lineno + 1`; blank lines are
+    skipped and new heads join `heads`. Only the lines before the first bad
+    one are returned, with that line's error: a line that is not UTF-8
+    reports that, and a line that fails several other checks reports its
+    field count first, then a non-integer field, then a field outside 64
+    bits."""
+    if not chunk.isascii():
         try:
-            numbers = [int(f) for f in fields]
-        except ValueError:
-            shown = fields[:-1] + [fields[-1].rstrip("\n")]
-            return ParseError(f"non-integer event field in {shown!r}", lineno)
-        try:
-            values.extend(numbers)
-        except OverflowError:
-            del values[len(values) - len(values) % _EVENT_COLUMNS :]
-            return ParseError(
-                _event_problem(*numbers) or f"event field outside 64 bits in {numbers!r}",
-                lineno,
+            chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # The lines before the undecodable one are scanned on their own.
+            *scanned, error = _scan_lines(
+                chunk[: chunk.rfind(b"\n", 0, exc.start) + 1], lineno, heads
             )
-    raise AssertionError("a conversion failed but every line converted")
+            return (*scanned, error or exc)
+    buf = np.frombuffer(chunk + _WORD_PAD, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _NEWLINE)
+    tabs = np.flatnonzero(buf == _TAB)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    numbers = np.arange(lineno + 1, lineno + 1 + len(ends), dtype=np.int64)
+    filled = starts != ends
+    if not filled.all():
+        starts, ends, numbers = starts[filled], ends[filled], numbers[filled]
+
+    error: ParseError | None = None
+    counts = np.diff(np.searchsorted(tabs, ends), prepend=0)
+    stop = len(ends)  # lines before `stop` passed every check so far
+    if np.any(counts != 4):
+        stop = int(np.argmax(counts != 4))
+        error = ParseError(
+            f"expected 5 tab-separated fields, got {counts[stop] + 1}", int(numbers[stop])
+        )
+    tabs = tabs[: 4 * stop].reshape(stop, 4)
+    # Heads of lines cut off below by a bad field only add unused entries:
+    # the parse then fails.
+    sessions = _intern_heads(chunk, buf, starts[:stop], tabs[:, 1], heads)
+    # The code, press and release fields, column after column.
+    field_starts = np.add(tabs[:, 1:].T, 1, order="C").ravel()
+    field_ends = np.concatenate([tabs[:, 2], tabs[:, 3], ends[:stop]])
+    columns, bulk = _bulk_integers(buf, field_starts, field_ends)
+    columns, bulk = columns.reshape(_EVENT_COLUMNS, stop), bulk.reshape(_EVENT_COLUMNS, stop)
+    events = columns.T.copy()
+    for i in np.flatnonzero(~bulk.all(axis=0)).tolist():
+        bounds = zip(field_starts[i :: len(tabs)], field_ends[i :: len(tabs)])
+        fields = [chunk[a:b].decode() for a, b in bounds]
+        try:
+            row = [int(f) for f in fields]
+        except ValueError:
+            stop, error = i, ParseError(f"non-integer event field in {fields!r}", int(numbers[i]))
+            break
+        try:
+            events[i] = row
+        except OverflowError:
+            stop, error = i, ParseError(
+                _event_problem(*row) or f"event field outside 64 bits in {row!r}",
+                int(numbers[i]),
+            )
+            break
+    return sessions[:stop], numbers[:stop], events[:stop], error
+
+
+def _bulk_integers(
+    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the fields `buf[starts:ends]` that read
+    `-?[0-9]{1,18}`, and a mask of those fields (the others are left 0).
+    Fields of one width are converted together, a digit column at a time."""
+    negative = buf[starts] == _MINUS
+    first = starts + negative
+    widths = ends - first
+    values = np.zeros(len(starts), dtype=np.int64)
+    bulk = (widths >= 1) & (widths <= _BULK_DIGITS)
+    for width in np.flatnonzero(np.bincount(widths[bulk])).tolist():
+        at = np.flatnonzero(widths == width)
+        position = first[at]
+        number = np.zeros(len(at), dtype=np.int64)
+        digits = np.ones(len(at), dtype=bool)
+        for _ in range(width):
+            digit = buf[position] - _ZERO  # a byte below b"0" wraps above 9
+            digits &= digit < 10
+            number *= 10
+            number += digit
+            position += 1
+        values[at] = number
+        bulk[at] = digits
+    np.negative(values, out=values, where=negative)
+    return values, bulk
+
+
+def _intern_heads(
+    chunk: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+    heads: dict[bytes, int],
+) -> np.ndarray:
+    """The session index of each head `chunk[starts:ends]`; heads new to
+    `heads` join it in order of first appearance. Only the first line of
+    each run of equal heads is looked up: a head is compared with the one
+    before it 8 bytes at a time, after their lengths and first words."""
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    lengths = ends - starts
+    first_words = words[starts] & _BYTE_MASKS[np.minimum(lengths, 8)]
+    same = np.zeros(len(lengths), dtype=bool)  # equal to the head of the line before
+    at = np.flatnonzero(
+        (lengths[1:] == lengths[:-1]) & (first_words[1:] == first_words[:-1])
+    ) + 1
+    if len(at):
+        count = (lengths[at] + 7) // 8  # words in each head
+        first = np.cumsum(count) - count
+        offset = 8 * (np.arange(first[-1] + count[-1]) - np.repeat(first, count))
+        here = np.repeat(starts[at], count) + offset
+        there = np.repeat(starts[at - 1], count) + offset
+        mask = _BYTE_MASKS[np.minimum(np.repeat(lengths[at], count) - offset, 8)]
+        same[at] = np.logical_and.reduceat((words[here] ^ words[there]) & mask == 0, first)
+    runs = np.flatnonzero(~same)
+    names = [chunk[a:b] for a, b in zip(starts[runs].tolist(), ends[runs].tolist())]
+    ids = np.array([heads.setdefault(name, len(heads)) for name in names], dtype=np.int64)
+    return np.repeat(ids, np.diff(runs, append=len(lengths)))
 
 
 def eligibility_issues(dataset: Dataset) -> dict[int, list[str]]:

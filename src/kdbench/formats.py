@@ -27,7 +27,7 @@ import json
 from contextlib import contextmanager
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -50,11 +50,11 @@ def _check_identifier(value: str, what: str) -> str:
 
 
 @contextmanager
-def _reading(path: Path) -> Iterator[TextIO]:
-    """Open a text input; a byte that is not UTF-8 is reported with the
-    file's path, whichever loader reads it."""
+def _reading(path: Path, mode: str = "r") -> Iterator[IO]:
+    """Open an input as UTF-8 text, or as bytes with mode "rb"; a byte that
+    is not UTF-8 is reported with the file's path, whichever loader reads it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
@@ -96,7 +96,7 @@ def write_raw_log(dataset: Dataset, path: Path) -> None:
 
 
 def load_raw_log(path: Path) -> Dataset:
-    with _reading(path) as fh:
+    with _reading(path, "rb") as fh:
         return parse_raw_log(fh)
 
 
@@ -173,16 +173,10 @@ def load_comparisons(path: Path) -> ComparisonPlan:
     ParseError with the line number of the first bad line.
     """
     table: dict[str, int] = {}  # "subject:session" -> session-table row
-    chunks = []
-    lineno = 0
     with _reading(path) as fh:
-        pending = ""
-        while block := fh.read(_READ_CHARS):
-            lines = (pending + block).split("\n")
-            pending = lines.pop()
-            chunks.append(_read_comparison_lines(lines, lineno, table))
-            lineno += len(lines)
-        chunks.append(_read_comparison_lines([pending], lineno, table))
+        chunks = [
+            _read_comparison_lines(lines, lineno, table) for lines, lineno in _text_chunks(fh)
+        ]
 
     sessions = tuple([(s, t) for s, _, t in map(str.partition, table, repeat(":"))])
     del table
@@ -193,6 +187,19 @@ def load_comparisons(path: Path) -> ComparisonPlan:
     return ComparisonPlan(
         sessions, enrol, verif, kind, slot, _enrolment_indices(enrolled, kind, slot)
     )
+
+
+def _text_chunks(fh: TextIO) -> Iterator[tuple[list[str], int]]:
+    """The lines of `fh`, read `_READ_CHARS` characters at a time, in
+    lists, each with the count of the lines before it; the last list holds
+    the text after the last newline."""
+    pending, lineno = "", 0
+    while block := fh.read(_READ_CHARS):
+        lines = (pending + block).split("\n")
+        pending = lines.pop()
+        yield lines, lineno
+        lineno += len(lines)
+    yield [pending], lineno
 
 
 def _enrolment_indices(
@@ -289,24 +296,41 @@ def write_scores(
 
 
 def load_scores(path: Path) -> tuple[np.ndarray, str | None]:
-    """Returns (scores, strict-mode digest or None)."""
+    """Returns (scores, strict-mode digest or None).
+
+    The file is read `_READ_CHARS` characters at a time and each chunk's
+    lines are converted with one `float` map; a line-by-line pass runs
+    only to name the first bad line.
+    """
     digest = None
-    values: list[float] = []
+    scores = []
     with _reading(path) as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith(STRICT_HEADER_PREFIX):
-                if lineno != 1:
-                    raise ParseError("strict header must be the first line", lineno)
-                digest = line[len(STRICT_HEADER_PREFIX):]
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ParseError(f"non-numeric score {line!r}", lineno) from None
-    return np.asarray(values, dtype=np.float64), digest
+        for lines, lineno in _text_chunks(fh):
+            if lineno == 0 and lines and lines[0].startswith(STRICT_HEADER_PREFIX):
+                digest = lines[0][len(STRICT_HEADER_PREFIX):]
+                lines[0] = ""
+            scores.append(_read_score_lines(lines, lineno))
+    return np.concatenate(scores), digest
+
+
+def _read_score_lines(lines: list[str], lineno: int) -> np.ndarray:
+    """The scores of `lines`, numbered from `lineno + 1`; blank lines are
+    skipped."""
+    tokens = [line for line in lines if line] if "" in lines else lines
+    try:
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        pass
+    for number, line in enumerate(lines, start=lineno + 1):
+        if not line:
+            continue
+        if line.startswith(STRICT_HEADER_PREFIX):
+            raise ParseError("strict header must be the first line", number)
+        try:
+            float(line)
+        except ValueError:
+            raise ParseError(f"non-numeric score {line!r}", number) from None
+    raise AssertionError("a conversion failed but every line converted")
 
 
 def verify_strict_digest(digest: str | None, comparisons_path: Path) -> None:

@@ -8,18 +8,33 @@ library, so agreement is expected to be bit-exact. The comparison-file
 reader is the per-line loader the chunked one replaced, and the session
 embedder is the one-session-at-a-time path the block embedder replaced.
 The event-row checks and the chronological session order are the
-per-session code the columnar dataset replaced.
+per-session code the columnar dataset replaced. The raw-log parser and the
+score reader are the per-line code the byte scanner and the chunked score
+reader replaced; they read text-mode lines.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable
 
 import numpy as np
 
-from kdbench.core import CODE, PRESS, RELEASE, Session, Subject
+from kdbench.core import (
+    _EVENT_COLUMNS,
+    CODE,
+    PRESS,
+    RELEASE,
+    Dataset,
+    Session,
+    Subject,
+    _event_problem,
+    _first_bad_row,
+    _offsets,
+)
 from kdbench.errors import ParseError
 from kdbench.features import ASCII_CHANNEL, FeatureConfig, order_insensitive_mean_std
+from kdbench.formats import STRICT_HEADER_PREFIX
 from kdbench.protocol import KINDS, Comparison, ComparisonKind, ComparisonPlan
 
 
@@ -178,6 +193,155 @@ def load_comparisons_per_line(path) -> list[Comparison]:
                 )
             )
     return entries
+
+
+# Event fields are converted to integers in chunks of this many strings.
+_CHUNK_FIELDS = 3 << 15
+
+
+def parse_raw_log_per_line(lines: Iterable[str]) -> Dataset:
+    """Parse a raw log TSV stream into a Dataset.
+
+    Each line is `subject_id  session_id  ascii  press_ms  release_ms`.
+    Subjects and, within each subject, sessions keep their order of first
+    appearance; events are sorted by (press, release, ascii code) within
+    each session.
+    Raises ParseError with the offending line number on malformed lines,
+    invariant violations, or duplicated events; when several lines are
+    bad, the first one is reported.
+    """
+    heads: dict[str, int] = {}  # "subject\tsession" -> session index
+    session_of = array("q")
+    linenos = array("q")
+    values = array("q")  # code, press, release of each event
+    pending: list[str] = []
+    error: ParseError | None = None
+    for lineno, raw_line in enumerate(lines, start=1):
+        parts = raw_line.rsplit("\t", 3)
+        session = heads.get(parts[0]) if len(parts) == 4 else None
+        if session is None:
+            line = raw_line.rstrip("\n")
+            if not line:
+                continue
+            if len(parts) != 4 or parts[0].count("\t") != 1:
+                error = ParseError(
+                    f"expected 5 tab-separated fields, got {line.count(chr(9)) + 1}",
+                    lineno,
+                )
+                break
+            session = heads[parts[0]] = len(heads)
+        session_of.append(session)
+        linenos.append(lineno)
+        pending += parts[1:]
+        if len(pending) >= _CHUNK_FIELDS:
+            error = _convert_fields(pending, values, linenos)
+            if error:
+                break
+    # Lines whose fields fail to convert precede the line that stopped the loop.
+    error = _convert_fields(pending, values, linenos) or error
+
+    n = len(values) // _EVENT_COLUMNS
+    # A view of the buffer, not a copy: the sorted block is the one copy.
+    events = np.frombuffer(values, dtype=np.int64, count=n * _EVENT_COLUMNS).reshape(
+        n, _EVENT_COLUMNS
+    )
+    keys = [head.split("\t") for head in heads]
+    subjects: dict[str, int] = {}
+    subject_of = np.array(
+        [subjects.setdefault(subject_id, len(subjects)) for subject_id, _ in keys],
+        dtype=np.intp,
+    )
+    # Sessions are ranked subject by subject, so sorting on the rank also
+    # groups the block by subject, with no extra sort key or block copy.
+    by_subject = np.argsort(subject_of, kind="stable")
+    rank = np.empty_like(by_subject)
+    rank[by_subject] = np.arange(len(by_subject))
+    groups = rank[np.array(session_of[:n], dtype=np.intp)]
+    order = np.lexsort((events[:, CODE], events[:, RELEASE], events[:, PRESS], groups))
+    block, groups = events[order], groups[order]
+
+    # The first bad line wins, whichever check it fails.
+    bad = _first_bad_row(events)
+    repeats = order[1:][
+        (groups[1:] == groups[:-1]) & (block[1:] == block[:-1]).all(axis=1)
+    ]
+    first_repeat = int(repeats.min()) if repeats.size else None
+    if first_repeat is not None and (bad is None or first_repeat < bad):
+        event = (*keys[session_of[first_repeat]], *events[first_repeat].tolist())
+        raise ParseError(f"duplicate event {event!r}", linenos[first_repeat])
+    if bad is not None:
+        raise ParseError(_event_problem(*events[bad].tolist()), linenos[bad])
+    if error is not None:
+        raise error
+
+    return Dataset(
+        subject_ids=list(subjects),
+        demographics=[None] * len(subjects),
+        session_offsets=_offsets(np.bincount(subject_of, minlength=len(subjects))),
+        session_ids=[keys[h][1] for h in by_subject.tolist()],
+        event_offsets=_offsets(np.bincount(groups, minlength=len(keys))),
+        events=block,
+    )
+
+
+def _convert_fields(
+    pending: list[str], values: array, linenos: array
+) -> ParseError | None:
+    """Move the integer values of `pending` (three fields per line) into
+    `values`. On the first line whose fields are not 64-bit integers, keep
+    only the lines before it and return that line's error."""
+    done = len(values)
+    try:
+        values.extend(map(int, pending))
+        return None
+    except (ValueError, OverflowError):
+        del values[done:]
+        return _first_conversion_error(pending, values, linenos)
+    finally:
+        pending.clear()
+
+
+def _first_conversion_error(
+    pending: list[str], values: array, linenos: array
+) -> ParseError:
+    for i in range(0, len(pending), _EVENT_COLUMNS):
+        fields = pending[i : i + _EVENT_COLUMNS]
+        lineno = linenos[len(values) // _EVENT_COLUMNS]
+        try:
+            numbers = [int(f) for f in fields]
+        except ValueError:
+            shown = fields[:-1] + [fields[-1].rstrip("\n")]
+            return ParseError(f"non-integer event field in {shown!r}", lineno)
+        try:
+            values.extend(numbers)
+        except OverflowError:
+            del values[len(values) - len(values) % _EVENT_COLUMNS :]
+            return ParseError(
+                _event_problem(*numbers) or f"event field outside 64 bits in {numbers!r}",
+                lineno,
+            )
+    raise AssertionError("a conversion failed but every line converted")
+
+
+def load_scores_per_line(path) -> tuple[np.ndarray, str | None]:
+    """Returns (scores, strict-mode digest or None)."""
+    digest = None
+    values: list[float] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw_line in enumerate(fh, start=1):
+            line = raw_line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith(STRICT_HEADER_PREFIX):
+                if lineno != 1:
+                    raise ParseError("strict header must be the first line", lineno)
+                digest = line[len(STRICT_HEADER_PREFIX):]
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ParseError(f"non-numeric score {line!r}", lineno) from None
+    return np.asarray(values, dtype=np.float64), digest
 
 
 def features_per_session(session: Session, config: FeatureConfig) -> np.ndarray:

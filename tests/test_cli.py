@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdbench.cli import main
-from kdbench.core import Dataset
+from kdbench.core import CHUNK_BYTES, Dataset
 from kdbench.formats import (
     load_comparisons,
     load_scores,
@@ -502,15 +502,20 @@ def _non_utf8_scores(synth_dir, protocol_dir, scores_dir, tmp_path):
     )
 
 
-def _non_utf8_raw_log(synth_dir, protocol_dir, scores_dir, tmp_path):
+def _non_utf8_raw_log(synth_dir, protocol_dir, scores_dir, tmp_path, at=300):
     data = (synth_dir / "raw_log.tsv").read_bytes()
-    (tmp_path / "raw_log.tsv").write_bytes(data[:300] + b"\xff" + data[300:])
+    assert len(data) > at
+    (tmp_path / "raw_log.tsv").write_bytes(data[:at] + b"\xff" + data[at:])
     return (
         "score",
         "--data", tmp_path / "raw_log.tsv",
         "--comparisons", protocol_dir / "comparisons.txt",
         "--out", tmp_path / "out",
     )
+
+
+def _non_utf8_raw_log_past_the_first_chunk(synth_dir, protocol_dir, scores_dir, tmp_path):
+    return _non_utf8_raw_log(synth_dir, protocol_dir, scores_dir, tmp_path, CHUNK_BYTES + 300)
 
 
 def _non_utf8_comparisons(synth_dir, protocol_dir, scores_dir, tmp_path):
@@ -548,6 +553,10 @@ BAD_INPUTS = [
     (_flipped_gender, 3, "plan and demographics disagree"),
     (_non_utf8_scores, 2, "scores.txt is not UTF-8 text (invalid start byte)"),
     (_non_utf8_raw_log, 2, "raw_log.tsv is not UTF-8 text (invalid start byte)"),
+    (
+        _non_utf8_raw_log_past_the_first_chunk, 2,
+        "raw_log.tsv is not UTF-8 text (invalid start byte)",
+    ),
     (_non_utf8_comparisons, 2, "comparisons.txt is not UTF-8 text (invalid start byte)"),
     (_score_empty_comparisons, 2, "has no comparisons"),
 ]

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import io
+import tempfile
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdbench import core
 from kdbench.core import (
     AgeGroup,
     ALL_GROUPS,
@@ -23,11 +28,11 @@ from kdbench.core import (
     parse_raw_log,
 )
 from kdbench.errors import ParseError, ProtocolError
-from kdbench.formats import raw_log_lines
+from kdbench.formats import load_raw_log, raw_log_lines
 from kdbench.protocol import SplitConfig, split_dataset
 from kdbench.synthgen import GeneratorConfig, generate
 
-from oracles import check_session_rows
+from oracles import check_session_rows, parse_raw_log_per_line
 
 
 def make_session(session_id="s00", n_events=4, t0=0):
@@ -78,7 +83,7 @@ class TestKeyEvent:
 
 class TestParseRawLog:
     def test_single_line_maps_fields(self):
-        ds = parse_raw_log(io.StringIO("u1\ts1\t97\t0\t80\n"))
+        ds = parse_raw_log(io.BytesIO(b"u1\ts1\t97\t0\t80\n"))
         assert len(ds) == 1
         subject = ds.subjects[0]
         assert subject.subject_id == "u1"
@@ -87,24 +92,24 @@ class TestParseRawLog:
 
     def test_release_before_press_rejected_with_line_number(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_raw_log(io.StringIO("u1\ts1\t97\t80\t0\n"))
+            parse_raw_log(io.BytesIO(b"u1\ts1\t97\t80\t0\n"))
 
     def test_wrong_column_count(self):
         with pytest.raises(ParseError, match="5 tab-separated"):
-            parse_raw_log(io.StringIO("u1\ts1\t97\t0\n"))
+            parse_raw_log(io.BytesIO(b"u1\ts1\t97\t0\n"))
 
     def test_non_integer_timestamp(self):
         with pytest.raises(ParseError, match="non-integer"):
-            parse_raw_log(io.StringIO("u1\ts1\t97\tx\t80\n"))
+            parse_raw_log(io.BytesIO(b"u1\ts1\t97\tx\t80\n"))
 
     def test_duplicate_event_rejected(self):
         line = "u1\ts1\t97\t0\t80\n"
         with pytest.raises(ParseError, match="duplicate"):
-            parse_raw_log(io.StringIO(line + line))
+            parse_raw_log(io.BytesIO((line + line).encode()))
 
     def test_key_code_above_255_rejected_not_clamped(self):
         with pytest.raises(ParseError, match="outside"):
-            parse_raw_log(io.StringIO("u1\ts1\t256\t0\t80\n"))
+            parse_raw_log(io.BytesIO(b"u1\ts1\t256\t0\t80\n"))
 
     def test_interleaved_subjects_grouped_in_first_appearance_order(self):
         text = "".join(
@@ -113,7 +118,7 @@ class TestParseRawLog:
                 [("u2", "b"), ("u1", "z"), ("u2", "a"), ("u1", "z"), ("u2", "b")]
             )
         )
-        ds = parse_raw_log(io.StringIO(text))
+        ds = parse_raw_log(io.BytesIO(text.encode()))
         assert ds.subject_ids.tolist() == ["u2", "u1"]
         assert ds.session_ids.tolist() == ["b", "a", "z"]
         assert ds.session_offsets.tolist() == [0, 2, 3]
@@ -121,7 +126,7 @@ class TestParseRawLog:
 
     def test_events_resorted_by_press_time(self):
         text = "u1\ts1\t98\t100\t180\nu1\ts1\t97\t0\t80\n"
-        ds = parse_raw_log(io.StringIO(text))
+        ds = parse_raw_log(io.BytesIO(text.encode()))
         presses = ds.subjects[0].sessions[0].events[:, PRESS].tolist()
         assert presses == [0, 100]
 
@@ -129,7 +134,7 @@ class TestParseRawLog:
         dataset = generate(GeneratorConfig(n_subjects=2, seed=9, keys_per_session=4))
         text = "".join(raw_log_lines(dataset))
         parsed = attach_demographics(
-            parse_raw_log(io.StringIO(text)),
+            parse_raw_log(io.BytesIO(text.encode())),
             dict(zip(dataset.subject_ids, dataset.demographics)),
         )
         assert parsed == dataset
@@ -249,14 +254,14 @@ def canonical_datasets(draw):
 @given(canonical_datasets())
 def test_round_trip_identity_property(dataset):
     text = "".join(raw_log_lines(dataset))
-    assert parse_raw_log(io.StringIO(text)) == dataset
+    assert parse_raw_log(io.BytesIO(text.encode())) == dataset
 
 
 @settings(max_examples=50, deadline=None)
 @given(canonical_datasets())
 def test_parsed_sessions_press_sorted(dataset):
     text = "".join(raw_log_lines(dataset))
-    parsed = parse_raw_log(io.StringIO(text))
+    parsed = parse_raw_log(io.BytesIO(text.encode()))
     for subject in parsed.subjects:
         for session in subject.sessions:
             presses = session.events[:, PRESS].tolist()
@@ -273,7 +278,7 @@ def test_any_line_order_parses_to_the_same_sessions(dataset, random):
     def by_session(text):
         return {
             (subject.subject_id, session.session_id): session.events.tolist()
-            for subject in parse_raw_log(io.StringIO(text)).subjects
+            for subject in parse_raw_log(io.BytesIO(text.encode())).subjects
             for session in subject.sessions
         }
 
@@ -353,13 +358,244 @@ PARSE_ERRORS = [
 @pytest.mark.parametrize("text, message", PARSE_ERRORS)
 def test_parse_error_names_the_first_bad_line(text, message):
     with pytest.raises(ParseError) as info:
-        parse_raw_log(io.StringIO(text))
+        parse_raw_log(io.BytesIO(text.encode()))
     assert str(info.value).startswith(message)
 
 
 def test_parse_error_past_the_first_conversion_chunk():
     good = "".join(f"u1\ts1\t97\t{t}\t{t + 5}\n" for t in range(0, 200_000, 2))
     with pytest.raises(ParseError, match=r"^line 100001: non-integer"):
-        parse_raw_log(io.StringIO(good + "u1\ts1\t97\tx\t1\n"))
+        parse_raw_log(io.BytesIO((good + "u1\ts1\t97\tx\t1\n").encode()))
     with pytest.raises(ParseError, match=r"^line 100001: duplicate"):
-        parse_raw_log(io.StringIO(good + "u1\ts1\t97\t0\t5\n"))
+        parse_raw_log(io.BytesIO((good + "u1\ts1\t97\t0\t5\n").encode()))
+
+
+def _parse_both(path):
+    """The outcome of the byte scanner (through `load_raw_log`) and of the
+    per-line parser reading the file in text mode: (dataset, None) or
+    (None, (message, line)) of the ParseError raised. A line that is not
+    UTF-8 is a bad line too: the per-line parser reads the lines before it,
+    and only if they are good is the decode error expected."""
+    def per_line(path):
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+        else:
+            with open(path, encoding="utf-8") as fh:
+                return parse_raw_log_per_line(fh)
+        lines = []
+        for line in data.splitlines(keepends=True):
+            try:
+                lines.append(line.decode("utf-8").rstrip("\r\n") + "\n")
+            except UnicodeDecodeError as exc:
+                parse_raw_log_per_line(lines)
+                raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+        raise AssertionError("the file decodes line by line but not as a whole")
+
+    outcomes = []
+    for parse in (load_raw_log, per_line):
+        try:
+            outcomes.append((parse(path), None))
+        except ParseError as exc:
+            outcomes.append((None, (str(exc), exc.line_number)))
+    return outcomes
+
+
+def assert_parsers_agree(path):
+    (dataset, error), (expected, expected_error) = _parse_both(path)
+    assert error == expected_error
+    assert (dataset is None) == (expected is None)
+    if dataset is not None:
+        assert dataset == expected
+    return error
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def spellings(value):
+    """Ways `int()` reads `value`, the first being the writer's."""
+    text = str(value)
+    return [
+        text, f"+{text}", f" {text}", f"{text}\u00a0", "0" * 18 + text,
+        text.translate(ARABIC_INDIC), text[:1] + "_" + text[1:] if len(text) > 1 else text,
+    ]
+
+
+ODD_FIELDS = [
+    "-3", "-0", "-", "", "x", "1.0", "--1", "1__0", "256", "-1", "1" * 19, "9" * 19, "9" * 30,
+    str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), str(2**64), "1" * 5000,
+]
+IDS = st.sampled_from(
+    ["u1", "u2", "", "u1\x00", "\u00fc", "s\u00e9ance", "\u65e5\u672c", "a b", "v" * 70]
+)
+
+
+@st.composite
+def event_lines(draw):
+    """A line whose fields are mostly valid, often repeated, sometimes odd."""
+    press = draw(st.integers(0, 3))
+    values = [draw(st.sampled_from([97, 98])), press, press + draw(st.integers(0, 2))]
+    fields = [draw(st.sampled_from(spellings(v))) for v in values]
+    if draw(st.integers(0, 7)) == 0:
+        fields[draw(st.integers(0, 2))] = draw(st.sampled_from(ODD_FIELDS))
+    return "\t".join([draw(IDS), draw(IDS), *fields])
+
+
+RAW_LINE = st.one_of(
+    event_lines(),
+    event_lines(),
+    event_lines(),
+    st.just(""),
+    st.lists(st.one_of(IDS, st.sampled_from(ODD_FIELDS)), max_size=7).map("\t".join),  # any count
+)
+LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(RAW_LINE, LINE_END), max_size=12),
+    st.booleans(),
+    st.sampled_from([1, 3, 8, 32, core.CHUNK_BYTES]),
+    st.one_of(st.none(), st.tuples(st.integers(0, 1_000), NOT_UTF8)),
+)
+def test_scanner_agrees_with_the_per_line_parser(lines, last_ended, chunk, undecodable):
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_ended:
+        text = text[: -len(lines[-1][1])]
+    data = text.encode("utf-8")
+    if undecodable is not None:
+        at, byte = undecodable[0] % (len(data) + 1), undecodable[1]
+        data = data[:at] + byte + data[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw_log.tsv"
+        path.write_bytes(data)
+        with mock.patch.object(core, "CHUNK_BYTES", chunk):
+            assert_parsers_agree(path)
+
+
+def test_odd_event_fields_read_as_int_reads_them(tmp_path):
+    # Each odd spelling in each event column of an otherwise good line, and
+    # the 64-bit edges: the bulk path must take only what it converts alike.
+    path = tmp_path / "raw_log.tsv"
+    good = ["97", "5", "9"]
+    odd = ODD_FIELDS + [spelling for value in (0, 7, 10, 97) for spelling in spellings(value)]
+    for column in range(3):
+        for field in odd:
+            fields = good[:column] + [field] + good[column + 1 :]
+            path.write_text("u1\ts1\t97\t0\t1\n" + "\t".join(["u1", "s1", *fields]) + "\n",
+                            encoding="utf-8")
+            assert_parsers_agree(path)
+
+
+def test_neighbouring_heads_differ_in_any_byte(tmp_path):
+    # A head continues the run of the line before only if it has the same
+    # length and the same bytes, compared 8 bytes at a time; a trailing NUL
+    # byte is a difference too.
+    long = "s" * 21
+    session_ids = [long, long] + [long[:k] + "t" + long[k + 1 :] for k in (0, 7, 8, 15, 20)]
+    session_ids += ["s" * 20 + "\0", "s" * 20 + "\0", "s", "s\0", "s\0\0", "s\0", "s"]
+    path = tmp_path / "raw_log.tsv"
+    path.write_text(
+        "".join(f"u\t{s}\t97\t{t}\t{t}\n" for t, s in enumerate(session_ids)), encoding="utf-8"
+    )
+    assert assert_parsers_agree(path) is None
+    assert load_raw_log(path).session_ids.tolist() == list(dict.fromkeys(session_ids))
+
+
+def test_long_heads_keep_the_scan_small():
+    # Two neighbouring 16 kB heads are compared over their own 2,000 words,
+    # not over 2,000 words of every line in the chunk (16 MB here).
+    lines = [f"u\ts\t97\t{t}\t{t}\n" for t in range(1_000)]
+    lines += [f"{'u' * 16_000}\ts\t97\t{t}\t{t}\n" for t in range(2)]
+    tracemalloc.start()
+    try:
+        dataset = parse_raw_log(io.BytesIO("".join(lines).encode()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.subject_ids.tolist() == ["u", "u" * 16_000]
+    assert dataset.event_offsets.tolist() == [0, 1_000, 1_002]
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("u1\ts1\t97\t0\n", "expected 5 tab-separated fields, got 4"),
+    ("u1\ts1\t97\tx\t80\n", "non-integer event field in ['97', 'x', '80']"),
+    ("u1\ts1\t97\t0\t" + str(2**64) + "\n", "event field outside 64 bits"),
+    ("u1\ts1\t300\t0\t80\n", "key code 300 outside [0, 255]"),
+    ("u1\ts1\t97\t10\t15\n", "duplicate event ('u1', 's1', 97, 10, 15)"),
+])
+def test_bad_line_around_a_chunk_boundary(bad, message, tmp_path):
+    # Good lines of 15 bytes; the bad line (line 5) starts at byte 60. A
+    # read of 56-65 bytes ends just before, on or just after its start.
+    good = [f"u1\ts1\t97\t{t}\t{t + 5}\n" for t in range(10, 20)]
+    path = tmp_path / "raw_log.tsv"
+    path.write_text("".join(good[:4] + [bad] + good[4:]), encoding="utf-8")
+    for chunk in range(56, 66):
+        with mock.patch.object(core, "CHUNK_BYTES", chunk):
+            assert assert_parsers_agree(path)[0].startswith(f"line 5: {message}")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("u1\ts1\t97\t0\n", "line 3: expected 5 tab-separated fields, got 4"),
+    ("u1\ts1\t97\tx\t80\n", "line 3: non-integer event field in ['97', 'x', '80']"),
+    ("u1\ts1\t300\t0\t80\n", "line 3: key code 300 outside [0, 255]"),
+    ("u1\ts1\t97\t0\t5\n", "line 3: duplicate event ('u1', 's1', 97, 0, 5)"),
+    ("u1\ts1\t97\t7\t9\n", "raw_log.tsv is not UTF-8 text (invalid start byte)"),
+])
+def test_a_bad_line_before_a_byte_that_is_not_utf8_wins(bad, message, tmp_path):
+    # Line 3 comes before the \xff at byte 100,000, in the same chunk or,
+    # with small chunks, in an earlier one; only a good line 3 lets the
+    # decode error through.
+    good = [f"u1\ts1\t97\t{t}\t{t + 5}\n" for t in range(0, 20_000, 2)]
+    data = "".join(good[:2] + [bad] + good[2:]).encode()
+    assert 100_000 < min(len(data), core.CHUNK_BYTES)
+    path = tmp_path / "raw_log.tsv"
+    path.write_bytes(data[:100_000] + b"\xff" + data[100_000:])
+    for chunk in (core.CHUNK_BYTES, 64):
+        with mock.patch.object(core, "CHUNK_BYTES", chunk):
+            assert message in assert_parsers_agree(path)[0]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_line_ends_read_as_in_text_mode(end, tmp_path):
+    path = tmp_path / "raw_log.tsv"
+    path.write_bytes(f"u1\ts1\t97\t0\t80{end}{end}u1\ts1\t98\tq\t9{end}".encode())
+    for chunk in (1, 2, 17, core.CHUNK_BYTES):
+        with mock.patch.object(core, "CHUNK_BYTES", chunk):
+            assert assert_parsers_agree(path) == (
+                "line 3: non-integer event field in ['98', 'q', '9']", 3
+            )
+
+
+def test_scanner_working_memory_is_a_few_chunks():
+    # A log of several chunks: beyond the returned block, the parser holds
+    # its typed buffers, the sort and a chunk's worth of scan arrays (2.3
+    # times block + chunk here), not the whole file's bytes and per-line
+    # arrays (9.6 times, read as one chunk).
+    rng = np.random.default_rng(4)
+    n = 120_000
+    press = (1_600_000_000_000 + rng.integers(0, 10**9, n)).tolist()
+    text = "".join(
+        f"u{a:03d}\ts{b:02d}\t{code}\t{p}\t{p + 90}\n"
+        for a, b, code, p in zip(
+            rng.integers(0, 50, n).tolist(), rng.integers(0, 15, n).tolist(),
+            rng.integers(0, 256, n).tolist(), press,
+        )
+    )
+    data = text.encode()
+    assert len(data) > 4 * core.CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        dataset = parse_raw_log(io.BytesIO(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = dataset.events.nbytes
+    assert peak - block <= 4 * (block + core.CHUNK_BYTES)

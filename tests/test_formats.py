@@ -23,6 +23,7 @@ from kdbench.core import (
 from kdbench.errors import AlignmentError, ConfigError, ParseError
 from kdbench.fairmetrics import sir
 from kdbench.formats import (
+    STRICT_HEADER_PREFIX,
     load_comparisons,
     load_demographics,
     load_raw_log,
@@ -40,7 +41,7 @@ from kdbench.protocol import build_comparison_plan
 from kdbench.synthgen import GeneratorConfig, generate
 from kdbench.verifmetrics import roc
 
-from oracles import load_comparisons_per_line, plan_of_rows
+from oracles import load_comparisons_per_line, load_scores_per_line, plan_of_rows
 from test_fairmetrics import sir_entries_from_matrix, without_female_to_male
 
 
@@ -245,6 +246,58 @@ def test_scores_reject_garbage(tmp_path):
     with pytest.raises(ParseError, match="line 2"):
         load_scores(path)
 
+
+def _scores_both(path):
+    """(scores bytes, digest) from both score readers, or the (message,
+    line) of the ParseError each raised."""
+    outcomes = []
+    for load in (load_scores, load_scores_per_line):
+        try:
+            scores, digest = load(path)
+            outcomes.append((scores.dtype, scores.tobytes(), digest))
+        except ParseError as exc:
+            outcomes.append((str(exc), exc.line_number))
+    return outcomes
+
+
+SCORE_LINE = st.one_of(
+    st.floats(allow_nan=True).map(repr),
+    st.sampled_from([
+        "", " 0.5", "0.5 ", "+1", "1_0", "1e999", "-inf", "NaN", "\u0661.5", "0x1",
+        "abc", "0.5.5", STRICT_HEADER_PREFIX + "ab12", STRICT_HEADER_PREFIX,
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(SCORE_LINE, ENDING), max_size=12),
+    st.booleans(),
+    st.sampled_from([1, 5, 16, formats._READ_CHARS]),
+)
+def test_chunked_score_reader_agrees_with_the_per_line_reader(lines, last_ended, chunk):
+    text = "".join(line + ending for line, ending in lines)
+    if lines and not last_ended:
+        text = text[: -len(lines[-1][1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(formats, "_READ_CHARS", chunk):
+            chunked, per_line = _scores_both(path)
+    assert chunked == per_line
+
+
+def test_bad_score_after_the_first_read_chunk(tmp_path):
+    good = "".join(f"{i / 7_000!r}\n" for i in range(7_000))
+    assert len(good) > formats._READ_CHARS
+    path = tmp_path / "scores.txt"
+    for bad, message in (
+        ("x\n", "non-numeric score 'x'"),
+        (STRICT_HEADER_PREFIX + "00\n", "strict header must be the first line"),
+    ):
+        path.write_text(STRICT_HEADER_PREFIX + "ab\n" + good + "\n" + bad + good)
+        chunked, per_line = _scores_both(path)
+        assert chunked == per_line == (f"line 7003: {message}", 7_003)
 
 def test_det_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)

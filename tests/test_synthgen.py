@@ -68,7 +68,7 @@ def test_generated_events_satisfy_invariants():
 
 def test_output_parses_back_through_core():
     ds = generate(GeneratorConfig(n_subjects=2, seed=3, keys_per_session=5))
-    parsed = parse_raw_log(io.StringIO("".join(raw_log_lines(ds))))
+    parsed = parse_raw_log(io.BytesIO("".join(raw_log_lines(ds)).encode()))
     assert parsed == replace(ds, demographics=[None] * len(ds))
 
 
