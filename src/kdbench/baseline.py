@@ -33,6 +33,9 @@ STD_FLOOR = 1e-9
 # Sessions per channel block in `raw_embeddings`. A fixed chunk keeps the
 # working memory flat however many sessions share one length.
 CHUNK_SESSIONS = 256
+# Comparisons per distance chunk in `score_comparisons`: the enrolment and
+# verification rows of one chunk are gathered at a time, not of the plan.
+CHUNK_COMPARISONS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,19 @@ def summary_block(rows: np.ndarray) -> np.ndarray:
     """Un-normalized summary vectors of an (S, n, channels) block: (S, 5C).
 
     Channel-major layout: per channel (mean, std, median, p25, p75).
-    Percentiles interpolate linearly between order statistics; std is the
-    population standard deviation.
+    Percentiles interpolate linearly between order statistics, bit for bit
+    as `np.percentile` does; std is the population standard deviation.
     """
-    p25, median, p75 = np.percentile(rows, [25.0, 50.0, 75.0], axis=1)
+    ordered = np.sort(rows, axis=1)
+    last = rows.shape[1] - 1
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        # numpy's linear rule: the order statistics around index last * q,
+        # weighted from the nearer side. Both are exact for these q.
+        j, gamma = divmod(last * q, 1)
+        a, b = ordered[:, int(j)], ordered[:, min(int(j) + 1, last)]
+        quartiles.append(a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma))
+    p25, median, p75 = quartiles
     stats = np.stack([rows.mean(axis=1), rows.std(axis=1), median, p25, p75], axis=2)
     return stats.reshape(len(rows), -1)
 
@@ -148,8 +160,10 @@ def score_comparisons(
 
     # One embedding per session-table row, indexed by both plan columns.
     table = np.stack([lookup(subject, session) for subject, session in plan.sessions])
-    left, right = table[plan.enrol], table[plan.verif]
-    distances = np.linalg.norm(left - right, axis=1)
+    distances = np.empty(len(plan.enrol))
+    for start in range(0, len(distances), CHUNK_COMPARISONS):
+        rows = slice(start, start + CHUNK_COMPARISONS)
+        distances[rows] = np.linalg.norm(table[plan.enrol[rows]] - table[plan.verif[rows]], axis=1)
     d_min, d_max = float(distances.min()), float(distances.max())
     if d_max == d_min:
         return np.ones(len(distances))

@@ -316,7 +316,8 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
         return run_lines[run] + event - run_events[run]
 
     n = len(values) // _EVENT_COLUMNS
-    # A view of the buffer, not a copy: the sorted block is the one copy.
+    # A view of the buffer, not a copy: the block is this view when the log
+    # is in order, else the one sorted copy.
     events = np.frombuffer(values, dtype=np.int64, count=n * _EVENT_COLUMNS).reshape(
         n, _EVENT_COLUMNS
     )
@@ -332,15 +333,20 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     rank = np.empty_like(by_subject)
     rank[by_subject] = np.arange(len(by_subject))
     groups = rank[np.array(session_of[:n], dtype=np.intp)]
-    order = np.lexsort((events[:, CODE], events[:, RELEASE], events[:, PRESS], groups))
-    block, groups = events[order], groups[order]
+    order = _event_order(groups, events)
+    if order is None:
+        # Already in order, with no press repeated within a session: the
+        # view is the block, and no event can repeat.
+        block, first_repeat = events, None
+    else:
+        block, sorted_groups = events[order], groups[order]
+        repeats = order[1:][
+            (sorted_groups[1:] == sorted_groups[:-1]) & (block[1:] == block[:-1]).all(axis=1)
+        ]
+        first_repeat = int(repeats.min()) if repeats.size else None
 
     # The first bad line wins, whichever check it fails.
     bad = _first_bad_row(events)
-    repeats = order[1:][
-        (groups[1:] == groups[:-1]) & (block[1:] == block[:-1]).all(axis=1)
-    ]
-    first_repeat = int(repeats.min()) if repeats.size else None
     if first_repeat is not None and (bad is None or first_repeat < bad):
         event = (*keys[session_of[first_repeat]], *events[first_repeat].tolist())
         raise ParseError(f"duplicate event {event!r}", line_of(first_repeat))
@@ -357,6 +363,40 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
         event_offsets=_offsets(np.bincount(groups, minlength=len(keys))),
         events=block,
     )
+
+
+def _event_order(groups: np.ndarray, events: np.ndarray) -> np.ndarray | None:
+    """The permutation `np.lexsort((code, release, press, groups))` gives
+    for event rows of sessions `groups`, or None when it is the identity.
+
+    Rows already ordered by (session, press), with presses strictly rising
+    within each session, need no sort; one pass over the rows decides it.
+    Otherwise two stable argsorts order the rows by (session, press), and
+    only the rows of runs that tie on both are sorted again, by (release,
+    code). Every sort is stable, so rows equal on all four keys keep their
+    input order, as with `lexsort`.
+    """
+    press = events[:, PRESS]
+    rising = (groups[1:] == groups[:-1]) & (press[1:] > press[:-1])
+    if np.all(rising | (groups[1:] > groups[:-1])):
+        return None
+    order = np.argsort(press, kind="stable")
+    order = order[np.argsort(groups[order], kind="stable")]
+    sorted_groups, sorted_press = groups[order], press[order]
+    tied = (sorted_groups[1:] == sorted_groups[:-1]) & (sorted_press[1:] == sorted_press[:-1])
+    if tied.any():
+        in_run = np.zeros(len(order), dtype=bool)
+        in_run[1:] = tied
+        in_run[:-1] |= tied
+        rows = np.flatnonzero(in_run)
+        tie_rows = order[rows]
+        # The rows come in (session, press) order, so the run of a row is
+        # the number of run starts up to it.
+        run = np.cumsum(np.concatenate([[True], ~tied[rows[1:] - 1]]))
+        order[rows] = tie_rows[
+            np.lexsort((events[tie_rows, CODE], events[tie_rows, RELEASE], run))
+        ]
+    return order
 
 
 def _line_chunks(fh: BinaryIO) -> Iterator[bytes]:

@@ -58,7 +58,8 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
-        if self.clip_seconds <= 0:
+        # inf is allowed and means no clipping; NaN is not a bound.
+        if not self.clip_seconds > 0:
             raise ConfigError(f"clip_seconds must be positive, got {self.clip_seconds}")
 
 

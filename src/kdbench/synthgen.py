@@ -84,8 +84,10 @@ class GeneratorConfig:
             raise ConfigError("group_weights must be non-negative")
         if abs(sum(self.group_weights) - 1.0) > 1e-9:
             raise ConfigError(f"group_weights sums to {sum(self.group_weights)}, not 1")
-        if self.skew_strength < 0:
-            raise ConfigError(f"skew_strength must be >= 0, got {self.skew_strength}")
+        if not 0 <= self.skew_strength < math.inf:
+            raise ConfigError(
+                f"skew_strength must be finite and >= 0, got {self.skew_strength}"
+            )
 
 
 def _subject_rng(config: GeneratorConfig, index: int) -> np.random.Generator:
@@ -166,13 +168,21 @@ def _event_times(holds: np.ndarray, flights: np.ndarray) -> tuple[np.ndarray, np
     Session j starts at its own hour; each press follows the previous one
     by max(1, round(hold + flight)) ms and each release follows its press
     by max(1, round(hold)) ms. rint rounds half to even, as round does.
+    Raises OverflowError when a time could pass 2**62 ms or is not finite.
     """
-    steps = np.maximum(1, np.rint((holds + flights) * 1000.0)).astype(np.int64)
+    steps = np.maximum(1, np.rint((holds + flights) * 1000.0))
+    hold_steps = np.maximum(1, np.rint(holds * 1000.0))
+    starts = _EPOCH_BASE_MS + _SESSION_SPACING_MS * np.arange(len(steps))
+    # A float bound on the last release, with room for its rounding: below
+    # it the int64 sums cannot wrap. NaN fails the test too.
+    if not float(steps.sum()) + float(hold_steps.max()) < 2.0**62 - float(starts[-1]):
+        raise OverflowError("event times past 2**62 ms")
+    steps = steps.astype(np.int64)
     press = np.empty_like(steps)
-    press[:, 0] = _EPOCH_BASE_MS + _SESSION_SPACING_MS * np.arange(len(steps))
+    press[:, 0] = starts
     press[:, 1:] = steps[:, :-1]
     np.cumsum(press, axis=1, out=press)
-    return press, press + np.maximum(1, np.rint(holds * 1000.0)).astype(np.int64)
+    return press, press + hold_steps.astype(np.int64)
 
 
 def generate(config: GeneratorConfig) -> Dataset:
@@ -188,12 +198,22 @@ def generate(config: GeneratorConfig) -> Dataset:
     n, sessions = config.n_subjects, config.sessions_per_subject
     events = np.empty((n, sessions, config.keys_per_session, 3), dtype=np.int64)
     demographics = []
-    for index in range(n):
-        rng = _subject_rng(config, index)
-        demo = ALL_GROUPS[int(rng.choice(len(ALL_GROUPS), p=weights))]
-        profile = _draw_profile(rng, demo, config.skew_strength)
-        demographics.append(demo)
-        _generate_subject_sessions(rng, profile, _key_distribution(rng), events[index])
+    # A large skew drives a group's timing means to zero or below, or its
+    # event times past what int64 milliseconds hold; the float overflow on
+    # the way there is reported once, as a ConfigError, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in range(n):
+            rng = _subject_rng(config, index)
+            demo = ALL_GROUPS[int(rng.choice(len(ALL_GROUPS), p=weights))]
+            demographics.append(demo)
+            try:
+                profile = _draw_profile(rng, demo, config.skew_strength)
+                _generate_subject_sessions(rng, profile, _key_distribution(rng), events[index])
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"skew_strength {config.skew_strength} gives group {demo.label()} "
+                    f"impossible timings ({exc})"
+                ) from None
     return Dataset(
         subject_ids=[f"u{index:05d}" for index in range(n)],
         demographics=demographics,

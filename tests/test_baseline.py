@@ -21,7 +21,7 @@ from kdbench.baseline import (
 from kdbench.core import Dataset, Session, Subject
 from kdbench.errors import DataReferenceError
 from kdbench.features import FeatureConfig, FeatureMatrix, FeatureSet, extract_features
-from kdbench.protocol import Comparison, ComparisonKind
+from kdbench.protocol import Comparison, ComparisonKind, ComparisonPlan
 
 from oracles import (
     embed_per_session,
@@ -351,3 +351,63 @@ class TestScoreComparisons:
         )
         scores = score_comparisons(plan_of_rows(entries), emb)
         assert np.all((scores >= 0.0) & (scores <= 1.0))
+
+
+def random_plan(n_sessions, n_comparisons, rng):
+    keys = tuple(("u", f"s{i}") for i in range(n_sessions))
+    columns = [rng.integers(0, n_sessions, n_comparisons) for _ in range(2)]
+    zeros = np.zeros(n_comparisons, dtype=np.int64)
+    return ComparisonPlan(keys, *columns, zeros, np.arange(n_comparisons), zeros)
+
+
+def unchunked_scores(plan, embeddings):
+    table = np.stack([embeddings[key] for key in plan.sessions])
+    distances = np.linalg.norm(table[plan.enrol] - table[plan.verif], axis=1)
+    d_min, d_max = distances.min(), distances.max()
+    return 1.0 - (distances - d_min) / (d_max - d_min)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_chunked_distances_are_the_unchunked_bytes(chunk):
+    rng = np.random.default_rng(5)
+    plan = random_plan(40, 1000, rng)
+    emb = {key: rng.normal(size=25) for key in plan.sessions}
+    with mock.patch.object(baseline, "CHUNK_COMPARISONS", chunk):
+        scores = score_comparisons(plan, emb)
+    assert scores.tobytes() == unchunked_scores(plan, emb).tobytes()
+
+
+def test_distance_memory_is_a_few_chunks():
+    # 200,000 comparisons of 55-coordinate embeddings: beyond the scores
+    # and the session table, scoring holds a few chunks' rows, not the
+    # (comparisons, dims) blocks of both sides (88 MB each here).
+    rng = np.random.default_rng(6)
+    plan = random_plan(500, 200_000, rng)
+    emb = {key: rng.normal(size=55) for key in plan.sessions}
+    chunk_rows = baseline.CHUNK_COMPARISONS * 55 * 8
+    tracemalloc.start()
+    try:
+        scores = score_comparisons(plan, emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 500 * 55 * 8
+    assert peak - 2 * scores.nbytes - table <= 4 * chunk_rows
+
+
+def test_quartiles_are_np_percentile_bytes():
+    # The session lengths 1 to 130 give every weight numpy's linear rule
+    # takes for these quartiles: 0, .25, .5 and .75, on both sides of its
+    # switch at .5.
+    rng = np.random.default_rng(8)
+    for n in range(1, 131):
+        rows = np.round(rng.normal(0.1, 4.0, (6, n, 4)), 3)
+        rows[0] = 0.25  # equal rows
+        rows[1, :, 0] = -rng.exponential(0.2, n)  # negative gaps (rollover)
+        rows[2] = rng.choice([-10.0, 10.0, 0.0, 3.5], (n, 4))  # clipped at +-10 s
+        rows[3, :, 1] = np.linspace(-10.0, 10.0, n)
+        rows[4] = rng.integers(0, 256, (n, 4)) / 255.0  # the key-code channel
+        summary = baseline.summary_block(rows).reshape(6, 4, 5)
+        expected = np.percentile(rows, [50.0, 25.0, 75.0], axis=1)
+        for j in range(3):
+            assert summary[:, :, 2 + j].tobytes() == expected[j].tobytes(), n

@@ -411,6 +411,26 @@ def _zero_max_len(synth_dir, protocol_dir, scores_dir, tmp_path):
     )
 
 
+def _clip_seconds(value):
+    def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
+        return (
+            "score",
+            "--data", synth_dir / "raw_log.tsv",
+            "--comparisons", protocol_dir / "comparisons.txt",
+            "--clip-seconds", value,
+            "--out", tmp_path / "out",
+        )
+    make_argv.__name__ = f"_clip_seconds_{value}"
+    return make_argv
+
+
+def _skew(value):
+    def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
+        return ("synth", "--subjects", 40, "--seed", 7, "--skew", value, "--out", tmp_path / "out")
+    make_argv.__name__ = f"_skew_{value}"
+    return make_argv
+
+
 def _alpha_above_one(synth_dir, protocol_dir, scores_dir, tmp_path):
     return (
         "evaluate",
@@ -546,6 +566,13 @@ BAD_INPUTS = [
     (_empty_comparisons_and_scores, 2, "has no comparisons"),
     (_malformed_raw_log, 2, "line 8: non-integer event field"),
     (_zero_max_len, 2, "max_len must be >= 1"),
+    (_clip_seconds("nan"), 2, "clip_seconds must be positive, got nan"),
+    (_skew("nan"), 2, "skew_strength must be finite and >= 0, got nan"),
+    (_skew("inf"), 2, "skew_strength must be finite and >= 0, got inf"),
+    (_skew("1e308"), 2, "skew_strength 1e+308 gives group 27-35/F impossible timings "
+                        "(event times past 2**62 ms)"),
+    (_skew("100"), 2, "skew_strength 100.0 gives group 10-13/M impossible timings "
+                      "(mean_hold_s and mean_gap_s must be positive)"),
     (_alpha_above_one, 2, "alpha 2.0 outside [0, 1]"),
     (_slot_outside_range, 3, "outside [0, 10)"),
     (_genuine_line_across_subjects, 3, "genuine lines pair a subject with itself"),
@@ -576,6 +603,17 @@ def test_bad_input_exit_code(
     assert message in err
     # A stage that fails writes none of its outputs.
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_infinite_clip_seconds_means_no_clipping(synth_dir, protocol_dir, tmp_path):
+    assert run(
+        "score",
+        "--data", synth_dir / "raw_log.tsv",
+        "--comparisons", protocol_dir / "comparisons.txt",
+        "--clip-seconds", "inf",
+        "--out", tmp_path,
+    ) == 0
+    assert (tmp_path / "scores.txt").stat().st_size > 0
 
 
 def test_threads_flag_must_be_positive(tmp_path):

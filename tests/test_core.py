@@ -19,7 +19,9 @@ from kdbench.core import (
     Dataset,
     Demographics,
     Gender,
+    CODE,
     PRESS,
+    RELEASE,
     Session,
     Subject,
     attach_demographics,
@@ -477,6 +479,93 @@ def test_scanner_agrees_with_the_per_line_parser(lines, last_ended, chunk, undec
         path.write_bytes(data)
         with mock.patch.object(core, "CHUNK_BYTES", chunk):
             assert_parsers_agree(path)
+
+
+def lexsort_order(groups, events):
+    return np.lexsort((events[:, CODE], events[:, RELEASE], events[:, PRESS], groups))
+
+
+@st.composite
+def sortable_rows(draw):
+    """(sessions, event rows) with many (session, press) ties, some exact
+    duplicates and bad codes, laid out as drawn (shuffled), sorted, sorted
+    by (session, press) only, or in order with strictly rising presses."""
+    n = draw(st.integers(0, 40))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64)
+
+    groups = column(st.integers(0, 3)).astype(np.intp)
+    press = column(st.integers(0, 4))
+    events = np.stack(
+        [column(st.sampled_from([97, 98, -1, 300])), press, press + column(st.integers(0, 2))],
+        axis=1,
+    )
+    copies = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=6 if n else 0))
+    rows = np.array(draw(st.permutations([*range(n), *copies])), dtype=np.intp)
+    groups, events = groups[rows], events[rows]
+    layout = draw(st.sampled_from(["drawn", "sorted", "grouped", "rising"]))
+    if layout == "sorted":
+        order = lexsort_order(groups, events)
+    elif layout == "grouped":
+        order = np.lexsort((events[:, PRESS], groups))
+    else:
+        order = np.arange(len(groups))
+    groups, events = groups[order], events[order]
+    if layout == "rising":
+        groups = np.sort(groups)
+        events[:, PRESS] = np.arange(len(groups))
+        events[:, RELEASE] = events[:, PRESS] + 1
+    return groups, events
+
+
+@settings(max_examples=500, deadline=None)
+@given(sortable_rows())
+def test_event_order_is_the_lexsort_permutation(rows):
+    groups, events = rows
+    expected = lexsort_order(groups, events)
+    order = core._event_order(groups, events)
+    if order is None:
+        assert np.array_equal(expected, np.arange(len(groups)))
+        # Nothing repeats where no sort ran: presses rise within sessions.
+        same = groups[1:] == groups[:-1]
+        assert np.all(events[1:, PRESS][same] > events[:-1, PRESS][same])
+    else:
+        assert np.array_equal(order, expected)
+
+
+TIE_EVENT = st.tuples(
+    st.sampled_from(["u1\ts1", "u1\ts2", "u2\ts1"]),
+    st.integers(5, 6),
+    st.sampled_from([97, 98]),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TIE_EVENT, max_size=30), st.booleans())
+def test_ties_and_duplicates_parse_as_the_per_line_parser_does(events, in_order):
+    # Few distinct (session, press) pairs: long tie runs whose rows differ
+    # in release and code, and duplicates inside them; or, in order, one
+    # event per (session, press), which needs no sort.
+    if in_order:
+        events = sorted({(head, press): (head, press, code, hold)
+                         for head, press, code, hold in events}.values())
+    text = "".join(f"{head}\t{code}\t{press}\t{press + hold}\n"
+                   for head, press, code, hold in events)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw_log.tsv"
+        path.write_text(text)
+        assert_parsers_agree(path)
+
+
+def test_duplicate_inside_a_tie_run_names_its_line(tmp_path):
+    path = tmp_path / "raw_log.tsv"
+    path.write_text("".join(f"u1\ts1\t{c}\t{p}\t{r}\n" for c, p, r in [
+        (98, 5, 9), (97, 5, 9), (97, 5, 7), (98, 1, 2), (98, 5, 8), (97, 5, 9), (98, 5, 9),
+    ]))
+    error = assert_parsers_agree(path)
+    assert error == ("line 6: duplicate event ('u1', 's1', 97, 5, 9)", 6)
 
 
 def test_odd_event_fields_read_as_int_reads_them(tmp_path):
