@@ -1,17 +1,21 @@
 """Command-line pipelines: synth, protocol, score, evaluate, and demo.
 
 Every subcommand is deterministic given its flags and input files and
-drops a manifest.json (resolved configuration, input digests, seed,
-timestamp) alongside its outputs. Exit codes: 0 ok, 2 configuration or
-input-format error, 3 protocol precondition failure, 4 dangling data
-reference, 5 score/comparison misalignment.
+drops a manifest_<stage>.json (its stage config's fields, input digests,
+seed, timestamp) alongside its outputs. Each flag is named after the
+config field it sets; a flag left out takes that field's default.
+Exit codes: 0 ok, 2 configuration or input-format error, 3 protocol
+precondition failure, 4 dangling data reference, 5 score/comparison
+misalignment.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -50,20 +54,27 @@ _EXIT_CODES = (
 )
 
 
+def _stage_config(cls: type, args: argparse.Namespace):
+    """The config `cls` with the fields whose flags were given; the
+    dataclass supplies every other field's default."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{name: value for name, value in vars(args).items() if name in names})
+
+
 def _write_manifest(
-    out_dir: Path,
-    subcommand: str,
-    config: dict,
-    inputs: dict[str, Path],
-    seed: int | None,
+    out_dir: Path, subcommand: str, config: object, inputs: dict[str, Path], **extra: object
 ) -> None:
     # One manifest per stage so composed pipelines (demo) keep all of them.
+    # The config section is the config's fields (enums by value) plus
+    # `extra`; the seed, if any, is a top-level key.
+    settings = {f.name: getattr(config, f.name) for f in fields(config)} | extra
+    seed = settings.pop("seed", None)
     formats.write_json(
         {
             "tool": "kdbench",
             "version": __version__,
             "subcommand": subcommand,
-            "config": config,
+            "config": {k: v.value if isinstance(v, Enum) else v for k, v in settings.items()},
             "inputs": {name: formats.sha256_file(p) for name, p in inputs.items()},
             "seed": seed,
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -99,33 +110,12 @@ def run_synth(config: GeneratorConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     formats.write_raw_log(dataset, out_dir / "raw_log.tsv")
     formats.write_demographics(dataset, out_dir / "demographics.tsv")
-    _write_manifest(
-        out_dir,
-        "synth",
-        {
-            "n_subjects": config.n_subjects,
-            "sessions_per_subject": config.sessions_per_subject,
-            "keys_per_session": config.keys_per_session,
-            "group_weights": list(config.group_weights),
-            "skew_strength": config.skew_strength,
-        },
-        {},
-        config.seed,
-    )
+    _write_manifest(out_dir, "synth", config, {})
     print(f"wrote {len(dataset)} subjects to {out_dir}")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    run_synth(
-        GeneratorConfig(
-            n_subjects=args.subjects,
-            seed=args.seed,
-            sessions_per_subject=args.sessions,
-            keys_per_session=args.keys,
-            skew_strength=args.skew,
-        ),
-        Path(args.out),
-    )
+    run_synth(_stage_config(GeneratorConfig, args), Path(args.out))
     return 0
 
 
@@ -151,15 +141,7 @@ def run_protocol(
         out_dir / "split.json",
     )
     _write_manifest(
-        out_dir,
-        "protocol",
-        {
-            "eval_count": split_config.eval_count,
-            "eval_fraction": split_config.eval_fraction,
-            "gender_balance": split_config.gender_balance,
-        },
-        {"data": data_path, "demographics": demographics_path},
-        split_config.seed,
+        out_dir, "protocol", split_config, {"data": data_path, "demographics": demographics_path}
     )
     print(
         f"wrote {len(plan)} comparisons for {len(evaluation)} evaluation "
@@ -172,12 +154,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     run_protocol(
         Path(args.data),
         Path(args.demographics),
-        SplitConfig(
-            seed=args.seed,
-            eval_count=args.eval_count,
-            eval_fraction=args.eval_fraction,
-            gender_balance=not args.no_gender_balance,
-        ),
+        _stage_config(SplitConfig, args),
         Path(args.out),
     )
     return 0
@@ -226,16 +203,8 @@ def run_score(
     digest = formats.sha256_file(comparisons_path) if strict else None
     formats.write_scores(scores.tolist(), out_dir / "scores.txt", digest)
     _write_manifest(
-        out_dir,
-        "score",
-        {
-            "features": feature_config.feature_set.value,
-            "max_len": feature_config.max_len,
-            "clip_seconds": feature_config.clip_seconds,
-            "strict": strict,
-        },
-        {"data": data_path, "comparisons": comparisons_path},
-        None,
+        out_dir, "score", feature_config, {"data": data_path, "comparisons": comparisons_path},
+        strict=strict,
     )
     print(f"wrote {len(scores)} scores to {out_dir / 'scores.txt'}")
 
@@ -244,13 +213,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     run_score(
         Path(args.data),
         Path(args.comparisons),
-        FeatureConfig(
-            feature_set=FeatureSet(args.features),
-            max_len=args.max_len,
-            clip_seconds=args.clip_seconds,
-        ),
+        _stage_config(FeatureConfig, args),
         Path(args.out),
-        strict=args.strict,
+        strict="strict" in args,
     )
     return 0
 
@@ -323,16 +288,8 @@ def run_evaluate(
     _write_manifest(
         out_dir,
         "evaluate",
-        {
-            "alpha": fairness_config.alpha,
-            "operating_fmr_percent": fairness_config.operating_fmr_percent,
-        },
-        {
-            "comparisons": comparisons_path,
-            "scores": scores_path,
-            "demographics": demographics_path,
-        },
-        None,
+        fairness_config,
+        {"comparisons": comparisons_path, "scores": scores_path, "demographics": demographics_path},
     )
     print(
         f"global EER {g.eer:.2f}%  AUC {g.auc:.2f}%  "
@@ -347,9 +304,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         Path(args.scores),
         Path(args.demographics),
         Path(args.out),
-        FairnessConfig(
-            alpha=args.alpha, operating_fmr_percent=args.operating_fmr
-        ),
+        _stage_config(FairnessConfig, args),
     )
     return 0
 
@@ -358,32 +313,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    # Every config is checked before the first stage writes anything.
+    synth, split, features, fairness = (
+        _stage_config(cls, args)
+        for cls in (GeneratorConfig, SplitConfig, FeatureConfig, FairnessConfig)
+    )
     out = Path(args.out)
-    run_synth(
-        GeneratorConfig(
-            n_subjects=args.subjects, seed=args.seed, skew_strength=args.skew
-        ),
-        out,
-    )
-    run_protocol(
-        out / "raw_log.tsv",
-        out / "demographics.tsv",
-        SplitConfig(seed=args.seed, eval_count=args.eval_count),
-        out,
-    )
-    run_score(
-        out / "raw_log.tsv",
-        out / "comparisons.txt",
-        FeatureConfig(
-            feature_set=FeatureSet(args.features), max_len=args.max_len
-        ),
-        out,
-    )
+    run_synth(synth, out)
+    run_protocol(out / "raw_log.tsv", out / "demographics.tsv", split, out)
+    run_score(out / "raw_log.tsv", out / "comparisons.txt", features, out)
     run_evaluate(
-        out / "comparisons.txt",
-        out / "scores.txt",
-        out / "demographics.tsv",
-        out,
+        out / "comparisons.txt", out / "scores.txt", out / "demographics.tsv", out, fairness
     )
     return 0
 
@@ -401,78 +341,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_threads(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="upper bound on worker threads (computation is vectorized; "
-            "results never depend on this value)",
-        )
+    def add_stage(name: str, help: str) -> argparse.ArgumentParser:
+        # A flag left out stays off the namespace, so `_stage_config` takes
+        # the config field's own default.
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--subjects", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sessions", type=int, default=15)
-    p.add_argument("--keys", type=int, default=48)
-    p.add_argument("--skew", type=float, default=0.0,
+    def add_out(p: argparse.ArgumentParser, func) -> None:
+        p.add_argument("--out", required=True)
+        p.add_argument("--threads", type=int, default=1,
+                       help="upper bound on worker threads (computation is vectorized; "
+                       "results never depend on this value)")
+        p.set_defaults(func=func)
+
+    features = [fs.value for fs in FeatureSet]
+
+    p = add_stage("synth", "generate a synthetic dataset")
+    p.add_argument("--subjects", dest="n_subjects", metavar="SUBJECTS", type=int,
+                   required=True)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--sessions", dest="sessions_per_subject", metavar="SESSIONS", type=int)
+    p.add_argument("--keys", dest="keys_per_session", metavar="KEYS", type=int)
+    p.add_argument("--skew", dest="skew_strength", metavar="SKEW", type=float,
                    help="strength of group-dependent timing shifts")
-    p.add_argument("--out", required=True)
-    add_threads(p)
-    p.set_defaults(func=cmd_synth)
+    add_out(p, cmd_synth)
 
-    p = sub.add_parser("protocol", help="split a dataset and build the comparison plan")
+    p = add_stage("protocol", "split a dataset and build the comparison plan")
     p.add_argument("--data", required=True, help="raw log TSV")
     p.add_argument("--demographics", required=True, help="demographics TSV")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--eval-count", type=int)
     group.add_argument("--eval-fraction", type=float)
-    p.add_argument("--no-gender-balance", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    add_threads(p)
-    p.set_defaults(func=cmd_protocol)
+    p.add_argument("--no-gender-balance", dest="gender_balance", action="store_false")
+    p.add_argument("--seed", type=int)
+    add_out(p, cmd_protocol)
 
-    p = sub.add_parser("score", help="score a comparison plan with the baseline verifier")
+    p = add_stage("score", "score a comparison plan with the baseline verifier")
     p.add_argument("--data", required=True)
     p.add_argument("--comparisons", required=True)
-    p.add_argument("--features", choices=[fs.value for fs in FeatureSet], default="5f")
-    p.add_argument("--max-len", type=int, default=48)
-    p.add_argument("--clip-seconds", type=float, default=10.0)
+    p.add_argument("--features", dest="feature_set", choices=features)
+    p.add_argument("--max-len", type=int)
+    p.add_argument("--clip-seconds", type=float)
     p.add_argument("--strict", action="store_true",
                    help="record the comparison-file digest in the score file header")
-    p.add_argument("--out", required=True)
-    add_threads(p)
-    p.set_defaults(func=cmd_score)
+    add_out(p, cmd_score)
 
-    p = sub.add_parser("evaluate", help="compute verification and fairness metrics")
+    p = add_stage("evaluate", "compute verification and fairness metrics")
     p.add_argument("--comparisons", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--demographics", required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--operating-fmr", type=float, default=1.0,
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--operating-fmr", dest="operating_fmr_percent",
+                   metavar="OPERATING_FMR", type=float,
                    help="FMR target (percent) for the rate-gap fairness metrics")
-    p.add_argument("--out", required=True)
-    add_threads(p)
-    p.set_defaults(func=cmd_evaluate)
+    add_out(p, cmd_evaluate)
 
-    p = sub.add_parser("demo", help="synth -> protocol -> score -> evaluate on defaults")
-    p.add_argument("--subjects", type=int, default=200)
+    # Only demo's own defaults live here; they differ from the configs'.
+    p = add_stage("demo", "synth -> protocol -> score -> evaluate on defaults")
+    p.add_argument("--subjects", dest="n_subjects", metavar="SUBJECTS", type=int,
+                   default=200)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--skew", type=float, default=0.0)
+    p.add_argument("--skew", dest="skew_strength", metavar="SKEW", type=float)
     p.add_argument("--eval-count", type=int, default=60)
-    p.add_argument("--features", choices=[fs.value for fs in FeatureSet], default="5f")
-    p.add_argument("--max-len", type=int, default=48)
-    p.add_argument("--out", required=True)
-    add_threads(p)
-    p.set_defaults(func=cmd_demo)
+    p.add_argument("--features", dest="feature_set", choices=features)
+    p.add_argument("--max-len", type=int)
+    add_out(p, cmd_demo)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
+    if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:

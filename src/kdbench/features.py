@@ -51,11 +51,14 @@ _CHANNELS: dict[FeatureSet, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    feature_set: FeatureSet
-    max_len: int
+    """feature_set also takes its value string ("5f"), as the CLI gives it."""
+
+    feature_set: FeatureSet = FeatureSet.F5
+    max_len: int = 48
     clip_seconds: float = 10.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "feature_set", FeatureSet(self.feature_set))
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
         # inf is allowed and means no clipping; NaN is not a bound.

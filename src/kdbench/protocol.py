@@ -163,12 +163,14 @@ class SplitConfig:
     number.
     """
 
-    seed: int
+    seed: int = 0
     eval_count: int | None = None
     eval_fraction: float | None = None
     gender_balance: bool = True
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if (self.eval_count is None) == (self.eval_fraction is None):
             raise ConfigError("set exactly one of eval_count / eval_fraction")
         if self.eval_fraction is not None and not 0 < self.eval_fraction < 1:

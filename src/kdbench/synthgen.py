@@ -64,7 +64,7 @@ class GeneratorConfig:
     """Knobs for `generate`; group_weights follows `core.ALL_GROUPS` order."""
 
     n_subjects: int
-    seed: int
+    seed: int = 0
     sessions_per_subject: int = 15
     keys_per_session: int = 48
     group_weights: tuple[float, ...] = field(default_factory=uniform_group_weights)
@@ -73,6 +73,8 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.n_subjects < 0:
             raise ConfigError(f"n_subjects must be >= 0, got {self.n_subjects}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sessions_per_subject < 1 or self.keys_per_session < 1:
             raise ConfigError("sessions_per_subject and keys_per_session must be >= 1")
         if len(self.group_weights) != len(ALL_GROUPS):

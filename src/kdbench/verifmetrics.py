@@ -171,10 +171,7 @@ def pooled_scores(score_sets: Sequence[ScoreSet]) -> tuple[np.ndarray, np.ndarra
     return genuine, impostor
 
 
-def global_metrics(
-    score_sets: Sequence[ScoreSet],
-    fmr_targets: Sequence[float] = FMR_TARGETS_PERCENT,
-) -> GlobalMetrics:
+def global_metrics(score_sets: Sequence[ScoreSet]) -> GlobalMetrics:
     """Single-threshold evaluation over the pooled score distributions."""
     genuine, impostor = pooled_scores(score_sets)
     curve = roc(genuine, impostor)
@@ -183,7 +180,7 @@ def global_metrics(
         curve=curve,
         eer=eer_value,
         eer_threshold=eer_thr,
-        fnmr_at_fmr={x: operating_point(curve, x)[1] for x in fmr_targets},
+        fnmr_at_fmr={x: operating_point(curve, x)[1] for x in FMR_TARGETS_PERCENT},
         auc=auc(genuine, impostor),
         accuracy=accuracy_at(genuine, impostor, eer_thr),
     )

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from kdbench.cli import main
 from kdbench.core import CHUNK_BYTES, Dataset
+from kdbench.fairmetrics import FairnessConfig
+from kdbench.features import FeatureConfig
 from kdbench.formats import (
     load_comparisons,
     load_scores,
@@ -21,7 +24,7 @@ from kdbench.formats import (
     write_demographics,
     write_scores,
 )
-from kdbench.protocol import ComparisonKind, build_comparison_plan
+from kdbench.protocol import ComparisonKind, SplitConfig, build_comparison_plan
 from kdbench.synthgen import GeneratorConfig, generate
 
 from oracles import plan_of_rows
@@ -343,6 +346,39 @@ class TestDemo:
         scores = [(tmp_path / out / "scores.txt").read_bytes() for out in ("plain", "columns")]
         assert scores[0] == scores[1]
 
+    @pytest.mark.parametrize(
+        "synth_flags, score_flags",
+        [((), ()), (("--skew", 0.5), ("--features", "11f", "--max-len", 20))],
+        ids=["defaults", "flags"],
+    )
+    def test_demo_writes_the_stage_configs(self, tmp_path, synth_flags, score_flags):
+        # demo and the four stage subcommands, given the same flags, build
+        # the same configs; each manifest lists its config's fields by name.
+        demo, staged = tmp_path / "demo", tmp_path / "staged"
+        common = ("--subjects", 90, "--seed", 3)
+        assert run("demo", *common, *synth_flags, "--eval-count", 30, *score_flags,
+                   "--out", demo) == 0
+        assert run("synth", *common, *synth_flags, "--out", staged) == 0
+        assert run("protocol", "--data", staged / "raw_log.tsv",
+                   "--demographics", staged / "demographics.tsv",
+                   "--eval-count", 30, "--seed", 3, "--out", staged) == 0
+        assert run("score", "--data", staged / "raw_log.tsv",
+                   "--comparisons", staged / "comparisons.txt", *score_flags,
+                   "--out", staged) == 0
+        assert run("evaluate", "--comparisons", staged / "comparisons.txt",
+                   "--scores", staged / "scores.txt",
+                   "--demographics", staged / "demographics.tsv", "--out", staged) == 0
+        stages = {"synth": GeneratorConfig, "protocol": SplitConfig,
+                  "score": FeatureConfig, "evaluate": FairnessConfig}
+        for stage, config in stages.items():
+            from_demo, from_stage = (
+                json.loads((d / f"manifest_{stage}.json").read_text()) for d in (demo, staged)
+            )
+            assert from_demo["config"] == from_stage["config"], stage
+            assert from_demo["seed"] == from_stage["seed"], stage
+            names = {f.name for f in fields(config)} - {"seed"}
+            assert set(from_demo["config"]) == names | ({"strict"} if stage == "score" else set())
+
 
 # -- bad inputs: each ends with its documented exit code and a one-line
 # message, never a traceback.
@@ -560,6 +596,14 @@ def _score_empty_comparisons(synth_dir, protocol_dir, scores_dir, tmp_path):
     )
 
 
+def _negative_seed(name, *argv):
+    def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
+        inputs = {f: synth_dir / f for f in ("raw_log.tsv", "demographics.tsv")}
+        return (*(inputs.get(a, a) for a in argv), "--out", tmp_path / "out")
+    make_argv.__name__ = f"_negative_seed_{name}"
+    return make_argv
+
+
 BAD_INPUTS = [
     (_colon_ids, 2, "contains tab/newline/colon"),
     (_demographics_missing_evaluated_subject, 3, "no demographics for subject"),
@@ -586,6 +630,19 @@ BAD_INPUTS = [
     ),
     (_non_utf8_comparisons, 2, "comparisons.txt is not UTF-8 text (invalid start byte)"),
     (_score_empty_comparisons, 2, "has no comparisons"),
+    (_negative_seed("synth", "synth", "--subjects", 2, "--seed", -1), 2,
+     "seed must be >= 0, got -1"),
+    # Rejected even when no subject would draw from the seed.
+    (_negative_seed("synth_no_subjects", "synth", "--subjects", 0, "--seed", -1), 2,
+     "seed must be >= 0, got -1"),
+    (
+        _negative_seed(
+            "protocol", "protocol", "--data", "raw_log.tsv", "--demographics",
+            "demographics.tsv", "--eval-count", 30, "--seed", -5,
+        ),
+        2, "seed must be >= 0, got -5",
+    ),
+    (_negative_seed("demo", "demo", "--seed", -2), 2, "seed must be >= 0, got -2"),
 ]
 
 
