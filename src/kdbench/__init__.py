@@ -25,7 +25,6 @@ from .protocol import (  # noqa: F401
     Comparison,
     ComparisonKind,
     ComparisonPlan,
-    ScoreSet,
     SplitConfig,
     aggregate_scores,
     build_comparison_plan,

@@ -10,12 +10,10 @@ are interchangeable with external submissions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .core import Dataset
-from .errors import DataReferenceError
 # extract_features stays bound here although nothing below calls it:
 # bench/tests asserts that the tracer rebinds this binding, like the one
 # in cli, and restores it afterwards.
@@ -26,7 +24,7 @@ from .features import (  # noqa: F401
     extract_features,
     order_insensitive_mean_std,
 )
-from .protocol import ComparisonPlan, SessionKey
+from .protocol import ComparisonPlan
 
 STATS_PER_CHANNEL = 5
 STD_FLOOR = 1e-9
@@ -136,30 +134,13 @@ def embed_session(matrix: FeatureMatrix, stats: NormalizationStats) -> np.ndarra
     return normalize(raw_embedding(matrix)[None], stats)[0]
 
 
-def embed_dataset(
-    dataset: Dataset, config: FeatureConfig, stats: NormalizationStats
-) -> dict[SessionKey, np.ndarray]:
-    return dict(zip(dataset.session_keys(), normalize(raw_embeddings(dataset, config), stats)))
-
-
-def score_comparisons(
-    plan: ComparisonPlan, embeddings: Mapping[SessionKey, np.ndarray]
-) -> np.ndarray:
+def score_comparisons(plan: ComparisonPlan, table: np.ndarray) -> np.ndarray:
     """Similarity scores aligned with the plan entries, all in [0, 1].
 
-    Euclidean distances are min-max normalized over the whole plan and
-    subtracted from 1; when every distance is identical all scores are 1.
+    `table` holds one embedding row per `plan.sessions` entry. Euclidean
+    distances are min-max normalized over the whole plan and subtracted
+    from 1; when every distance is identical all scores are 1.
     """
-    def lookup(subject: str, session: str) -> np.ndarray:
-        try:
-            return embeddings[(subject, session)]
-        except KeyError:
-            raise DataReferenceError(
-                f"no embedding for session {session!r} of subject {subject!r}"
-            ) from None
-
-    # One embedding per session-table row, indexed by both plan columns.
-    table = np.stack([lookup(subject, session) for subject, session in plan.sessions])
     distances = np.empty(len(plan.enrol))
     for start in range(0, len(distances), CHUNK_COMPARISONS):
         rows = slice(start, start + CHUNK_COMPARISONS)

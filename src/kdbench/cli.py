@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import formats
-from .baseline import embed_dataset, fit_normalization, score_comparisons
+from .baseline import fit_normalization, normalize, raw_embeddings, score_comparisons
 from .core import Dataset, attach_demographics, filter_eligible
 from .errors import (
     AlignmentError,
@@ -62,11 +62,13 @@ def _stage_config(cls: type, args: argparse.Namespace):
 
 
 def _write_manifest(
-    out_dir: Path, subcommand: str, config: object, inputs: dict[str, Path], **extra: object
+    out_dir: Path, subcommand: str, config: object, inputs: dict[str, Path],
+    diagnostics: dict | None = None, **extra: object,
 ) -> None:
     # One manifest per stage so composed pipelines (demo) keep all of them.
     # The config section is the config's fields (enums by value) plus
-    # `extra`; the seed, if any, is a top-level key.
+    # `extra`; the seed, if any, is a top-level key. `diagnostics` holds
+    # only deterministic facts about the run, so reruns write equal ones.
     settings = {f.name: getattr(config, f.name) for f in fields(config)} | extra
     seed = settings.pop("seed", None)
     formats.write_json(
@@ -78,7 +80,7 @@ def _write_manifest(
             "inputs": {name: formats.sha256_file(p) for name, p in inputs.items()},
             "seed": seed,
             "timestamp": datetime.now(timezone.utc).isoformat(),
-        },
+        } | ({} if diagnostics is None else {"diagnostics": diagnostics}),
         out_dir / f"manifest_{subcommand}.json",
     )
 
@@ -187,9 +189,9 @@ def run_score(
     stats = fit_normalization(development, feature_config)
 
     evaluation = dataset.select(np.flatnonzero(is_referenced))
-    embeddings = embed_dataset(evaluation, feature_config, stats)
+    row_of = {key: row for row, key in enumerate(evaluation.session_keys())}
     evaluated = set(evaluation.subject_ids.tolist())
-    for subject_id, session_id in sorted(referenced - embeddings.keys()):
+    for subject_id, session_id in sorted(referenced - row_of.keys()):
         if subject_id not in evaluated:
             raise DataReferenceError(
                 f"subject {subject_id!r} not in dataset or not protocol-eligible"
@@ -198,7 +200,8 @@ def run_score(
             f"session {session_id!r} of subject {subject_id!r} not in dataset"
         )
 
-    scores = score_comparisons(plan, embeddings)
+    embeddings = normalize(raw_embeddings(evaluation, feature_config), stats)
+    scores = score_comparisons(plan, embeddings[[row_of[key] for key in plan.sessions]])
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = formats.sha256_file(comparisons_path) if strict else None
     formats.write_scores(scores.tolist(), out_dir / "scores.txt", digest)
@@ -235,13 +238,14 @@ def run_evaluate(
     formats.verify_strict_digest(digest, comparisons_path)
     demographics = formats.load_demographics(_require_file(demographics_path))
 
-    score_sets = aggregate_scores(plan, raw_scores)
-    metrics = compute_metrics_report(score_sets)
+    subject_ids, slot_scores = aggregate_scores(plan, raw_scores)
+    metrics = compute_metrics_report(slot_scores)
     g = metrics.global_metrics
     p = metrics.per_subject
     fairness = compute_fairness_report(
-        score_sets, demographics, plan, raw_scores, g, config=fairness_config
+        slot_scores, subject_ids, plan, raw_scores, demographics, g, config=fairness_config
     )
+    matrices = (fairness.sir_age_matrix, fairness.sir_gender_matrix)
 
     fairness_payload = {
         "std": fairness.spread.std,
@@ -279,7 +283,7 @@ def run_evaluate(
     formats.write_json(metrics_payload, out_dir / "metrics.json")
     formats.write_json(fairness_payload, out_dir / "fairness.json")
     formats.write_det_csv(g.curve.thresholds, g.curve.fmr, g.curve.fnmr, out_dir / "det.csv")
-    for m in (fairness.sir_age_matrix, fairness.sir_gender_matrix):
+    for m in matrices:
         name = f"sir_{m.attribute}"
         formats.write_sir_csv(m.labels, m.values, m.missing, out_dir / f"{name}.csv")
         formats.write_sir_csv(
@@ -290,6 +294,10 @@ def run_evaluate(
         "evaluate",
         fairness_config,
         {"comparisons": comparisons_path, "scores": scores_path, "demographics": demographics_path},
+        diagnostics={
+            "groups_excluded_from_spread": fairness.spread.excluded,
+            "sir_missing_cells": {m.attribute: m.missing_cells for m in matrices},
+        },
     )
     print(
         f"global EER {g.eer:.2f}%  AUC {g.auc:.2f}%  "

@@ -10,7 +10,6 @@ impostor similarity within and across groups, per attribute.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .core import AgeGroup, ALL_GROUPS, Demographics, Gender
 from .errors import ConfigError, ProtocolError
-from .protocol import GENUINE, KINDS, SIMILAR, ComparisonPlan, ScoreSet, subject_table
+from .protocol import GENUINE, KINDS, SIMILAR, ComparisonPlan, subject_table
 from .verifmetrics import GlobalMetrics, accuracy_at, operating_point, pooled_scores
 
 
@@ -64,6 +63,11 @@ class SpreadReport:
     std: float
     ser: float
 
+    @property
+    def excluded(self) -> list[str]:
+        """The labels of the groups without subjects, left out of the spread."""
+        return [group.label() for group in ALL_GROUPS if group not in self.per_group]
+
 
 @dataclass(frozen=True)
 class SirMatrix:
@@ -80,12 +84,11 @@ class SirMatrix:
     binarized: np.ndarray
     binarize_threshold: float
 
-
-def _group_of(demographics: Mapping[str, Demographics], subject_id: str) -> Demographics:
-    try:
-        return demographics[subject_id]
-    except KeyError:
-        raise ProtocolError(f"no demographics for subject {subject_id!r}") from None
+    @property
+    def missing_cells(self) -> list[list[str]]:
+        """The (enrolled, verification) labels of the cells without
+        comparisons, row by row; the scalar skips the pairs they touch."""
+        return [[self.labels[i], self.labels[j]] for i, j in np.argwhere(self.missing).tolist()]
 
 
 def accuracy_spread(values: Sequence[float]) -> tuple[float, float]:
@@ -102,47 +105,48 @@ def accuracy_spread(values: Sequence[float]) -> tuple[float, float]:
     return std, ser
 
 
-def group_scores(
-    score_sets: Sequence[ScoreSet], demographics: Mapping[str, Demographics]
-) -> dict[Demographics, list[ScoreSet]]:
-    """The score sets of each of the 12 groups, in `ALL_GROUPS` order; a
-    group without subjects maps to an empty list."""
-    by_group: dict[Demographics, list[ScoreSet]] = {g: [] for g in ALL_GROUPS}
-    for s in score_sets:
-        by_group[_group_of(demographics, s.subject_id)].append(s)
-    return by_group
+def group_index(
+    subject_ids: Sequence[str], demographics: Mapping[str, Demographics]
+) -> np.ndarray:
+    """Each subject's index into `ALL_GROUPS`; -1 for a subject without
+    demographics."""
+    return np.array(
+        [ALL_GROUPS.index(demographics[s]) if s in demographics else -1 for s in subject_ids],
+        dtype=np.intp,
+    )
+
+
+def _by_group(slot_scores: np.ndarray, groups: np.ndarray):
+    """(group, its subjects' slot-score rows) for each populated group, in
+    `ALL_GROUPS` order; `groups` holds each row's group index."""
+    for index, group in enumerate(ALL_GROUPS):
+        rows = slot_scores[groups == index]
+        if len(rows):
+            yield group, rows
 
 
 def group_accuracy_spread(
-    by_group: Mapping[Demographics, Sequence[ScoreSet]], eer_threshold: float
+    slot_scores: np.ndarray, groups: np.ndarray, eer_threshold: float
 ) -> SpreadReport:
     """Per-group verification accuracy at the global EER threshold, with
-    its spread. Unpopulated groups are excluded with a warning."""
-    per_group: dict[Demographics, float] = {}
-    for group, members in by_group.items():
-        if not members:
-            warnings.warn(f"group {group.label()} has no subjects; excluded from spread")
-            continue
-        per_group[group] = accuracy_at(*pooled_scores(members), eer_threshold)
-
+    its spread. Unpopulated groups are excluded (`SpreadReport.excluded`)."""
+    per_group = {
+        group: accuracy_at(*pooled_scores(rows), eer_threshold)
+        for group, rows in _by_group(slot_scores, groups)
+    }
     std, ser = accuracy_spread(list(per_group.values()))
     return SpreadReport(per_group=per_group, std=std, ser=ser)
 
 
-def group_rates(
-    by_group: Mapping[Demographics, Sequence[ScoreSet]], threshold: float
-) -> GroupRates:
+def group_rates(slot_scores: np.ndarray, groups: np.ndarray, threshold: float) -> GroupRates:
     """Per-group FMR/FNMR at one global threshold (in the fairness report,
     the smallest keeping the pooled all-impostor FMR at or below the
     operating target). Group FMRs use similar impostors only; unpopulated
     groups are skipped."""
     rates: dict[Demographics, tuple[float, float]] = {}
     counts: dict[Demographics, int] = {}
-    for group, members in by_group.items():
-        if not members:
-            continue
-        genuine = np.array([v for s in members for v in s.genuine])
-        similar = np.array([v for s in members for v in s.similar])
+    for group, rows in _by_group(slot_scores, groups):
+        genuine, similar = rows[:, GENUINE], rows[:, SIMILAR]
         rates[group] = (
             float((similar >= threshold).mean()),
             float((genuine < threshold).mean()),
@@ -247,11 +251,7 @@ def impostor_score_entries(
     if len(raw_scores) != len(plan):
         raise ValueError("raw_scores not aligned with plan")
     subject_ids, subject_of = subject_table(plan.sessions)
-    # -1 marks a subject without demographics.
-    group_of_subject = np.array(
-        [ALL_GROUPS.index(demographics[s]) if s in demographics else -1 for s in subject_ids],
-        dtype=np.intp,
-    )
+    group_of_subject = group_index(subject_ids, demographics)
     lines = np.flatnonzero(plan.kind != GENUINE)
     enrol = group_of_subject[subject_of[plan.enrol[lines]]]
     verif = group_of_subject[subject_of[plan.verif[lines]]]
@@ -266,10 +266,13 @@ def impostor_score_entries(
         line = int(lines[bad[0]])
         names = [plan.sessions[plan.enrol[line]][0], plan.sessions[plan.verif[line]][0]]
         # A subject without demographics fails here, the enrolled one first.
-        groups = [_group_of(demographics, name) for name in names]
+        for name in names:
+            if name not in demographics:
+                raise ProtocolError(f"no demographics for subject {name!r}")
         raise ProtocolError(
             f"plan and demographics disagree: {KINDS[plan.kind[line]].letter} comparison of "
-            f"{names[0]} ({groups[0].label()}) against {names[1]} ({groups[1].label()})"
+            f"{names[0]} ({demographics[names[0]].label()}) against "
+            f"{names[1]} ({demographics[names[1]].label()})"
         )
     return enrol, verif, np.asarray(raw_scores, dtype=np.float64)[lines]
 
@@ -302,7 +305,7 @@ def sir(entries: ImpostorEntries, attribute: str) -> tuple[SirMatrix, float]:
     The matrix holds mean impostor similarity per ordered (enrolled,
     verification) group pair; the scalar averages |diagonal - off-diagonal|
     gaps along each row, in percent. Cells without comparisons are flagged
-    missing and skipped with a warning.
+    missing (`SirMatrix.missing_cells`) and skipped.
     """
     if attribute not in _ATTRIBUTES:
         raise ValueError(f"attribute must be one of {sorted(_ATTRIBUTES)}")
@@ -321,21 +324,12 @@ def sir(entries: ImpostorEntries, attribute: str) -> tuple[SirMatrix, float]:
     ]).reshape(n, n)
     missing = (np.diff(bounds) == 0).reshape(n, n)
 
-    gaps = []
-    skipped = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if missing[i, i] or missing[i, j]:
-                skipped += 1
-                continue
-            gaps.append(abs(values[i, i] - values[i, j]))
-    if skipped:
-        warnings.warn(
-            f"SIR({attribute}): {skipped} ordered group pair(s) have no "
-            "comparisons; scalar computed over available pairs"
-        )
+    gaps = [
+        abs(values[i, i] - values[i, j])
+        for i in range(n)
+        for j in range(n)
+        if i != j and not (missing[i, i] or missing[i, j])
+    ]
     if not gaps:
         raise ValueError(f"SIR({attribute}): no group pairs with comparisons")
     scalar = 100.0 * float(np.mean(gaps))
@@ -370,21 +364,30 @@ class FairnessReport:
 
 
 def compute_fairness_report(
-    score_sets: Sequence[ScoreSet],
-    demographics: Mapping[str, Demographics],
+    slot_scores: np.ndarray,
+    subject_ids: Sequence[str],
     plan: ComparisonPlan,
     raw_scores: Sequence[float],
+    demographics: Mapping[str, Demographics],
     pooled: GlobalMetrics,
     config: FairnessConfig = FairnessConfig(),
 ) -> FairnessReport:
-    """Every fairness output; `pooled` supplies the EER threshold and the
-    pooled curve the operating-FMR threshold is read from."""
-    # The plan is checked against the demographics before any group metric.
+    """Every fairness output from `aggregate_scores`' subject ids and slot
+    scores; `pooled` supplies the EER threshold and the pooled curve the
+    operating-FMR threshold is read from."""
+    # The plan is checked against the demographics before any group metric,
+    # so every enrolled subject has a group.
     entries = impostor_score_entries(plan, raw_scores, demographics)
-    by_group = group_scores(score_sets, demographics)
-    spread = group_accuracy_spread(by_group, pooled.eer_threshold)
+    groups = group_index(subject_ids, demographics)
+    populated = [ALL_GROUPS[g].label() for g in np.unique(groups).tolist()]
+    if len(populated) < 2:
+        raise ProtocolError(
+            "fairness metrics need at least 2 populated groups; the plan enrols "
+            f"subjects of {', '.join(populated)} only"
+        )
+    spread = group_accuracy_spread(slot_scores, groups, pooled.eer_threshold)
     threshold, _ = operating_point(pooled.curve, config.operating_fmr_percent)
-    rates = group_rates(by_group, threshold)
+    rates = group_rates(slot_scores, groups, threshold)
     age_matrix, sir_age = sir(entries, "age")
     gender_matrix, sir_gender = sir(entries, "gender")
     return FairnessReport(

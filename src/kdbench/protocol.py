@@ -1,5 +1,5 @@
 """Open-set evaluation protocol: splits, the 1vs1 comparison plan, and
-aggregation of raw comparison scores into per-subject score sets.
+aggregation of raw comparison scores into per-subject slot scores.
 
 Every protocol subject contributes 150 session-level comparisons: its 10
 verification sessions against its 5 enrolment sessions (genuine), plus 10
@@ -125,32 +125,6 @@ def subject_table(sessions: Sequence[SessionKey]) -> tuple[list[str], np.ndarray
     index: dict[str, int] = {}
     rows = [index.setdefault(subject_id, len(index)) for subject_id, _ in sessions]
     return list(index), np.array(rows, dtype=np.intp)
-
-
-@dataclass(frozen=True)
-class ScoreSet:
-    """Aggregated similarity scores for one subject: 10 genuine, 10 similar
-    impostor, 10 dissimilar impostor. Higher means more likely the same
-    subject."""
-
-    subject_id: str
-    genuine: tuple[float, ...]
-    similar: tuple[float, ...]
-    dissimilar: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for name, values in (
-            ("genuine", self.genuine),
-            ("similar", self.similar),
-            ("dissimilar", self.dissimilar),
-        ):
-            if len(values) != SLOTS_PER_KIND:
-                raise ValueError(
-                    f"{name} must hold {SLOTS_PER_KIND} scores, got {len(values)}"
-                )
-
-    def impostor(self) -> tuple[float, ...]:
-        return self.similar + self.dissimilar
 
 
 @dataclass(frozen=True)
@@ -362,14 +336,15 @@ def _draw_impostors(
 
 def aggregate_scores(
     plan: ComparisonPlan, raw_scores: "np.ndarray | list[float]"
-) -> list[ScoreSet]:
+) -> tuple[list[str], np.ndarray]:
     """Average each slot's 5 enrolment comparisons into one score.
 
-    Yields one ScoreSet per subject (10 genuine + 10 similar + 10
-    dissimilar slots), sorted by subject id. A plan whose slot lies
-    outside [0, 10), whose genuine line pairs two subjects, or whose
-    impostor line pairs a subject with itself is rejected (ProtocolError);
-    when several lines are bad, the first one is reported.
+    Returns the enrolled subject ids, sorted, and a read-only
+    (subjects, 3, 10) array of their slot means: row r holds subject r's
+    genuine, similar and dissimilar slots, in `KINDS` order. A plan whose
+    slot lies outside [0, 10), whose genuine line pairs two subjects, or
+    whose impostor line pairs a subject with itself is rejected
+    (ProtocolError); when several lines are bad, the first one is reported.
     """
     scores = np.asarray(raw_scores, dtype=np.float64)
     if scores.ndim != 1 or len(scores) != len(plan):
@@ -418,9 +393,9 @@ def aggregate_scores(
             f"index {enrol_index[line]}"
         )
 
-    n_slots = len(subject_ids) * len(KINDS) * SLOTS_PER_KIND
+    shape = (len(subject_ids), len(KINDS), SLOTS_PER_KIND)
     slot_of = cell // ENROL_SESSIONS
-    filled = np.bincount(slot_of, minlength=n_slots)
+    filled = np.bincount(slot_of, minlength=math.prod(shape))
     short = np.flatnonzero(filled[slot_of] < ENROL_SESSIONS)
     if short.size:
         line = int(short[0])
@@ -429,23 +404,20 @@ def aggregate_scores(
             f"expected {ENROL_SESSIONS}"
         )
 
-    present = filled.reshape(len(subject_ids), len(KINDS), SLOTS_PER_KIND) > 0
-    block = np.zeros(n_slots * ENROL_SESSIONS)
-    block[cell] = scores
+    rows = sorted(np.unique(enrolled).tolist(), key=subject_ids.__getitem__)
+    missing = np.argwhere(filled.reshape(shape)[rows] == 0)
+    if missing.size:
+        row, k, i = missing[0].tolist()
+        raise ProtocolError(
+            f"subject {subject_ids[rows[row]]} is missing {KINDS[k].value} slot {i}"
+        )
+    block = np.zeros(shape + (ENROL_SESSIONS,))
+    block.reshape(-1)[cell] = scores
     # Values sit at their enrolment index and fsum is exact, so permuting
     # plan lines together with their scores cannot move a mean by an ulp.
-    means = [math.fsum(values) / ENROL_SESSIONS for values in
-             block.reshape(n_slots, ENROL_SESSIONS).tolist()]
-    out = []
-    for subject_id, s in sorted((subject_ids[s], s) for s in np.unique(enrolled).tolist()):
-        missing = np.argwhere(~present[s])
-        if missing.size:
-            k, i = missing[0].tolist()
-            raise ProtocolError(f"subject {subject_id} is missing {KINDS[k].value} slot {i}")
-        first = s * len(KINDS) * SLOTS_PER_KIND
-        genuine, similar, dissimilar = (
-            tuple(means[first + k * SLOTS_PER_KIND : first + (k + 1) * SLOTS_PER_KIND])
-            for k in range(len(KINDS))
-        )
-        out.append(ScoreSet(subject_id, genuine, similar, dissimilar))
-    return out
+    means = np.array([
+        math.fsum(values) / ENROL_SESSIONS
+        for values in block[rows].reshape(-1, ENROL_SESSIONS).tolist()
+    ]).reshape((len(rows),) + shape[1:])
+    means.flags.writeable = False
+    return [subject_ids[s] for s in rows], means

@@ -10,11 +10,11 @@ therefore invariant under strictly increasing score transformations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .protocol import ScoreSet
+from .protocol import GENUINE, SIMILAR
 
 FMR_TARGETS_PERCENT = (0.1, 1.0, 10.0)
 
@@ -165,15 +165,15 @@ class MetricsReport:
                 raise ValueError(f"rate {value} outside [0, 100]")
 
 
-def pooled_scores(score_sets: Sequence[ScoreSet]) -> tuple[np.ndarray, np.ndarray]:
-    genuine = np.array([v for s in score_sets for v in s.genuine])
-    impostor = np.array([v for s in score_sets for v in s.impostor()])
-    return genuine, impostor
+def pooled_scores(slot_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The genuine and the impostor scores of (subjects, 3, 10) slot scores,
+    subject by subject; a subject's impostors run similar, then dissimilar."""
+    return slot_scores[:, GENUINE].ravel(), slot_scores[:, SIMILAR:].ravel()
 
 
-def global_metrics(score_sets: Sequence[ScoreSet]) -> GlobalMetrics:
+def global_metrics(slot_scores: np.ndarray) -> GlobalMetrics:
     """Single-threshold evaluation over the pooled score distributions."""
-    genuine, impostor = pooled_scores(score_sets)
+    genuine, impostor = pooled_scores(slot_scores)
     curve = roc(genuine, impostor)
     eer_value, eer_thr = eer(curve)
     return GlobalMetrics(
@@ -186,39 +186,35 @@ def global_metrics(score_sets: Sequence[ScoreSet]) -> GlobalMetrics:
     )
 
 
-def per_subject_metrics(score_sets: Sequence[ScoreSet]) -> PerSubjectMetrics:
-    """Subject-adaptive evaluation: EER/AUC/accuracy per subject, averaged.
+def per_subject_metrics(slot_scores: np.ndarray) -> PerSubjectMetrics:
+    """Subject-adaptive evaluation: EER/AUC/accuracy per subject (row of
+    the slot scores), averaged in row order.
 
     Accuracy uses each subject's own EER threshold. Rank-1 is the fraction
     of genuine attempts strictly exceeding all 20 of that subject's
     impostor scores.
     """
-    if not score_sets:
-        raise ValueError("no score sets")
+    if not len(slot_scores):
+        raise ValueError("no subjects")
+    genuine = slot_scores[:, GENUINE]
+    impostor = slot_scores[:, SIMILAR:].reshape(len(slot_scores), -1)
     eers, aucs, accs = [], [], []
-    hits = 0
-    attempts = 0
-    for s in score_sets:
-        genuine = np.asarray(s.genuine)
-        impostor = np.asarray(s.impostor())
-        curve = roc(genuine, impostor)
+    for gen, imp in zip(genuine, impostor):
+        curve = roc(gen, imp)
         eer_value, eer_thr = eer(curve)
         eers.append(eer_value)
-        aucs.append(auc(genuine, impostor))
-        accs.append(accuracy_at(genuine, impostor, eer_thr))
-        top_impostor = impostor.max()
-        hits += int((genuine > top_impostor).sum())
-        attempts += len(genuine)
+        aucs.append(auc(gen, imp))
+        accs.append(accuracy_at(gen, imp, eer_thr))
     return PerSubjectMetrics(
         eer=float(np.mean(eers)),
         auc=float(np.mean(aucs)),
         accuracy=float(np.mean(accs)),
-        rank1=hits / attempts * 100.0,
+        rank1=float((genuine > impostor.max(axis=1, keepdims=True)).mean()) * 100.0,
     )
 
 
-def compute_metrics_report(score_sets: Sequence[ScoreSet]) -> MetricsReport:
+def compute_metrics_report(slot_scores: np.ndarray) -> MetricsReport:
     return MetricsReport(
-        global_metrics=global_metrics(score_sets),
-        per_subject=per_subject_metrics(score_sets),
+        global_metrics=global_metrics(slot_scores),
+        per_subject=per_subject_metrics(slot_scores),
     )

@@ -113,27 +113,27 @@ def accuracy_brute(
     return correct / (len(genuine) + len(impostor)) * 100.0
 
 
-def rank1_brute(score_sets) -> float:
+def rank1_brute(slot_scores) -> float:
     hits = 0
     attempts = 0
-    for s in score_sets:
-        worst_case = max(s.impostor())
-        for g in s.genuine:
+    for genuine, similar, dissimilar in slot_scores.tolist():
+        worst_case = max(similar + dissimilar)
+        for g in genuine:
             attempts += 1
             if g > worst_case:
                 hits += 1
     return hits / attempts * 100.0
 
 
-def group_rates_brute(score_sets, demographics, threshold):
+def group_rates_brute(subject_ids, slot_scores, demographics, threshold):
     """group -> (fmr over similar impostors, fnmr over genuine)."""
     by_group: dict = {}
-    for s in score_sets:
-        by_group.setdefault(demographics[s.subject_id], []).append(s)
+    for subject_id, row in zip(subject_ids, slot_scores.tolist()):
+        by_group.setdefault(demographics[subject_id], []).append(row)
     out = {}
     for group, members in by_group.items():
-        similar = [v for s in members for v in s.similar]
-        genuine = [v for s in members for v in s.genuine]
+        similar = [v for _, row, _ in members for v in row]
+        genuine = [v for row, _, _ in members for v in row]
         fmr = sum(1 for v in similar if v >= threshold) / len(similar)
         fnmr = sum(1 for v in genuine if v < threshold) / len(genuine)
         out[group] = (fmr, fnmr)

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from kdbench import baseline
 from kdbench.baseline import (
     NormalizationStats,
-    embed_dataset,
     embed_session,
     fit_normalization,
+    normalize,
     raw_embedding,
     raw_embeddings,
     score_comparisons,
 )
 from kdbench.core import Dataset, Session, Subject
-from kdbench.errors import DataReferenceError
 from kdbench.features import FeatureConfig, FeatureMatrix, FeatureSet, extract_features
 from kdbench.protocol import Comparison, ComparisonKind, ComparisonPlan
 
@@ -197,16 +196,11 @@ class TestBlockPathMatchesPerSessionPath:
         with mock.patch.object(baseline, "CHUNK_SESSIONS", chunk):
             raw = raw_embeddings(dataset, config)
             stats = fit_normalization(dataset, config)
-            embedded = embed_dataset(dataset, config, stats)
         assert raw.tobytes() == raw_embeddings_per_session(sessions, config).tobytes()
         mean, std = normalization_per_session(sessions, config, baseline.STD_FLOOR)
         assert (stats.mean.tobytes(), stats.std.tobytes()) == (mean.tobytes(), std.tobytes())
-        assert list(embedded) == [
-            (subject.subject_id, session.session_id)
-            for subject in dataset.subjects for session in subject.sessions
-        ]
         expected = embed_per_session(sessions, config, stats.mean, stats.std)
-        assert np.stack(list(embedded.values())).tobytes() == expected.tobytes()
+        assert normalize(raw, stats).tobytes() == expected.tobytes()
 
     def test_one_length_beyond_one_chunk(self):
         rng = np.random.default_rng(5)
@@ -229,7 +223,6 @@ class TestBlockPathErrors:
         for call in (
             lambda: raw_embeddings(dataset, CFG),
             lambda: fit_normalization(dataset, CFG),
-            lambda: embed_dataset(dataset, CFG, identity_stats(25)),
         ):
             with pytest.raises(ValueError, match="^session e1 has no events$"):
                 call()
@@ -237,7 +230,7 @@ class TestBlockPathErrors:
     def test_non_finite_coordinate_rejected(self):
         stats = NormalizationStats(mean=np.full(25, np.inf), std=np.ones(25))
         with pytest.raises(ValueError, match="^embedding contains non-finite coordinates$"):
-            embed_dataset(tiny_dataset(), CFG, stats)
+            normalize(raw_embeddings(tiny_dataset(), CFG), stats)
         with pytest.raises(ValueError, match="^embedding contains non-finite coordinates$"):
             embed_session(extract_features(WORKED_SESSION, CFG), stats)
 
@@ -246,7 +239,7 @@ class TestBlockPathErrors:
             ValueError,
             match="^embedding dimension 25 does not match normalization dimension 7$",
         ):
-            embed_dataset(tiny_dataset(), CFG, identity_stats(7))
+            normalize(raw_embeddings(tiny_dataset(), CFG), identity_stats(7))
 
 
 def test_working_memory_is_a_few_chunks():
@@ -286,40 +279,38 @@ def plan_of(pairs):
     return plan_of_rows(entries)
 
 
-def embeddings_of(vectors):
-    return {key: np.asarray(vec, dtype=np.float64) for key, vec in vectors.items()}
+def table_of(plan, vectors):
+    """The embedding table `score_comparisons` takes: `vectors` in the
+    order of the plan's session table."""
+    return np.array([vectors[key] for key in plan.sessions], dtype=np.float64)
 
 
 class TestScoreComparisons:
     def test_identical_pair_scores_one_and_farthest_scores_zero(self):
-        emb = embeddings_of(
-            {
-                ("a", "s0"): [0.0, 0.0],
-                ("b", "s0"): [0.0, 0.0],
-                ("b", "s1"): [3.0, 4.0],
-            }
-        )
+        vectors = {
+            ("a", "s0"): [0.0, 0.0],
+            ("b", "s0"): [0.0, 0.0],
+            ("b", "s1"): [3.0, 4.0],
+        }
         plan = plan_of([("s0", "s0"), ("s0", "s1")])
-        scores = score_comparisons(plan, emb)
+        scores = score_comparisons(plan, table_of(plan, vectors))
         assert scores[0] == 1.0
         assert scores[1] == 0.0
 
     def test_constant_distances_all_ones(self):
-        emb = embeddings_of({("a", "s0"): [0.0], ("b", "s0"): [1.0]})
+        vectors = {("a", "s0"): [0.0], ("b", "s0"): [1.0]}
         plan = plan_of([("s0", "s0"), ("s0", "s0")])
-        assert np.all(score_comparisons(plan, emb) == 1.0)
+        assert np.all(score_comparisons(plan, table_of(plan, vectors)) == 1.0)
 
     def test_scores_anti_monotone_with_distance(self):
-        emb = embeddings_of(
-            {
-                ("a", "s0"): [0.0],
-                ("b", "s0"): [1.0],
-                ("b", "s1"): [2.0],
-                ("b", "s2"): [5.0],
-            }
-        )
+        vectors = {
+            ("a", "s0"): [0.0],
+            ("b", "s0"): [1.0],
+            ("b", "s1"): [2.0],
+            ("b", "s2"): [5.0],
+        }
         plan = plan_of([("s0", "s0"), ("s0", "s1"), ("s0", "s2")])
-        scores = score_comparisons(plan, emb)
+        scores = score_comparisons(plan, table_of(plan, vectors))
         assert scores[0] > scores[1] > scores[2]
 
     def test_rotation_invariance(self):
@@ -327,29 +318,24 @@ class TestScoreComparisons:
         vectors = {("a", f"s{i}"): rng.normal(size=3) for i in range(4)}
         vectors.update({("b", f"s{i}"): rng.normal(size=3) for i in range(4)})
         plan = plan_of([(f"s{i}", f"s{(i + 1) % 4}") for i in range(4)])
-        base = score_comparisons(plan, embeddings_of(vectors))
+        base = score_comparisons(plan, table_of(plan, vectors))
         # Random orthogonal matrix via QR.
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         rotated = {key: q @ np.asarray(vec) for key, vec in vectors.items()}
-        after = score_comparisons(plan, embeddings_of(rotated))
+        after = score_comparisons(plan, table_of(plan, rotated))
         assert after == pytest.approx(base, abs=1e-9)
-
-    def test_missing_embedding_names_session(self):
-        emb = embeddings_of({("a", "s0"): [0.0]})
-        plan = plan_of([("s0", "s9")])
-        with pytest.raises(DataReferenceError, match="s9"):
-            score_comparisons(plan, emb)
 
     def test_scores_within_unit_interval(self):
         ds = tiny_dataset()
-        stats = fit_normalization(ds, CFG)
-        emb = embed_dataset(ds, CFG, stats)
+        vectors = dict(zip(ds.session_keys(), normalize(
+            raw_embeddings(ds, CFG), fit_normalization(ds, CFG)
+        )))
         pairs = [("s0", "s1"), ("s1", "s2"), ("s2", "s3")]
-        entries = tuple(
+        plan = plan_of_rows(
             Comparison("u0", a, "u1", b, ComparisonKind.SIMILAR, i, 0)
             for i, (a, b) in enumerate(pairs)
         )
-        scores = score_comparisons(plan_of_rows(entries), emb)
+        scores = score_comparisons(plan, table_of(plan, vectors))
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
@@ -360,8 +346,7 @@ def random_plan(n_sessions, n_comparisons, rng):
     return ComparisonPlan(keys, *columns, zeros, np.arange(n_comparisons), zeros)
 
 
-def unchunked_scores(plan, embeddings):
-    table = np.stack([embeddings[key] for key in plan.sessions])
+def unchunked_scores(plan, table):
     distances = np.linalg.norm(table[plan.enrol] - table[plan.verif], axis=1)
     d_min, d_max = distances.min(), distances.max()
     return 1.0 - (distances - d_min) / (d_max - d_min)
@@ -371,28 +356,27 @@ def unchunked_scores(plan, embeddings):
 def test_chunked_distances_are_the_unchunked_bytes(chunk):
     rng = np.random.default_rng(5)
     plan = random_plan(40, 1000, rng)
-    emb = {key: rng.normal(size=25) for key in plan.sessions}
+    table = rng.normal(size=(len(plan.sessions), 25))
     with mock.patch.object(baseline, "CHUNK_COMPARISONS", chunk):
-        scores = score_comparisons(plan, emb)
-    assert scores.tobytes() == unchunked_scores(plan, emb).tobytes()
+        scores = score_comparisons(plan, table)
+    assert scores.tobytes() == unchunked_scores(plan, table).tobytes()
 
 
 def test_distance_memory_is_a_few_chunks():
-    # 200,000 comparisons of 55-coordinate embeddings: beyond the scores
-    # and the session table, scoring holds a few chunks' rows, not the
-    # (comparisons, dims) blocks of both sides (88 MB each here).
+    # 200,000 comparisons of 55-coordinate embeddings: beyond the scores,
+    # scoring holds a few chunks' rows, not the (comparisons, dims) blocks
+    # of both sides (88 MB each here).
     rng = np.random.default_rng(6)
     plan = random_plan(500, 200_000, rng)
-    emb = {key: rng.normal(size=55) for key in plan.sessions}
+    table = rng.normal(size=(len(plan.sessions), 55))
     chunk_rows = baseline.CHUNK_COMPARISONS * 55 * 8
     tracemalloc.start()
     try:
-        scores = score_comparisons(plan, emb)
+        scores = score_comparisons(plan, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = 500 * 55 * 8
-    assert peak - 2 * scores.nbytes - table <= 4 * chunk_rows
+    assert peak - 2 * scores.nbytes <= 4 * chunk_rows
 
 
 def test_quartiles_are_np_percentile_bytes():

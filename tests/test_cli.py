@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdbench.cli import main
-from kdbench.core import CHUNK_BYTES, Dataset
+from kdbench.core import ALL_GROUPS, CHUNK_BYTES, Dataset
 from kdbench.fairmetrics import FairnessConfig
 from kdbench.features import FeatureConfig
 from kdbench.formats import (
@@ -28,6 +28,7 @@ from kdbench.protocol import ComparisonKind, SplitConfig, build_comparison_plan
 from kdbench.synthgen import GeneratorConfig, generate
 
 from oracles import plan_of_rows
+from test_formats import load_sir_csv
 
 METRIC_KEYS = {
     "eer_global",
@@ -256,6 +257,35 @@ class TestEvaluateCommand:
             "--out", tmp_path / "out",
         )
         assert code == 5
+
+    def test_diagnostics_equal_across_runs_and_match_outputs(
+        self, synth_dir, protocol_dir, scores_dir, tmp_path
+    ):
+        # Only the first line's age bin is enrolled: 10 groups are left out
+        # of the spread and most SIR age cells are empty.
+        group = _enrolled_group(synth_dir)
+        age = group((protocol_dir / "comparisons.txt").read_text())[0]
+        argv = _evaluate_subset(
+            (synth_dir, protocol_dir, scores_dir, tmp_path),
+            lambda i, line: group(line)[0] == age,
+        )
+        manifests = []
+        for out in ("a", "b"):
+            assert run(*argv[:-1], tmp_path / out) == 0
+            manifests.append(json.loads((tmp_path / out / "manifest_evaluate.json").read_text()))
+        diagnostics = manifests[0]["diagnostics"]
+        assert diagnostics == manifests[1]["diagnostics"]
+        fairness = json.loads((tmp_path / "a" / "fairness.json").read_text())
+        excluded = diagnostics["groups_excluded_from_spread"]
+        assert len(excluded) == 10
+        assert excluded == [
+            g.label() for g in ALL_GROUPS if g.label() not in fairness["per_group_accuracy"]
+        ]
+        for attribute in ("age", "gender"):
+            labels, _, missing = load_sir_csv(tmp_path / "a" / f"sir_{attribute}.csv")
+            expected = [[labels[i], labels[j]] for i, j in np.argwhere(missing).tolist()]
+            assert diagnostics["sir_missing_cells"][attribute] == expected
+        assert diagnostics["sir_missing_cells"]["age"]
 
     def test_perfectly_separated_fixture(self, tmp_path):
         # Hand-built scores with disjoint genuine/impostor supports must
@@ -534,6 +564,62 @@ def _impostor_is_enrolled_subject(*dirs):
     return _evaluate_edited(dirs, edit_comparisons=self_impostor)
 
 
+def _evaluate_subset(dirs, keep):
+    """evaluate on the fixture run's comparison lines, and their scores,
+    for which `keep(index, line)` holds."""
+    synth_dir, protocol_dir, scores_dir, tmp_path = dirs
+    lines = (protocol_dir / "comparisons.txt").read_text().splitlines(keepends=True)
+    scores = (scores_dir / "scores.txt").read_text().splitlines(keepends=True)
+    assert len(scores) == len(lines)
+    kept = [i for i, line in enumerate(lines) if keep(i, line)]
+    (tmp_path / "comparisons.txt").write_text("".join(lines[i] for i in kept))
+    (tmp_path / "scores.txt").write_text("".join(scores[i] for i in kept))
+    return (
+        "evaluate",
+        "--comparisons", tmp_path / "comparisons.txt",
+        "--scores", tmp_path / "scores.txt",
+        "--demographics", synth_dir / "demographics.tsv",
+        "--out", tmp_path / "out",
+    )
+
+
+def _enrolled_group(synth_dir):
+    """The (age bin, gender) of a comparison line's enrolled subject."""
+    demographics = {
+        line.split("\t")[0]: tuple(line.split("\t")[1:])
+        for line in (synth_dir / "demographics.tsv").read_text().splitlines()
+    }
+    return lambda line: demographics[line.split(":")[0]]
+
+
+def _one_enrolled_group(*dirs):
+    # 300 lines: the 2 evaluated subjects of the first line's group, 14-17/M.
+    group = _enrolled_group(dirs[0])
+    first = group((dirs[1] / "comparisons.txt").read_text())
+    return _evaluate_subset(dirs, lambda i, line: group(line) == first)
+
+
+def _slot_without_lines(*dirs):
+    # The file's first five lines are its first subject's genuine slot 0.
+    return _evaluate_subset(dirs, lambda i, line: i >= 5)
+
+
+def _score_enrolling(enrol):
+    """score with the first comparison line's enrolment side set to `enrol`."""
+    def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
+        lines = (protocol_dir / "comparisons.txt").read_text().splitlines(keepends=True)
+        lines[0] = "\t".join([enrol] + _fields(lines[0])[1:]) + "\n"
+        (tmp_path / "comparisons.txt").write_text("".join(lines))
+        return (
+            "score",
+            "--data", synth_dir / "raw_log.tsv",
+            "--comparisons", tmp_path / "comparisons.txt",
+            "--out", tmp_path / "out",
+        )
+    make_argv.__name__ = f"_score_enrolling_{enrol.replace(':', '_')}"
+    return make_argv
+
+
 def _flipped_gender(*dirs):
     evaluated = json.loads((dirs[1] / "split.json").read_text())["evaluation"]
 
@@ -622,6 +708,12 @@ BAD_INPUTS = [
     (_genuine_line_across_subjects, 3, "genuine lines pair a subject with itself"),
     (_impostor_is_enrolled_subject, 3, "impostor lines with another"),
     (_flipped_gender, 3, "plan and demographics disagree"),
+    (_one_enrolled_group, 3, "fairness metrics need at least 2 populated groups; "
+                             "the plan enrols subjects of 14-17/M only"),
+    (_slot_without_lines, 3, "subject u00001 is missing genuine slot 0"),
+    (_score_enrolling("u00001:zz99"), 4, "session 'zz99' of subject 'u00001' not in dataset"),
+    (_score_enrolling("zz_ghost:s00"), 4,
+     "subject 'zz_ghost' not in dataset or not protocol-eligible"),
     (_non_utf8_scores, 2, "scores.txt is not UTF-8 text (invalid start byte)"),
     (_non_utf8_raw_log, 2, "raw_log.tsv is not UTF-8 text (invalid start byte)"),
     (

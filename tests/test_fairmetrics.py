@@ -14,13 +14,12 @@ from kdbench.fairmetrics import (
     garbe,
     gini,
     group_accuracy_spread,
+    group_index,
     group_rates,
-    group_scores,
     inequity_rate,
     otsu_threshold,
     sir,
 )
-from kdbench.protocol import ScoreSet
 from kdbench.verifmetrics import operating_point, pooled_scores, roc
 
 from oracles import group_rates_brute
@@ -51,11 +50,11 @@ def identical_group_rates(n=12, fmr=0.02, fnmr=0.05) -> GroupRates:
     )
 
 
-def rates_at(sets, demographics, config=FairnessConfig()) -> GroupRates:
+def rates_at(subject_ids, slots, demographics, config=FairnessConfig()) -> GroupRates:
     """Group rates at the pooled curve's operating-FMR threshold, as
     `compute_fairness_report` takes them."""
-    threshold, _ = operating_point(roc(*pooled_scores(sets)), config.operating_fmr_percent)
-    return group_rates(group_scores(sets, demographics), threshold)
+    threshold, _ = operating_point(roc(*pooled_scores(slots)), config.operating_fmr_percent)
+    return group_rates(slots, group_index(subject_ids, demographics), threshold)
 
 
 class TestAccuracySpread:
@@ -81,61 +80,60 @@ class TestAccuracySpread:
 
 
 def make_sets(groups, per_group=3, shift=0.3, seed=0):
+    """Subject ids, their (subjects, 3, 10) slot scores and demographics:
+    `per_group` subjects in each of `groups`."""
     rng = np.random.default_rng(seed)
-    sets, demographics = [], {}
+    ids, rows, demographics = [], [], {}
     for g_idx, group in enumerate(groups):
         for i in range(per_group):
             sid = f"u{g_idx:02d}_{i}"
-            genuine = tuple(np.clip(rng.normal(0.5 + shift, 0.1, 10), 0, 1))
-            similar = tuple(np.clip(rng.normal(0.5 - shift, 0.1, 10), 0, 1))
-            dissim = tuple(np.clip(rng.normal(0.5 - shift, 0.1, 10), 0, 1))
-            sets.append(ScoreSet(sid, genuine, similar, dissim))
+            ids.append(sid)
+            rows.append([np.clip(rng.normal(0.5 + sign * shift, 0.1, 10), 0, 1)
+                         for sign in (1, -1, -1)])
             demographics[sid] = group
-    return sets, demographics
+    return ids, np.array(rows), demographics
 
 
 class TestGroupAccuracySpread:
     def test_all_groups_reported(self):
-        sets, demo = make_sets(ALL_GROUPS)
-        report = group_accuracy_spread(group_scores(sets, demo), eer_threshold=0.5)
+        ids, slots, demo = make_sets(ALL_GROUPS)
+        report = group_accuracy_spread(slots, group_index(ids, demo), eer_threshold=0.5)
         assert len(report.per_group) == 12
+        assert report.excluded == []
         assert report.ser >= 1.0
 
-    def test_empty_group_excluded_with_warning(self):
-        sets, demo = make_sets(ALL_GROUPS[:3])
-        with pytest.warns(UserWarning, match="no subjects"):
-            report = group_accuracy_spread(group_scores(sets, demo), eer_threshold=0.5)
+    def test_empty_group_excluded_and_named(self):
+        ids, slots, demo = make_sets(ALL_GROUPS[:3])
+        report = group_accuracy_spread(slots, group_index(ids, demo), eer_threshold=0.5)
         assert len(report.per_group) == 3
+        assert report.excluded == [group.label() for group in ALL_GROUPS[3:]]
 
 
 class TestGroupRates:
     def test_identical_groups_identical_rates(self):
-        scores = tuple([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-        sets = [
-            ScoreSet("a", scores, scores, scores),
-            ScoreSet("b", scores, scores, scores),
-        ]
+        scores = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+        slots = np.array([[scores] * 3] * 2)
         demo = {"a": ALL_GROUPS[0], "b": ALL_GROUPS[1]}
-        rates = rates_at(sets, demo)
+        rates = rates_at(["a", "b"], slots, demo)
         values = list(rates.rates.values())
         assert values[0] == values[1]
 
     def test_matches_brute_force(self):
-        sets, demo = make_sets(ALL_GROUPS, per_group=4, seed=3)
-        rates = rates_at(sets, demo)
-        expected = group_rates_brute(sets, demo, rates.threshold)
+        ids, slots, demo = make_sets(ALL_GROUPS, per_group=4, seed=3)
+        rates = rates_at(ids, slots, demo)
+        expected = group_rates_brute(ids, slots, demo, rates.threshold)
         assert rates.rates == expected
 
     def test_threshold_respects_global_target(self):
-        sets, demo = make_sets(ALL_GROUPS, per_group=4, seed=5)
-        rates = rates_at(sets, demo, FairnessConfig(operating_fmr_percent=1.0))
-        impostor = np.array([v for s in sets for v in s.impostor()])
+        ids, slots, demo = make_sets(ALL_GROUPS, per_group=4, seed=5)
+        rates = rates_at(ids, slots, demo, FairnessConfig(operating_fmr_percent=1.0))
+        impostor = slots[:, 1:].ravel()
         assert np.mean(impostor >= rates.threshold) <= 0.01
 
     def test_raising_threshold_never_raises_group_fmr(self):
-        sets, demo = make_sets(ALL_GROUPS, per_group=4, seed=7)
-        lo = rates_at(sets, demo, FairnessConfig(operating_fmr_percent=10.0))
-        hi = rates_at(sets, demo, FairnessConfig(operating_fmr_percent=1.0))
+        ids, slots, demo = make_sets(ALL_GROUPS, per_group=4, seed=7)
+        lo = rates_at(ids, slots, demo, FairnessConfig(operating_fmr_percent=10.0))
+        hi = rates_at(ids, slots, demo, FairnessConfig(operating_fmr_percent=1.0))
         assert hi.threshold >= lo.threshold
         for group in lo.rates:
             assert hi.rates[group][0] <= lo.rates[group][0]
@@ -263,11 +261,11 @@ class TestSir:
         assert matrix.values.shape == (6, 6)
         assert matrix.labels == tuple(a.value for a in AgeGroup)
 
-    def test_missing_pair_flagged_and_warned(self):
+    def test_missing_pair_flagged_and_named(self):
         entries = without_female_to_male(sir_entries_from_matrix([[0.5, 0.3], [0.3, 0.5]]))
-        with pytest.warns(UserWarning, match="no comparisons"):
-            matrix, scalar = sir(entries, "gender")
+        matrix, scalar = sir(entries, "gender")
         assert matrix.missing[1, 0]
+        assert matrix.missing_cells == [["F", "M"]]
         assert scalar == pytest.approx(20.0, abs=1e-9)  # remaining pair only
 
     def test_binarized_separates_diagonal(self):
@@ -298,19 +296,19 @@ class TestZeroSkewFixpoints:
     def test_all_fairness_fixpoints(self):
         """Identical per-group distributions drive every metric to its
         fair value."""
-        scores = tuple(np.linspace(0.05, 0.95, 10))
-        genuine = tuple(np.linspace(0.6, 1.0, 10))
-        sets = []
-        demographics = {}
+        scores = np.linspace(0.05, 0.95, 10)
+        genuine = np.linspace(0.6, 1.0, 10)
+        ids, demographics = [], {}
         for g_idx, group in enumerate(ALL_GROUPS):
             for i in range(2):
                 sid = f"u{g_idx:02d}_{i}"
-                sets.append(ScoreSet(sid, genuine, scores, scores))
+                ids.append(sid)
                 demographics[sid] = group
-        spread = group_accuracy_spread(group_scores(sets, demographics), eer_threshold=0.5)
+        slots = np.array([[genuine, scores, scores]] * len(ids))
+        spread = group_accuracy_spread(slots, group_index(ids, demographics), eer_threshold=0.5)
         assert spread.std == pytest.approx(0.0, abs=1e-9)
         assert spread.ser == pytest.approx(1.0, abs=1e-9)
-        rates = rates_at(sets, demographics)
+        rates = rates_at(ids, slots, demographics)
         assert fdr(rates) == pytest.approx(100.0, abs=1e-9)
         assert inequity_rate(rates) == pytest.approx(1.0, abs=1e-9)
         assert garbe(rates) == pytest.approx(0.0, abs=1e-9)

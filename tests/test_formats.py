@@ -331,8 +331,8 @@ def test_sir_csv_round_trip(tmp_path):
 
 def test_sir_csv_missing_cells(tmp_path):
     entries = without_female_to_male(sir_entries_from_matrix([[0.5, 0.3], [0.2, 0.6]]))
-    with pytest.warns(UserWarning):
-        matrix, _ = sir(entries, "gender")
+    matrix, _ = sir(entries, "gender")
+    assert matrix.missing_cells == [["F", "M"]]
     path = tmp_path / "sir_gender.csv"
     write_sir_csv(matrix.labels, matrix.values, matrix.missing, path)
     _, values, missing = load_sir_csv(path)

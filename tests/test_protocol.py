@@ -11,8 +11,8 @@ from kdbench.core import AgeGroup, ALL_GROUPS, Gender
 from kdbench.errors import AlignmentError, ConfigError, ProtocolError
 from kdbench.fairmetrics import impostor_score_entries
 from kdbench.protocol import (
+    KINDS,
     ComparisonKind,
-    ScoreSet,
     SplitConfig,
     aggregate_scores,
     build_comparison_plan,
@@ -271,19 +271,20 @@ class TestAggregateScores:
         assert len(hits) == 5
         for i, v in zip(hits, values):
             scores[i] = v
-        sets = {s.subject_id: s for s in aggregate_scores(plan, scores)}
-        assert sets[entry.enrol_subject].genuine[entry.score_index] == pytest.approx(
+        ids, slots = aggregate_scores(plan, scores)
+        row = ids.index(entry.enrol_subject)
+        assert slots[row, KINDS.index(entry.kind), entry.score_index] == pytest.approx(
             0.6, abs=1e-12
         )
 
     def test_output_shape_and_order(self):
         plan, scores = self._plan_and_scores()
-        sets = aggregate_scores(plan, scores)
-        assert len(sets) == 24
-        ids = [s.subject_id for s in sets]
+        ids, slots = aggregate_scores(plan, scores)
+        assert len(set(ids)) == 24
         assert ids == sorted(ids)
-        for s in sets:
-            assert len(s.genuine) == len(s.similar) == len(s.dissimilar) == 10
+        assert slots.shape == (24, len(KINDS), 10)
+        assert slots.dtype == np.float64
+        assert not slots.flags.writeable
 
     def test_permutation_invariance(self):
         plan, scores = self._plan_and_scores()
@@ -291,9 +292,10 @@ class TestAggregateScores:
         order = rng.permutation(len(plan))
         rows = plan.entries
         permuted_plan = plan_of_rows(rows[i] for i in order)
-        assert aggregate_scores(permuted_plan, scores[order]) == aggregate_scores(
-            plan, scores
-        )
+        ids, slots = aggregate_scores(plan, scores)
+        permuted_ids, permuted_slots = aggregate_scores(permuted_plan, scores[order])
+        assert permuted_ids == ids
+        assert permuted_slots.tobytes() == slots.tobytes()
 
     def test_length_mismatch_rejected(self):
         plan, scores = self._plan_and_scores()
@@ -305,6 +307,23 @@ class TestAggregateScores:
         scores[17] = np.nan
         with pytest.raises(AlignmentError, match="entry 17"):
             aggregate_scores(plan, scores)
+
+
+class TestScoreSet:
+    """A subject's score set: 10 slot means per comparison kind."""
+
+    def test_requires_ten_scores_per_slot_kind(self):
+        plan = build_comparison_plan(uniform_dataset(n_per_group=2), seed=3)
+        subject = plan.entries[0].enrol_subject
+        # Drop all 5 lines of the subject's last genuine slot: 9 genuine scores.
+        keep = [
+            e for e in plan.entries
+            if (e.enrol_subject, e.kind, e.score_index)
+            != (subject, ComparisonKind.GENUINE, 9)
+        ]
+        assert len(keep) == len(plan) - 5
+        with pytest.raises(ProtocolError, match=f"{subject} is missing genuine slot 9"):
+            aggregate_scores(plan_of_rows(keep), np.full(len(keep), 0.5))
 
 
 def _moved_to(subject_id):
@@ -367,16 +386,6 @@ class TestPlanChecksReportTheFirstBadLine:
             lambda plan, scores: impostor_score_entries(plan, scores, demographics),
             first, second,
         )
-
-
-class TestScoreSet:
-    def test_requires_ten_scores_per_slot_kind(self):
-        with pytest.raises(ValueError, match="10 scores"):
-            ScoreSet("u", (0.5,) * 9, (0.5,) * 10, (0.5,) * 10)
-
-    def test_impostor_concatenation(self):
-        s = ScoreSet("u", (1.0,) * 10, (0.2,) * 10, (0.1,) * 10)
-        assert s.impostor() == (0.2,) * 10 + (0.1,) * 10
 
 
 @settings(max_examples=20, deadline=None)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kdbench.protocol import ScoreSet
 from kdbench.verifmetrics import (
     accuracy_at,
     auc,
@@ -13,6 +12,7 @@ from kdbench.verifmetrics import (
     eer,
     operating_point,
     per_subject_metrics,
+    pooled_scores,
     roc,
 )
 
@@ -196,50 +196,57 @@ class TestOracleEquivalence:
             )
 
 
-def make_score_set(subject_id, rng, shift=0.3):
-    genuine = np.clip(rng.normal(0.5 + shift, 0.15, 10), 0, 1)
-    similar = np.clip(rng.normal(0.5 - shift, 0.15, 10), 0, 1)
-    dissimilar = np.clip(rng.normal(0.5 - shift, 0.15, 10), 0, 1)
-    return ScoreSet(subject_id, tuple(genuine), tuple(similar), tuple(dissimilar))
+def make_slot_scores(n_subjects, rng, shift=0.3):
+    """(subjects, 3, 10) slot scores: genuine around 0.5 + shift, similar
+    and dissimilar impostors around 0.5 - shift."""
+    return np.array([
+        [np.clip(rng.normal(0.5 + sign * shift, 0.15, 10), 0, 1) for sign in (1, -1, -1)]
+        for _ in range(n_subjects)
+    ])
+
+
+class TestPooledScores:
+    def test_impostors_run_similar_then_dissimilar(self):
+        slots = np.arange(60.0).reshape(2, 3, 10)
+        genuine, impostor = pooled_scores(slots)
+        assert genuine.tolist() == [*range(0, 10), *range(30, 40)]
+        assert impostor.tolist() == [*range(10, 30), *range(40, 60)]
 
 
 class TestPerSubjectMetrics:
     def test_perfect_separation(self):
-        sets = [
-            ScoreSet(f"u{i}", (0.9,) * 10, (0.1,) * 10, (0.2,) * 10) for i in range(4)
-        ]
-        report = per_subject_metrics(sets)
+        slots = np.empty((4, 3, 10))
+        slots[:, 0], slots[:, 1], slots[:, 2] = 0.9, 0.1, 0.2
+        report = per_subject_metrics(slots)
         assert report.eer == 0.0
         assert report.rank1 == 100.0
 
     def test_coincident_distributions_give_half(self):
-        scores = tuple([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-        sets = [ScoreSet("u0", scores, scores, scores)]
-        report = per_subject_metrics(sets)
+        scores = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+        report = per_subject_metrics(np.array([[scores] * 3]))
         assert report.eer == pytest.approx(50.0, abs=1e-9)
 
     def test_rank1_matches_brute_force(self):
         rng = np.random.default_rng(6)
-        sets = [make_score_set(f"u{i}", rng) for i in range(30)]
-        assert per_subject_metrics(sets).rank1 == rank1_brute(sets)
+        slots = make_slot_scores(30, rng)
+        assert per_subject_metrics(slots).rank1 == rank1_brute(slots)
 
     def test_mean_of_per_subject_eers(self):
         rng = np.random.default_rng(9)
-        sets = [make_score_set(f"u{i}", rng) for i in range(20)]
+        slots = make_slot_scores(20, rng)
         expected = np.mean(
             [
-                eer_brute(np.array(s.genuine), np.array(s.impostor()))[0]
-                for s in sets
+                eer_brute(genuine, np.concatenate([similar, dissimilar]))[0]
+                for genuine, similar, dissimilar in slots
             ]
         )
-        assert per_subject_metrics(sets).eer == pytest.approx(expected, abs=1e-12)
+        assert per_subject_metrics(slots).eer == pytest.approx(expected, abs=1e-12)
 
 
 class TestReport:
     def test_all_fields_in_range(self):
         rng = np.random.default_rng(12)
-        sets = [make_score_set(f"u{i}", rng) for i in range(25)]
-        report = compute_metrics_report(sets)
+        report = compute_metrics_report(make_slot_scores(25, rng))
         g = report.global_metrics
         assert 0 <= g.eer <= 100
         assert set(g.fnmr_at_fmr) == {0.1, 1.0, 10.0}
