@@ -4,19 +4,21 @@ Every subcommand is deterministic given its flags and input files and
 drops a manifest_<stage>.json (its stage config's fields, input digests,
 seed, timestamp) alongside its outputs. Each flag is named after the
 config field it sets; a flag left out takes that field's default.
-Exit codes: 0 ok, 2 configuration or input-format error, 3 protocol
-precondition failure, 4 dangling data reference, 5 score/comparison
-misalignment.
+Exit codes: 0 ok, 2 configuration or input-format error (an output that
+cannot be written included), 3 protocol precondition failure, 4 dangling
+data reference, 5 score/comparison misalignment.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -86,9 +88,24 @@ def _write_manifest(
 
 
 def _require_file(path: Path, exc_type: type[KdbenchError] = ConfigError) -> Path:
+    if path.is_dir():
+        raise exc_type(f"input file is a directory: {path}")
     if not path.is_file():
         raise exc_type(f"input file not found: {path}")
     return path
+
+
+@contextmanager
+def _writing(out_dir: Path) -> Iterator[None]:
+    """Create `out_dir` for a stage's outputs. An OS error while the
+    outputs are created or written becomes a ConfigError naming the path."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}"
+        ) from None
 
 
 def _load_plan(comparisons_path: Path) -> ComparisonPlan:
@@ -109,10 +126,10 @@ def _load_labeled_dataset(data_path: Path, demographics_path: Path) -> Dataset:
 
 def run_synth(config: GeneratorConfig, out_dir: Path) -> None:
     dataset = generate(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    formats.write_raw_log(dataset, out_dir / "raw_log.tsv")
-    formats.write_demographics(dataset, out_dir / "demographics.tsv")
-    _write_manifest(out_dir, "synth", config, {})
+    with _writing(out_dir):
+        formats.write_raw_log(dataset, out_dir / "raw_log.tsv")
+        formats.write_demographics(dataset, out_dir / "demographics.tsv")
+        _write_manifest(out_dir, "synth", config, {})
     print(f"wrote {len(dataset)} subjects to {out_dir}")
 
 
@@ -133,18 +150,19 @@ def run_protocol(
     dataset = filter_eligible(_load_labeled_dataset(data_path, demographics_path))
     development, evaluation = split_dataset(dataset, split_config)
     plan = build_comparison_plan(evaluation, split_config.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    formats.write_comparisons(plan, out_dir / "comparisons.txt")
-    formats.write_json(
-        {
-            "development": development.subject_ids.tolist(),
-            "evaluation": evaluation.subject_ids.tolist(),
-        },
-        out_dir / "split.json",
-    )
-    _write_manifest(
-        out_dir, "protocol", split_config, {"data": data_path, "demographics": demographics_path}
-    )
+    with _writing(out_dir):
+        formats.write_comparisons(plan, out_dir / "comparisons.txt")
+        formats.write_json(
+            {
+                "development": development.subject_ids.tolist(),
+                "evaluation": evaluation.subject_ids.tolist(),
+            },
+            out_dir / "split.json",
+        )
+        _write_manifest(
+            out_dir, "protocol", split_config,
+            {"data": data_path, "demographics": demographics_path},
+        )
     print(
         f"wrote {len(plan)} comparisons for {len(evaluation)} evaluation "
         f"subjects to {out_dir}"
@@ -202,13 +220,13 @@ def run_score(
 
     embeddings = normalize(raw_embeddings(evaluation, feature_config), stats)
     scores = score_comparisons(plan, embeddings[[row_of[key] for key in plan.sessions]])
-    out_dir.mkdir(parents=True, exist_ok=True)
     digest = formats.sha256_file(comparisons_path) if strict else None
-    formats.write_scores(scores.tolist(), out_dir / "scores.txt", digest)
-    _write_manifest(
-        out_dir, "score", feature_config, {"data": data_path, "comparisons": comparisons_path},
-        strict=strict,
-    )
+    with _writing(out_dir):
+        formats.write_scores(scores.tolist(), out_dir / "scores.txt", digest)
+        _write_manifest(
+            out_dir, "score", feature_config,
+            {"data": data_path, "comparisons": comparisons_path}, strict=strict,
+        )
     print(f"wrote {len(scores)} scores to {out_dir / 'scores.txt'}")
 
 
@@ -279,26 +297,32 @@ def run_evaluate(
         "fairness": fairness_payload,
     }
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    formats.write_json(metrics_payload, out_dir / "metrics.json")
-    formats.write_json(fairness_payload, out_dir / "fairness.json")
-    formats.write_det_csv(g.curve.thresholds, g.curve.fmr, g.curve.fnmr, out_dir / "det.csv")
-    for m in matrices:
-        name = f"sir_{m.attribute}"
-        formats.write_sir_csv(m.labels, m.values, m.missing, out_dir / f"{name}.csv")
-        formats.write_sir_csv(
-            m.labels, m.binarized.astype(int), m.missing, out_dir / f"{name}_binarized.csv"
+    with _writing(out_dir):
+        formats.write_json(metrics_payload, out_dir / "metrics.json")
+        formats.write_json(fairness_payload, out_dir / "fairness.json")
+        formats.write_det_csv(
+            g.curve.thresholds, g.curve.fmr, g.curve.fnmr, out_dir / "det.csv"
         )
-    _write_manifest(
-        out_dir,
-        "evaluate",
-        fairness_config,
-        {"comparisons": comparisons_path, "scores": scores_path, "demographics": demographics_path},
-        diagnostics={
-            "groups_excluded_from_spread": fairness.spread.excluded,
-            "sir_missing_cells": {m.attribute: m.missing_cells for m in matrices},
-        },
-    )
+        for m in matrices:
+            name = f"sir_{m.attribute}"
+            formats.write_sir_csv(m.labels, m.values, m.missing, out_dir / f"{name}.csv")
+            formats.write_sir_csv(
+                m.labels, m.binarized.astype(int), m.missing, out_dir / f"{name}_binarized.csv"
+            )
+        _write_manifest(
+            out_dir,
+            "evaluate",
+            fairness_config,
+            {
+                "comparisons": comparisons_path,
+                "scores": scores_path,
+                "demographics": demographics_path,
+            },
+            diagnostics={
+                "groups_excluded_from_spread": fairness.spread.excluded,
+                "sir_missing_cells": {m.attribute: m.missing_cells for m in matrices},
+            },
+        )
     print(
         f"global EER {g.eer:.2f}%  AUC {g.auc:.2f}%  "
         f"mean per-subject EER {p.eer:.2f}%  rank-1 {p.rank1:.2f}%"

@@ -381,7 +381,11 @@ def _event_order(groups: np.ndarray, events: np.ndarray) -> np.ndarray | None:
     if np.all(rising | (groups[1:] > groups[:-1])):
         return None
     order = np.argsort(press, kind="stable")
-    order = order[np.argsort(groups[order], kind="stable")]
+    # Ranks in the smallest unsigned type that holds them: numpy sorts 8- and
+    # 16-bit keys stably by radix. The cast comes first, so no int64 copy of
+    # the ranks is made.
+    ranks = groups.astype(np.min_scalar_type(groups.max()))[order]
+    order = order[np.argsort(ranks, kind="stable")]
     sorted_groups, sorted_press = groups[order], press[order]
     tied = (sorted_groups[1:] == sorted_groups[:-1]) & (sorted_press[1:] == sorted_press[:-1])
     if tied.any():
@@ -425,6 +429,33 @@ def _line_chunks(fh: BinaryIO) -> Iterator[bytes]:
             yield chunk
 
 
+def _split_lines(
+    chunk: bytes, lineno: int, fields: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, ParseError | None]:
+    """The bytes of `chunk` (padded with `_WORD_PAD`), and the starts, ends,
+    numbers (from `lineno + 1`) and `(lines, fields - 1)` tab positions of
+    its lines that are not blank, up to the first line that has other than
+    `fields` tab-separated fields, with that line's error."""
+    buf = np.frombuffer(chunk + _WORD_PAD, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _NEWLINE)
+    tabs = np.flatnonzero(buf == _TAB)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    numbers = np.arange(lineno + 1, lineno + 1 + len(ends), dtype=np.int64)
+    filled = starts != ends
+    if not filled.all():
+        starts, ends, numbers = starts[filled], ends[filled], numbers[filled]
+    counts = np.diff(np.searchsorted(tabs, ends), prepend=0)
+    stop, error = len(ends), None
+    if np.any(counts != fields - 1):
+        stop = int(np.argmax(counts != fields - 1))
+        error = ParseError(
+            f"expected {fields} tab-separated fields, got {counts[stop] + 1}",
+            int(numbers[stop]),
+        )
+    tabs = tabs[: (fields - 1) * stop].reshape(stop, fields - 1)
+    return buf, starts[:stop], ends[:stop], numbers[:stop], tabs, error
+
+
 def _scan_lines(
     chunk: bytes, lineno: int, heads: dict[bytes, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ParseError | UnicodeDecodeError | None]:
@@ -444,30 +475,14 @@ def _scan_lines(
                 chunk[: chunk.rfind(b"\n", 0, exc.start) + 1], lineno, heads
             )
             return (*scanned, error or exc)
-    buf = np.frombuffer(chunk + _WORD_PAD, dtype=np.uint8)
-    ends = np.flatnonzero(buf == _NEWLINE)
-    tabs = np.flatnonzero(buf == _TAB)
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    numbers = np.arange(lineno + 1, lineno + 1 + len(ends), dtype=np.int64)
-    filled = starts != ends
-    if not filled.all():
-        starts, ends, numbers = starts[filled], ends[filled], numbers[filled]
-
-    error: ParseError | None = None
-    counts = np.diff(np.searchsorted(tabs, ends), prepend=0)
+    buf, starts, ends, numbers, tabs, error = _split_lines(chunk, lineno, 5)
     stop = len(ends)  # lines before `stop` passed every check so far
-    if np.any(counts != 4):
-        stop = int(np.argmax(counts != 4))
-        error = ParseError(
-            f"expected 5 tab-separated fields, got {counts[stop] + 1}", int(numbers[stop])
-        )
-    tabs = tabs[: 4 * stop].reshape(stop, 4)
     # Heads of lines cut off below by a bad field only add unused entries:
     # the parse then fails.
-    sessions = _intern_heads(chunk, buf, starts[:stop], tabs[:, 1], heads)
+    sessions = _intern_heads(chunk, buf, starts[:, None], tabs[:, 1:2], heads, (1,)).ravel()
     # The code, press and release fields, column after column.
     field_starts = np.add(tabs[:, 1:].T, 1, order="C").ravel()
-    field_ends = np.concatenate([tabs[:, 2], tabs[:, 3], ends[:stop]])
+    field_ends = np.concatenate([tabs[:, 2], tabs[:, 3], ends])
     columns, bulk = _bulk_integers(buf, field_starts, field_ends)
     columns, bulk = columns.reshape(_EVENT_COLUMNS, stop), bulk.reshape(_EVENT_COLUMNS, stop)
     events = columns.T.copy()
@@ -520,31 +535,55 @@ def _bulk_integers(
 
 def _intern_heads(
     chunk: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-    heads: dict[bytes, int],
+    heads: dict[bytes, int], lags: Sequence[int],
 ) -> np.ndarray:
-    """The session index of each head `chunk[starts:ends]`; heads new to
-    `heads` join it in order of first appearance. Only the first line of
-    each run of equal heads is looked up: a head is compared with the one
-    before it 8 bytes at a time, after their lengths and first words."""
+    """The id of each key `chunk[starts:ends]`, for `(lines, columns)`
+    arrays of key bounds. A key equal to the one `lags[c]` lines before it
+    in its column `c` takes that key's id; the others are looked up in
+    `heads`, line by line and column by column, and those new to it join
+    it, so ids follow the order of first appearance. Keys are compared by
+    length and first 16 bytes, then 8 bytes at a time."""
+    shape = starts.shape
     words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
     lengths = ends - starts
-    first_words = words[starts] & _BYTE_MASKS[np.minimum(lengths, 8)]
-    same = np.zeros(len(lengths), dtype=bool)  # equal to the head of the line before
-    at = np.flatnonzero(
-        (lengths[1:] == lengths[:-1]) & (first_words[1:] == first_words[:-1])
-    ) + 1
-    if len(at):
-        count = (lengths[at] + 7) // 8  # words in each head
-        first = np.cumsum(count) - count
-        offset = 8 * (np.arange(first[-1] + count[-1]) - np.repeat(first, count))
-        here = np.repeat(starts[at], count) + offset
-        there = np.repeat(starts[at - 1], count) + offset
-        mask = _BYTE_MASKS[np.minimum(np.repeat(lengths[at], count) - offset, 8)]
-        same[at] = np.logical_and.reduceat((words[here] ^ words[there]) & mask == 0, first)
-    runs = np.flatnonzero(~same)
-    names = [chunk[a:b] for a, b in zip(starts[runs].tolist(), ends[runs].tolist())]
-    ids = np.array([heads.setdefault(name, len(heads)) for name in names], dtype=np.int64)
-    return np.repeat(ids, np.diff(runs, append=len(lengths)))
+    # Each key's first two words, zero past its end.
+    first, second = (
+        words[np.minimum(starts + k, len(words) - 1)] & _BYTE_MASKS[np.clip(lengths - k, 0, 8)]
+        for k in (0, 8)
+    )
+    same = np.zeros(shape, dtype=bool)  # equal to the key it is compared with
+    for c, lag in enumerate(lags):
+        same[lag:, c] = (
+            (lengths[lag:, c] == lengths[:-lag, c])
+            & (first[lag:, c] == first[:-lag, c])
+            & (second[lag:, c] == second[:-lag, c])
+        )
+    same, starts, ends, lengths = same.ravel(), starts.ravel(), ends.ravel(), lengths.ravel()
+    # Longer keys still equal are compared on, word by word; in the flat
+    # (line, column) order, `lags[c] * columns` keys lie between the two.
+    at = np.flatnonzero(same & (lengths > 16))
+    counterpart = at - np.multiply(lags, shape[1])[at % shape[1]]
+    offset = 16
+    while len(at):
+        longer = lengths[at] > offset
+        at, counterpart = at[longer], counterpart[longer]
+        mask = _BYTE_MASKS[np.minimum(lengths[at] - offset, 8)]
+        equal = (words[starts[at] + offset] ^ words[starts[counterpart] + offset]) & mask == 0
+        same[at[~equal]] = False
+        at, counterpart = at[equal], counterpart[equal]
+        offset += 8
+    looked_up = np.flatnonzero(~same)
+    names = [chunk[a:b] for a, b in zip(starts[looked_up].tolist(), ends[looked_up].tolist())]
+    ids = np.empty(len(lengths), dtype=np.int64)
+    ids[looked_up] = [heads.setdefault(name, len(heads)) for name in names]
+    # Each key takes the id of the last key looked up at or before it in its
+    # chain: its column, every `lag` lines.
+    source = np.where(same, -1, np.arange(len(same))).reshape(shape)
+    for column, lag in zip(source.T, lags):
+        chains = np.full(-(-len(column) // lag) * lag, -1)
+        chains[: len(column)] = column
+        column[:] = np.maximum.accumulate(chains.reshape(-1, lag), axis=0).ravel()[: len(column)]
+    return ids[source]
 
 
 def eligibility_issues(dataset: Dataset) -> dict[int, list[str]]:

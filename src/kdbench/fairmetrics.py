@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import AgeGroup, ALL_GROUPS, Demographics, Gender
 from .errors import ConfigError, ProtocolError
-from .protocol import GENUINE, KINDS, SIMILAR, ComparisonPlan, subject_table
+from .protocol import GENUINE, KINDS, SIMILAR, ComparisonPlan
 from .verifmetrics import GlobalMetrics, accuracy_at, operating_point, pooled_scores
 
 
@@ -250,7 +250,7 @@ def impostor_score_entries(
     """
     if len(raw_scores) != len(plan):
         raise ValueError("raw_scores not aligned with plan")
-    subject_ids, subject_of = subject_table(plan.sessions)
+    subject_ids, subject_of = plan.subjects
     group_of_subject = group_index(subject_ids, demographics)
     lines = np.flatnonzero(plan.kind != GENUINE)
     enrol = group_of_subject[subject_of[plan.enrol[lines]]]

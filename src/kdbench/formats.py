@@ -27,20 +27,26 @@ import json
 from contextlib import contextmanager
 from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
+    CHUNK_BYTES,
     Dataset,
     Demographics,
     parse_raw_log,
+    _bulk_integers,
+    _intern_heads,
+    _line_chunks,
     _parse_demographics_fields,
+    _split_lines,
 )
 from .errors import AlignmentError, ConfigError, ParseError
-from .protocol import KINDS, ComparisonPlan, subject_table
+from .protocol import ENROL_SESSIONS, KINDS, ComparisonPlan, subject_table
 
 STRICT_HEADER_PREFIX = "# comparisons_sha256="
+_STRICT_HEADER = STRICT_HEADER_PREFIX.encode()
 
 
 def _check_identifier(value: str, what: str) -> str:
@@ -141,145 +147,164 @@ def load_demographics(path: Path) -> dict[str, Demographics]:
 # -- comparison plans ---------------------------------------------------
 
 
-# Lines per write of a comparison file, and characters per read.
-_WRITE_LINES = 1 << 16
-_READ_CHARS = 1 << 16
-_KIND_CODES = {kind.letter: code for code, kind in enumerate(KINDS)}
+# Each byte's kind code (0/1/2 for G/S/D, as in `KINDS`), or -1.
+_KIND_CODES = np.full(256, -1, dtype=np.int8)
+_KIND_CODES[[ord(kind.letter) for kind in KINDS]] = range(len(KINDS))
+# The lag at which each key column of a plan repeats: a slot's five
+# enrolment keys cycle, and its verification key is the same on its five
+# lines.
+_KEY_LAGS = (ENROL_SESSIONS, 1)
 
 
 def write_comparisons(plan: ComparisonPlan, path: Path) -> None:
+    """Write the plan's lines, a block at a time. Each line of a block is a
+    row of a byte matrix: its key, key, kind and slot texts, each padded to
+    its field's width, and a tab or newline after each; a keep-mask drops
+    the padding, and the kept bytes are the block's text."""
     _check_identifiers(plan.sessions)
-    names = np.array([f"{s}:{t}" for s, t in plan.sessions], dtype=object)
-    letters = np.array([kind.letter for kind in KINDS], dtype=object)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(plan), _WRITE_LINES):
-            rows = slice(start, start + _WRITE_LINES)
-            lines = zip(
-                names[plan.enrol[rows]].tolist(),
-                names[plan.verif[rows]].tolist(),
-                letters[plan.kind[rows]].tolist(),
-                map(str, plan.slot[rows].tolist()),
+    keys = _padded(list(map(str.encode, map(":".join, plan.sessions))))
+    letters = _padded([kind.letter.encode() for kind in KINDS])
+    # Lines per block: about `CHUNK_BYTES` of text, for slots of up to 20
+    # characters.
+    block = max(1, CHUNK_BYTES // (2 * keys[0].itemsize + 26))
+    with open(path, "wb") as fh:
+        for start in range(0, len(plan), block):
+            rows = slice(start, start + block)
+            # A slot is written as `str` writes it, once per distinct value.
+            values, slot_of = np.unique(plan.slot[rows], return_inverse=True)
+            slots = _padded([str(value).encode() for value in values.tolist()])
+            fields = (
+                (keys, plan.enrol[rows]), (keys, plan.verif[rows]),
+                (letters, plan.kind[rows]), (slots, slot_of),
             )
-            fh.write("\n".join(map("\t".join, lines)) + "\n")
+            n = len(slot_of)
+            text = np.empty((n, sum(texts.itemsize + 1 for (texts, _), _ in fields)), np.uint8)
+            kept = np.ones(text.shape, dtype=bool)
+            at = 0
+            for ((texts, masks), index), end in zip(fields, b"\t\t\t\n"):
+                width = texts.itemsize
+                text[:, at : at + width] = texts[index].view(np.uint8).reshape(n, width)
+                kept[:, at : at + width] = masks[index].view(bool).reshape(n, width)
+                text[:, at + width] = end
+                at += width + 1
+            fh.write(text[kept].tobytes())
+
+
+def _padded(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Each of `texts` as one element, padded with zero bytes to the longest,
+    so that a gather copies whole texts; and each one's mask of the bytes
+    it keeps, as one element too."""
+    padded = np.array(texts, dtype=bytes)
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    kept = np.arange(padded.itemsize) < lengths[:, None]
+    return padded, kept.view(f"V{padded.itemsize}").ravel()
 
 
 def load_comparisons(path: Path) -> ComparisonPlan:
     """Read a comparison file; enrolment indices are recovered from the
     order of appearance within each (subject, kind, slot) group.
 
-    The file is read `_READ_CHARS` characters at a time and each chunk's
-    lines are split at once; identifiers are interned in a dict, so the
-    session table lists each pair in order of first appearance. Raises
-    ParseError with the line number of the first bad line.
+    The file is read as bytes, `CHUNK_BYTES` at a time, and each chunk's
+    lines are scanned with array operations. Keys are interned in a dict,
+    so the session table lists each pair in order of first appearance.
+    Raises ParseError with the line number of the first bad line, or
+    naming the file when a chunk is not UTF-8.
     """
-    table: dict[str, int] = {}  # "subject:session" -> session-table row
-    with _reading(path) as fh:
-        chunks = [
-            _read_comparison_lines(lines, lineno, table) for lines, lineno in _text_chunks(fh)
-        ]
-
-    sessions = tuple([(s, t) for s, _, t in map(str.partition, table, repeat(":"))])
-    del table
-    ends, kind, slot = (np.concatenate(column) for column in zip(*chunks))
+    table: dict[bytes, int] = {}  # b"subject:session" -> session-table row
+    chunks = [(np.empty((0, 2), dtype=np.int64), np.empty(0, np.int8), np.empty(0, np.int64))]
+    lineno = 0
+    with _reading(path, "rb") as fh:
+        for chunk in _line_chunks(fh):
+            chunks.append(_scan_comparison_lines(chunk, lineno, table))
+            lineno += chunk.count(b"\n")
+    keys, kind, slot = (np.concatenate(column) for column in zip(*chunks))
     del chunks
-    enrol, verif = ends[0::2], ends[1::2]
-    enrolled = subject_table(sessions)[1][enrol]
-    return ComparisonPlan(
-        sessions, enrol, verif, kind, slot, _enrolment_indices(enrolled, kind, slot)
-    )
-
-
-def _text_chunks(fh: TextIO) -> Iterator[tuple[list[str], int]]:
-    """The lines of `fh`, read `_READ_CHARS` characters at a time, in
-    lists, each with the count of the lines before it; the last list holds
-    the text after the last newline."""
-    pending, lineno = "", 0
-    while block := fh.read(_READ_CHARS):
-        lines = (pending + block).split("\n")
-        pending = lines.pop()
-        yield lines, lineno
-        lineno += len(lines)
-    yield [pending], lineno
+    sessions = tuple([
+        (s, t) for s, _, t in map(str.partition, map(bytes.decode, table), repeat(":"))
+    ])
+    del table
+    subjects = subject_table(sessions)
+    enrol, verif = keys[:, 0], keys[:, 1]
+    enrol_index = _enrolment_indices(subjects[1][enrol], kind, slot)
+    return ComparisonPlan(sessions, enrol, verif, kind, slot, enrol_index, subjects)
 
 
 def _enrolment_indices(
     enrolled: np.ndarray, kind: np.ndarray, slot: np.ndarray
 ) -> np.ndarray:
     """Each line's count of the earlier lines with its (enrolled subject,
-    kind, slot)."""
+    kind, slot). Consecutive lines with one key form a run, and only the
+    runs are sorted: a plan lists a slot's lines together."""
     keys = (slot, kind, enrolled)
-    order = np.lexsort(keys)  # stable: equal keys keep their line order
-    starts = np.zeros(len(order), dtype=bool)
+    n = len(kind)
+    starts = np.zeros(n, dtype=bool)
     starts[:1] = True
     for key in keys:
+        starts[1:] |= key[1:] != key[:-1]
+    runs = np.flatnonzero(starts)
+    sizes = np.diff(runs, append=n)
+    run_keys = tuple(key[runs] for key in keys)
+    order = np.lexsort(run_keys)  # stable: the runs of a key keep their order
+    firsts = np.zeros(len(runs), dtype=bool)  # the first sorted run of each key
+    firsts[:1] = True
+    for key in run_keys:
         ranked = key[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    # Sorted position minus the position where the line's group starts.
-    offsets = np.flatnonzero(starts)[np.cumsum(starts) - 1]
-    np.subtract(np.arange(len(order)), offsets, out=offsets)
-    indices = np.empty(len(order), dtype=np.int64)
-    indices[order] = offsets
-    return indices
+        firsts[1:] |= ranked[1:] != ranked[:-1]
+    # Lines in the sorted runs before each run, minus those before its key's first run.
+    before = np.cumsum(sizes[order]) - sizes[order]
+    earlier = np.empty(len(runs), dtype=np.int64)
+    earlier[order] = before - before[np.flatnonzero(firsts)][np.cumsum(firsts) - 1]
+    return np.repeat(earlier - runs, sizes) + np.arange(n)
 
 
-def _read_comparison_lines(
-    lines: list[str], lineno: int, table: dict[str, int]
+def _scan_comparison_lines(
+    chunk: bytes, lineno: int, table: dict[bytes, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The enrol and verif rows (interleaved), kinds and slots of `lines`,
-    numbered from `lineno + 1`; blank lines are skipped and new identifiers
-    join `table`. Every check runs over the whole chunk; the first bad line
-    wins, and a line that fails several checks reports the first of field
-    count, subject:session pair, kind and slot."""
-    numbers: Sequence[int] = range(lineno + 1, lineno + 1 + len(lines))
-    if "" in lines:
-        kept = [i for i, line in enumerate(lines) if line]
-        lines, numbers = [lines[i] for i in kept], [numbers[i] for i in kept]
-    error: ParseError | None = None
-    tabs = list(map(str.count, lines, repeat("\t")))
-    stop = len(lines)  # lines before `stop` passed every check so far
-    if tabs.count(3) != stop:
-        stop = next(i for i, n in enumerate(tabs) if n != 3)
-        error = ParseError(
-            f"expected 4 tab-separated fields, got {tabs[stop] + 1}", numbers[stop]
-        )
-    fields = "\t".join(lines[:stop]).split("\t") if stop else []
+    """The (enrol, verif) session-table rows, kinds and slots of the lines
+    of `chunk`, numbered from `lineno + 1`; blank lines are skipped and new
+    keys join `table`. The first bad line wins, and a line that fails
+    several checks reports the first of field count, subject:session pair,
+    kind and slot."""
+    if not chunk.isascii():
+        chunk.decode("utf-8")  # `_reading` names the file if this fails
+    buf, starts, ends, numbers, tabs, error = _split_lines(chunk, lineno, 4)
+    stop = len(ends)  # lines before `stop` passed every check so far
+    before = len(table)
+    rows = _intern_heads(
+        chunk, buf, np.stack([starts, tabs[:, 0] + 1], axis=1), tabs[:, :2], table, _KEY_LAGS
+    )
+    # A key equal to one already in the table has its colon, so only the
+    # keys new to the table are checked; the first line holding one without
+    # a colon is bad.
+    unpaired = [
+        row for row, key in zip(range(len(table) - 1, before - 1, -1), reversed(table))
+        if b":" not in key
+    ]
+    if unpaired:
+        stop = int(np.argmax((rows == min(unpaired)).any(axis=1)))
+        error = ParseError("malformed subject:session pair", int(numbers[stop]))
 
-    both = [""] * (2 * stop)
-    both[0::2], both[1::2] = fields[0::4], fields[1::4]
-    distinct = dict.fromkeys(both)
-    new = [name for name in distinct if name not in table]
-    malformed = next((name for name in new if ":" not in name), None)
-    if malformed is not None:
-        stop = both.index(malformed) // 2
-        error = ParseError("malformed subject:session pair", numbers[stop])
-    table.update(zip(new, range(len(table), len(table) + len(new))))
+    kind = _KIND_CODES[buf[tabs[:stop, 1] + 1]]
+    known = (kind >= 0) & (tabs[:stop, 2] - tabs[:stop, 1] == 2)
+    if not known.all():
+        stop = int(np.argmin(known))
+        token = chunk[tabs[stop, 1] + 1 : tabs[stop, 2]].decode()
+        error = ParseError(f"unknown comparison kind {token!r}", int(numbers[stop]))
 
-    codes = list(map(_KIND_CODES.get, fields[2 : 4 * stop : 4]))
-    if None in codes:
-        stop = codes.index(None)
-        error = ParseError(
-            f"unknown comparison kind {fields[4 * stop + 2]!r}", numbers[stop]
-        )
-
-    tokens = fields[3 : 4 * stop : 4]
-    try:
-        slots = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
-    except (ValueError, OverflowError):
-        for i, token in enumerate(tokens):
-            try:
-                np.int64(int(token))  # one of these failed to convert
-            except ValueError:
-                stop, error = i, ParseError(f"non-integer slot {token!r}", numbers[i])
-                break
-            except OverflowError:
-                stop, error = i, ParseError(f"slot {token!r} outside 64 bits", numbers[i])
-                break
+    slot, bulk = _bulk_integers(buf, tabs[:stop, 2] + 1, ends[:stop])
+    for i in np.flatnonzero(~bulk).tolist():
+        token = chunk[tabs[i, 2] + 1 : ends[i]].decode()
+        try:
+            slot[i] = int(token)
+        except ValueError:
+            stop, error = i, ParseError(f"non-integer slot {token!r}", int(numbers[i]))
+            break
+        except OverflowError:
+            stop, error = i, ParseError(f"slot {token!r} outside 64 bits", int(numbers[i]))
+            break
     if error is not None:
         raise error
-    # Lookups go to the chunk's own small dict, not the whole table.
-    rows = dict(zip(distinct, map(table.__getitem__, distinct)))
-    ends = np.fromiter(map(rows.__getitem__, both), dtype=np.intp, count=len(both))
-    return ends, np.array(codes, dtype=np.int8), slots
+    return rows, kind, slot
 
 
 # -- score files ---------------------------------------------------------
@@ -298,25 +323,30 @@ def write_scores(
 def load_scores(path: Path) -> tuple[np.ndarray, str | None]:
     """Returns (scores, strict-mode digest or None).
 
-    The file is read `_READ_CHARS` characters at a time and each chunk's
-    lines are converted with one `float` map; a line-by-line pass runs
+    The file is read as bytes, `CHUNK_BYTES` at a time, and each chunk's
+    lines are converted with one `float` map, which reads ASCII bytes; a
+    chunk that is not ASCII is decoded first. A line-by-line pass runs
     only to name the first bad line.
     """
     digest = None
     scores = []
-    with _reading(path) as fh:
-        for lines, lineno in _text_chunks(fh):
-            if lineno == 0 and lines and lines[0].startswith(STRICT_HEADER_PREFIX):
-                digest = lines[0][len(STRICT_HEADER_PREFIX):]
-                lines[0] = ""
+    lineno = 0
+    with _reading(path, "rb") as fh:
+        for chunk in _line_chunks(fh):
+            if lineno == 0 and chunk.startswith(_STRICT_HEADER):
+                header, _, chunk = chunk.partition(b"\n")
+                digest = header[len(_STRICT_HEADER):].decode()
+                lineno = 1
+            lines = chunk.split(b"\n") if chunk.isascii() else chunk.decode().split("\n")
             scores.append(_read_score_lines(lines, lineno))
-    return np.concatenate(scores), digest
+            lineno += chunk.count(b"\n")
+    return np.concatenate([np.empty(0), *scores]), digest
 
 
-def _read_score_lines(lines: list[str], lineno: int) -> np.ndarray:
+def _read_score_lines(lines: list[bytes] | list[str], lineno: int) -> np.ndarray:
     """The scores of `lines`, numbered from `lineno + 1`; blank lines are
     skipped."""
-    tokens = [line for line in lines if line] if "" in lines else lines
+    tokens = list(filter(None, lines))
     try:
         return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
     except ValueError:
@@ -324,6 +354,7 @@ def _read_score_lines(lines: list[str], lineno: int) -> np.ndarray:
     for number, line in enumerate(lines, start=lineno + 1):
         if not line:
             continue
+        line = line.decode() if isinstance(line, bytes) else line
         if line.startswith(STRICT_HEADER_PREFIX):
             raise ParseError("strict header must be the first line", number)
         try:

@@ -62,8 +62,10 @@ class ComparisonPlan:
     plan references, once. `enrol` and `verif` index it; `kind` holds
     0/1/2 for G/S/D (`KINDS`), `slot` the score index and `enrol_index`
     the line's place among the five enrolment comparisons of its slot.
-    Two plans are equal when they list the same lines in the same order,
-    whatever the order of their session tables.
+    `subjects` is the subject table of the sessions (`subject_table`),
+    built from them when not given. Two plans are equal when they list the
+    same lines in the same order, whatever the order of their session
+    tables.
     """
 
     sessions: tuple[SessionKey, ...]
@@ -72,8 +74,11 @@ class ComparisonPlan:
     kind: np.ndarray
     slot: np.ndarray
     enrol_index: np.ndarray
+    subjects: tuple[list[str], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
+        if self.subjects is None:
+            object.__setattr__(self, "subjects", subject_table(self.sessions))
         n = len(self.kind)
         for name, dtype in (
             ("enrol", np.intp),
@@ -122,9 +127,10 @@ class ComparisonPlan:
 def subject_table(sessions: Sequence[SessionKey]) -> tuple[list[str], np.ndarray]:
     """The distinct subject ids of a session table, in table order, and the
     index into them of each session-table row."""
-    index: dict[str, int] = {}
-    rows = [index.setdefault(subject_id, len(index)) for subject_id, _ in sessions]
-    return list(index), np.array(rows, dtype=np.intp)
+    subject_ids = [subject_id for subject_id, _ in sessions]
+    index = {subject_id: i for i, subject_id in enumerate(dict.fromkeys(subject_ids))}
+    rows = np.fromiter(map(index.__getitem__, subject_ids), dtype=np.intp, count=len(subject_ids))
+    return list(index), rows
 
 
 @dataclass(frozen=True)
@@ -305,6 +311,7 @@ def build_comparison_plan(evaluation: Dataset, seed: int) -> ComparisonPlan:
     verif[:, SIMILAR:] = impostors
     return ComparisonPlan(
         sessions=tuple(keys[j] for j in chronological.tolist()),
+        subjects=(subject_ids, subject_of[chronological]),
         enrol=np.broadcast_to(
             first_row[:-1, None, None, None] + np.arange(ENROL_SESSIONS), shape
         ).ravel(),
@@ -353,7 +360,7 @@ def aggregate_scores(
     if bad.size:
         raise AlignmentError(f"non-finite score at entry {int(bad[0])}")
 
-    subject_ids, subject_of = subject_table(plan.sessions)
+    subject_ids, subject_of = plan.subjects
     enrolled, verified = subject_of[plan.enrol], subject_of[plan.verif]
     kind, slot, enrol_index = plan.kind, plan.slot, plan.enrol_index
 

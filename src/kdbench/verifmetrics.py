@@ -53,8 +53,12 @@ def roc(genuine: Iterable[float], impostor: Iterable[float]) -> RocCurve:
     fraction with score < t, evaluated at every observed score plus the
     two sentinels.
     """
-    gen = np.sort(_as_scores(genuine, "genuine"))
-    imp = np.sort(_as_scores(impostor, "impostor"))
+    return _roc(_as_scores(genuine, "genuine"), _as_scores(impostor, "impostor"))
+
+
+def _roc(genuine: np.ndarray, impostor: np.ndarray) -> RocCurve:
+    """`roc` of score arrays already checked by `_as_scores`."""
+    gen, imp = np.sort(genuine), np.sort(impostor)
     uniq = np.unique(np.concatenate([gen, imp]))
     thresholds = np.concatenate([[uniq[0] - 1.0], uniq, [uniq[-1] + 1.0]])
     fmr = (len(imp) - np.searchsorted(imp, thresholds, side="left")) / len(imp)
@@ -101,8 +105,12 @@ def auc(genuine: Iterable[float], impostor: Iterable[float]) -> float:
     Equals the rank statistic P(genuine > impostor) + 0.5 P(equal) over
     all genuine x impostor pairs.
     """
-    gen = _as_scores(genuine, "genuine")
-    imp = np.sort(_as_scores(impostor, "impostor"))
+    return _auc(_as_scores(genuine, "genuine"), _as_scores(impostor, "impostor"))
+
+
+def _auc(gen: np.ndarray, impostor: np.ndarray) -> float:
+    """`auc` of score arrays already checked by `_as_scores`."""
+    imp = np.sort(impostor)
     below = np.searchsorted(imp, gen, side="left")
     ties = np.searchsorted(imp, gen, side="right") - below
     total = float(below.sum()) + 0.5 * float(ties.sum())
@@ -115,8 +123,13 @@ def accuracy_at(
     """Fraction of correct decisions (percent) under accept iff score >= threshold."""
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    gen = _as_scores(genuine, "genuine")
-    imp = _as_scores(impostor, "impostor")
+    return _accuracy(
+        _as_scores(genuine, "genuine"), _as_scores(impostor, "impostor"), threshold
+    )
+
+
+def _accuracy(gen: np.ndarray, imp: np.ndarray, threshold: float) -> float:
+    """`accuracy_at` of score arrays already checked by `_as_scores`."""
     correct = int((gen >= threshold).sum()) + int((imp < threshold).sum())
     return correct / (len(gen) + len(imp)) * 100.0
 
@@ -196,15 +209,16 @@ def per_subject_metrics(slot_scores: np.ndarray) -> PerSubjectMetrics:
     """
     if not len(slot_scores):
         raise ValueError("no subjects")
+    # One check covers every row's curve, AUC and accuracy.
+    slot_scores = _as_scores(slot_scores, "slot")
     genuine = slot_scores[:, GENUINE]
     impostor = slot_scores[:, SIMILAR:].reshape(len(slot_scores), -1)
     eers, aucs, accs = [], [], []
     for gen, imp in zip(genuine, impostor):
-        curve = roc(gen, imp)
-        eer_value, eer_thr = eer(curve)
+        eer_value, eer_thr = eer(_roc(gen, imp))
         eers.append(eer_value)
-        aucs.append(auc(gen, imp))
-        accs.append(accuracy_at(gen, imp, eer_thr))
+        aucs.append(_auc(gen, imp))
+        accs.append(_accuracy(gen, imp, eer_thr))
     return PerSubjectMetrics(
         eer=float(np.mean(eers)),
         auc=float(np.mean(aucs)),

@@ -5,8 +5,10 @@ definition, counting comparisons over full outer products instead of
 reusing the library's sort/cumsum machinery. Rates are formed as count / n
 and the crossing interpolation uses the same arithmetic expressions as the
 library, so agreement is expected to be bit-exact. The comparison-file
-reader is the per-line loader the chunked one replaced, and the session
-embedder is the one-session-at-a-time path the block embedder replaced.
+reader is the per-line loader the chunked one replaced, the comparison-file
+writer is the per-token text writer the byte-matrix one replaced, and the
+session embedder is the one-session-at-a-time path the block embedder
+replaced.
 The event-row checks and the chronological session order are the
 per-session code the columnar dataset replaced. The raw-log parser and the
 score reader are the per-line code the byte scanner and the chunked score
@@ -193,6 +195,20 @@ def load_comparisons_per_line(path) -> list[Comparison]:
                 )
             )
     return entries
+
+
+def write_comparisons_per_token(plan: ComparisonPlan, path) -> None:
+    """Write a plan's lines as text, one `str` per field."""
+    names = np.array([f"{s}:{t}" for s, t in plan.sessions], dtype=object)
+    letters = np.array([kind.letter for kind in KINDS], dtype=object)
+    lines = zip(
+        names[plan.enrol].tolist(),
+        names[plan.verif].tolist(),
+        letters[plan.kind].tolist(),
+        map(str, plan.slot.tolist()),
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{line}\n" for line in map("\t".join, lines))
 
 
 # Event fields are converted to integers in chunks of this many strings.

@@ -690,6 +690,45 @@ def _negative_seed(name, *argv):
     return make_argv
 
 
+# Each stage's arguments; those with a "." name an input file.
+STAGE_ARGS = {
+    "protocol": ("--data", "raw_log.tsv", "--demographics", "demographics.tsv",
+                 "--eval-count", "30", "--seed", "5"),
+    "score": ("--data", "raw_log.tsv", "--comparisons", "comparisons.txt"),
+    "evaluate": ("--comparisons", "comparisons.txt", "--scores", "scores.txt",
+                 "--demographics", "demographics.tsv"),
+}
+def _fixture_inputs(synth_dir, protocol_dir, scores_dir):
+    """Each input file of the fixture run, by name."""
+    return {
+        "raw_log.tsv": synth_dir / "raw_log.tsv",
+        "demographics.tsv": synth_dir / "demographics.tsv",
+        "comparisons.txt": protocol_dir / "comparisons.txt",
+        "scores.txt": scores_dir / "scores.txt",
+    }
+
+
+def _unwritable_out(name, *argv):
+    """A stage whose --out lies under a regular file, so it cannot be made."""
+    def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
+        inputs = _fixture_inputs(synth_dir, protocol_dir, scores_dir)
+        (tmp_path / "file").write_text("")
+        return (*(inputs.get(a, a) for a in argv), "--out", tmp_path / "file" / "out")
+    make_argv.__name__ = f"_unwritable_out_{name}"
+    return make_argv
+
+
+def _directory_input(name, replaced, *argv):
+    """A stage given a directory in place of its input file `replaced`."""
+    def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
+        inputs = _fixture_inputs(synth_dir, protocol_dir, scores_dir)
+        inputs[replaced] = tmp_path / "dir"
+        inputs[replaced].mkdir()
+        return (*(inputs.get(a, a) for a in argv), "--out", tmp_path / "out")
+    make_argv.__name__ = f"_directory_input_{name}"
+    return make_argv
+
+
 BAD_INPUTS = [
     (_colon_ids, 2, "contains tab/newline/colon"),
     (_demographics_missing_evaluated_subject, 3, "no demographics for subject"),
@@ -735,6 +774,22 @@ BAD_INPUTS = [
         2, "seed must be >= 0, got -5",
     ),
     (_negative_seed("demo", "demo", "--seed", -2), 2, "seed must be >= 0, got -2"),
+    (_unwritable_out("synth", "synth", "--subjects", 2), 2, "out: Not a directory"),
+    *(
+        (_unwritable_out(stage, stage, *STAGE_ARGS[stage]), 2, "out: Not a directory")
+        for stage in ("protocol", "score", "evaluate")
+    ),
+    (_unwritable_out("demo", "demo", "--subjects", 2), 2, "out: Not a directory"),
+    (
+        _directory_input("score_data", "raw_log.tsv", "score", *STAGE_ARGS["score"]), 2,
+        "input file is a directory: ",
+    ),
+    (
+        _directory_input(
+            "protocol_demographics", "demographics.tsv", "protocol", *STAGE_ARGS["protocol"]
+        ),
+        3, "input file is a directory: ",
+    ),
 ]
 
 
@@ -771,14 +826,6 @@ def test_threads_flag_must_be_positive(tmp_path):
 
 # -- fuzz: one input of a small valid run mutated, then run through main.
 
-# Each stage's arguments; those with a "." name an input file.
-STAGE_ARGS = {
-    "protocol": ("--data", "raw_log.tsv", "--demographics", "demographics.tsv",
-                 "--eval-count", "30", "--seed", "5"),
-    "score": ("--data", "raw_log.tsv", "--comparisons", "comparisons.txt"),
-    "evaluate": ("--comparisons", "comparisons.txt", "--scores", "scores.txt",
-                 "--demographics", "demographics.tsv"),
-}
 TOKENS = [b"", b"\t", b"\n", b":", b"\xff", b"-", b"0", b"9", b"e", b"nan", b"G", b"S", b"D"]
 
 

@@ -534,6 +534,17 @@ def test_event_order_is_the_lexsort_permutation(rows):
         assert np.array_equal(order, expected)
 
 
+@pytest.mark.parametrize("top", [255, 65_535, 65_536, 2**40])
+def test_event_order_sorts_ranks_of_every_width(top):
+    # Session ranks go straight in, up to `top`: the sort key is then 8, 16,
+    # 32 or 64 bits wide, with no need to build that many sessions.
+    rng = np.random.default_rng(top % 1_000)
+    groups = rng.choice([0, 1, top // 2, top - 1, top], 400).astype(np.intp)
+    press = rng.integers(0, 6, 400)
+    events = np.stack([rng.integers(97, 99, 400), press, press + rng.integers(0, 2, 400)], axis=1)
+    assert np.array_equal(core._event_order(groups, events), lexsort_order(groups, events))
+
+
 TIE_EVENT = st.tuples(
     st.sampled_from(["u1\ts1", "u1\ts2", "u2\ts1"]),
     st.integers(5, 6),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdbench import formats
+from kdbench import core, formats
 
 from kdbench.core import (
     AgeGroup,
@@ -37,11 +37,16 @@ from kdbench.formats import (
     write_scores,
     write_sir_csv,
 )
-from kdbench.protocol import build_comparison_plan
+from kdbench.protocol import ComparisonPlan, build_comparison_plan
 from kdbench.synthgen import GeneratorConfig, generate
 from kdbench.verifmetrics import roc
 
-from oracles import load_comparisons_per_line, load_scores_per_line, plan_of_rows
+from oracles import (
+    load_comparisons_per_line,
+    load_scores_per_line,
+    plan_of_rows,
+    write_comparisons_per_token,
+)
 from test_fairmetrics import sir_entries_from_matrix, without_female_to_male
 
 
@@ -152,29 +157,48 @@ def assert_loaders_agree(path):
     return error
 
 
-GOOD_PAIRS = ["a:s0", "a:s1", "b:s0", "b:s1:x", "c:s2"]
-GOOD_SLOTS = ["0", "3", " 3", "+3", "9", "10", "-1", "03", "3_0"]
+# Keys with a colon in the session, non-ASCII ids, and keys of one length
+# that differ only in their second or third 8 bytes.
+GOOD_PAIRS = [
+    "a:s0", "a:s1", "b:s0", "b:s1:x", "c:s2", "\u00e9:s0", "a:\u4e00",
+    "subject_long:s00", "subject_long:s01", "subject_longer:s00", "subject_longer:s01",
+]
+GOOD_SLOTS = ["0", "3", " 3", "+3", "9", "10", "-1", "03", "3_0", "-42", "\u0663"]
+KIND = st.sampled_from(["G", "S", "D"])
 GOOD_LINE = st.tuples(
-    st.sampled_from(GOOD_PAIRS), st.sampled_from(GOOD_PAIRS),
-    st.sampled_from(["G", "S", "D"]), st.sampled_from(GOOD_SLOTS),
+    st.sampled_from(GOOD_PAIRS), st.sampled_from(GOOD_PAIRS), KIND, st.sampled_from(GOOD_SLOTS),
 ).map("\t".join)
 FIELD = st.one_of(st.sampled_from(GOOD_PAIRS + ["a", "", "b:"]), st.text("ab:s0 ", max_size=4))
 ANY_LINE = st.one_of(
     st.tuples(
-        FIELD, FIELD, st.sampled_from(["G", "S", "D", "X", "g", ""]),
-        st.sampled_from(GOOD_SLOTS + ["x", "3.0", "", "1e2"]),
+        FIELD, FIELD, st.sampled_from(["G", "S", "D", "X", "g", "", "GG", "\u00c9"]),
+        st.sampled_from(GOOD_SLOTS + ["x", "3.0", "", "1e2", "-"]),
     ).map("\t".join),
     st.lists(FIELD, max_size=6).map("\t".join),  # any field count, blank lines too
 )
 ENDING = st.sampled_from(["\n", "\r\n", "\r"])
 
 
+@st.composite
+def plan_lines(draw):
+    """Good lines, and slots shaped as in a plan: five lines whose
+    enrolment keys cycle through one drawn five, with one verification key;
+    so keys repeat at lags 5 and 1, and at other lags. Each line comes with
+    its line end."""
+    cycle = draw(st.lists(st.sampled_from(GOOD_PAIRS), min_size=5, max_size=5))
+    slot = st.tuples(st.sampled_from(GOOD_PAIRS), KIND, st.sampled_from(GOOD_SLOTS)).map(
+        lambda rest: [f"{enrol}\t{chr(9).join(rest)}" for enrol in cycle]
+    )
+    blocks = draw(st.lists(st.one_of(GOOD_LINE.map(lambda line: [line]), slot), max_size=5))
+    return [(line, draw(ENDING)) for block in blocks for line in block]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.tuples(GOOD_LINE, ENDING), max_size=12),
-    st.lists(st.tuples(st.integers(0, 12), ANY_LINE, ENDING), max_size=2),
+    plan_lines(),
+    st.lists(st.tuples(st.integers(0, 25), ANY_LINE, ENDING), max_size=2),
     st.booleans(),
-    st.sampled_from([1, 5, 16, formats._READ_CHARS]),
+    st.sampled_from([1, 5, 16, core.CHUNK_BYTES]),
 )
 def test_chunked_loader_agrees_with_the_per_line_loader(lines, inserts, last_ended, chunk):
     for at, line, ending in inserts:
@@ -185,21 +209,77 @@ def test_chunked_loader_agrees_with_the_per_line_loader(lines, inserts, last_end
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "comparisons.txt"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(formats, "_READ_CHARS", chunk):
+        with mock.patch.object(core, "CHUNK_BYTES", chunk):
             assert_loaders_agree(path)
 
 
 def test_bad_line_after_the_first_read_chunk(tmp_path):
-    good = "".join(f"u{i % 97}:s{i % 15}\tu{i % 89}:s{i % 13}\tS\t{i % 10}\n" for i in range(6_000))
-    assert len(good) > formats._READ_CHARS
+    # Plan-shaped lines: per slot, five enrolment keys that cycle and one
+    # verification key, with non-ASCII ids and sessions holding a colon.
+    # The first chunk ends inside a cycle.
+    good = "".join(
+        f"\u00fc{i // 150}:s{i % 5}\tv{i // 5 % 89}\u00e9:s1:x\tS\t{i // 5 % 10}\n"
+        for i in range(30_000)
+    )
+    assert good.encode()[: core.CHUNK_BYTES].count(b"\n") % 5 != 0
     path = tmp_path / "comparisons.txt"
+    path.write_text(good + "\n" + good, encoding="utf-8")
+    assert assert_loaders_agree(path) is None
     for bad, message in (
         ("u1:s1\tu2\tS\t0\n", "malformed subject:session pair"),
+        # The first of two keys without a colon names the line.
+        ("u1\tu2:s1\tS\t0\nu3\tu2:s1\tS\t0\n", "malformed subject:session pair"),
         ("u1:s1\tu2:s1\tS\t0\t\n", "expected 4 tab-separated fields, got 5"),
         ("u1:s1\tu2:s1\tS\tx\n", "non-integer slot 'x'"),
+        ("u1:s1\tu2:s1\t\u00c9\t0\n", "unknown comparison kind '\u00c9'"),
     ):
-        path.write_text(good + "\n" + bad + good)
-        assert assert_loaders_agree(path) == (f"line 6002: {message}", 6_002)
+        path.write_text(good + "\n" + bad + good, encoding="utf-8")
+        assert assert_loaders_agree(path) == (f"line 30002: {message}", 30_002)
+
+
+def test_keys_that_differ_in_their_last_byte_are_told_apart(tmp_path):
+    # For key lengths across several 8-byte words, keys that differ only in
+    # their last byte sit at lag 5 (enrolment) and lag 1 (verification).
+    path = tmp_path / "comparisons.txt"
+    path.write_text("".join(
+        f"{'u' * width}:{i % 5 + i // 5 % 2}\t{'v' * width}:{i // 2 % 2}\tS\t0\n"
+        for width in range(1, 40)
+        for i in range(10)
+    ))
+    assert assert_loaders_agree(path) is None
+
+
+IDENTIFIER = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n:"),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(IDENTIFIER, IDENTIFIER), min_size=1, max_size=6, unique=True),
+    st.lists(
+        st.tuples(
+            st.integers(0, 5), st.integers(0, 5), st.integers(0, 2),
+            st.one_of(st.integers(-12, 12), st.integers(-(2**63), 2**63 - 1)),
+        ),
+        max_size=40,
+    ),
+    st.sampled_from([1, 64, core.CHUNK_BYTES]),
+)
+def test_byte_matrix_writer_agrees_with_the_per_token_writer(sessions, rows, chunk):
+    columns = np.array(rows, dtype=object).reshape(-1, 4).T
+    enrol, verif = (columns[i].astype(np.intp) % len(sessions) for i in (0, 1))
+    plan = ComparisonPlan(
+        tuple(sessions), enrol, verif, columns[2].astype(np.int8),
+        columns[3].astype(np.int64), np.zeros(len(rows), dtype=np.int64),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.txt", Path(tmp) / "theirs.txt"
+        with mock.patch.object(formats, "CHUNK_BYTES", chunk):
+            write_comparisons(plan, ours)
+        write_comparisons_per_token(plan, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
 
 
 def test_comparisons_reject_a_slot_beyond_64_bits(tmp_path):
@@ -273,7 +353,7 @@ SCORE_LINE = st.one_of(
 @given(
     st.lists(st.tuples(SCORE_LINE, ENDING), max_size=12),
     st.booleans(),
-    st.sampled_from([1, 5, 16, formats._READ_CHARS]),
+    st.sampled_from([1, 5, 16, core.CHUNK_BYTES]),
 )
 def test_chunked_score_reader_agrees_with_the_per_line_reader(lines, last_ended, chunk):
     text = "".join(line + ending for line, ending in lines)
@@ -282,14 +362,14 @@ def test_chunked_score_reader_agrees_with_the_per_line_reader(lines, last_ended,
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scores.txt"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(formats, "_READ_CHARS", chunk):
+        with mock.patch.object(core, "CHUNK_BYTES", chunk):
             chunked, per_line = _scores_both(path)
     assert chunked == per_line
 
 
 def test_bad_score_after_the_first_read_chunk(tmp_path):
-    good = "".join(f"{i / 7_000!r}\n" for i in range(7_000))
-    assert len(good) > formats._READ_CHARS
+    good = "".join(f"{i / 7_000!r}\n" for i in range(40_000))
+    assert len(good) > core.CHUNK_BYTES
     path = tmp_path / "scores.txt"
     for bad, message in (
         ("x\n", "non-numeric score 'x'"),
@@ -297,7 +377,7 @@ def test_bad_score_after_the_first_read_chunk(tmp_path):
     ):
         path.write_text(STRICT_HEADER_PREFIX + "ab\n" + good + "\n" + bad + good)
         chunked, per_line = _scores_both(path)
-        assert chunked == per_line == (f"line 7003: {message}", 7_003)
+        assert chunked == per_line == (f"line 40003: {message}", 40_003)
 
 def test_det_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)

@@ -242,6 +242,10 @@ class TestBuildComparisonPlan:
             for subject in ev.subjects
             for session in chronological_sessions(subject)
         )
+        # The subject table the plan is built with is its sessions' own.
+        subject_ids, subject_of = plan.subjects
+        assert subject_ids == list(dict.fromkeys(s for s, _ in plan.sessions))
+        assert [subject_ids[i] for i in subject_of] == [s for s, _ in plan.sessions]
 
     def test_synthetic_pipeline_count(self):
         ev = generate(GeneratorConfig(n_subjects=100, seed=123))
