@@ -78,19 +78,21 @@ def raw_embedding(matrix: FeatureMatrix) -> np.ndarray:
     return summary_block(matrix.valid_rows()[None])[0]
 
 
-def raw_embeddings(dataset: Dataset, config: FeatureConfig) -> np.ndarray:
-    """Un-normalized summary vectors of the dataset's sessions, one row
-    each, in dataset order.
+def raw_embeddings(
+    dataset: Dataset, sessions: np.ndarray, config: FeatureConfig
+) -> np.ndarray:
+    """Un-normalized summary vectors of the dataset's sessions at the
+    indices `sessions`, one row each, in that order.
 
     Sessions are grouped by their length after truncation to max_len, and
     each group is summarized in blocks of at most CHUNK_SESSIONS sessions,
     gathered straight from the event block.
     """
-    starts = dataset.event_offsets[:-1]
-    lengths = np.minimum(np.diff(dataset.event_offsets), config.max_len)
+    starts = dataset.event_offsets[sessions]
+    lengths = np.minimum(dataset.event_offsets[sessions + 1] - starts, config.max_len)
     empty = np.flatnonzero(lengths == 0)
     if len(empty):
-        raise ValueError(f"session {dataset.session_ids[empty[0]]} has no events")
+        raise ValueError(f"session {dataset.session_ids[sessions[empty[0]]]} has no events")
     out = np.empty((len(lengths), STATS_PER_CHANNEL * config.feature_set.n_channels))
     for n in np.unique(lengths).tolist():
         group = np.flatnonzero(lengths == n)
@@ -122,7 +124,7 @@ def fit_normalization(development: Dataset, config: FeatureConfig) -> Normalizat
     """
     if not development.n_sessions():
         raise ValueError("development dataset contains no sessions")
-    stacked = raw_embeddings(development, config)
+    stacked = raw_embeddings(development, np.arange(development.n_sessions()), config)
     stats = [order_insensitive_mean_std(stacked[:, j]) for j in range(stacked.shape[1])]
     return NormalizationStats(
         mean=np.array([m for m, _ in stats]),

@@ -206,11 +206,9 @@ def run_score(
         )
     stats = fit_normalization(development, feature_config)
 
-    evaluation = dataset.select(np.flatnonzero(is_referenced))
-    row_of = {key: row for row, key in enumerate(evaluation.session_keys())}
-    evaluated = set(evaluation.subject_ids.tolist())
+    row_of = {key: row for row, key in enumerate(dataset.session_keys())}
     for subject_id, session_id in sorted(referenced - row_of.keys()):
-        if subject_id not in evaluated:
+        if subject_id not in dataset.subject_ids:
             raise DataReferenceError(
                 f"subject {subject_id!r} not in dataset or not protocol-eligible"
             )
@@ -218,8 +216,10 @@ def run_score(
             f"session {session_id!r} of subject {subject_id!r} not in dataset"
         )
 
-    embeddings = normalize(raw_embeddings(evaluation, feature_config), stats)
-    scores = score_comparisons(plan, embeddings[[row_of[key] for key in plan.sessions]])
+    sessions = np.array([row_of[key] for key in plan.sessions], dtype=np.intp)
+    scores = score_comparisons(
+        plan, normalize(raw_embeddings(dataset, sessions, feature_config), stats)
+    )
     digest = formats.sha256_file(comparisons_path) if strict else None
     with _writing(out_dir):
         formats.write_scores(scores.tolist(), out_dir / "scores.txt", digest)

@@ -6,8 +6,8 @@ All text files are UTF-8 with LF endings and no header unless stated:
 - demographics TSV: subject_id  age_group  gender        (age_group like
   "18-26", gender M/F)
 - comparisons.txt:  enrol_subject:enrol_session  verif_subject:verif_session
-  kind  slot   (kind G/S/D, slot = score index; the five enrolment lines of
-  a slot appear consecutively in enrolment order)
+  kind  slot   (kind G/S/D, slot = score index; a slot has five lines, one
+  per enrolment session, in any order)
 - scores.txt:       one similarity per line, '.' decimal separator, order
   matching comparisons.txt; an optional strict-mode header line carries the
   comparison file digest
@@ -16,8 +16,8 @@ All text files are UTF-8 with LF endings and no header unless stated:
 - sir_*.csv:        row/column group labels plus mean-score cells; missing
   cells are empty
 
-Identifiers must not contain tabs, newlines, or ':' (the comparison-file
-separator).
+Identifiers must not contain tabs, line ends ('\n' or '\r', which the
+readers take as a line end), or ':' (the comparison-file separator).
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ from .protocol import ENROL_SESSIONS, KINDS, ComparisonPlan, subject_table
 
 STRICT_HEADER_PREFIX = "# comparisons_sha256="
 _STRICT_HEADER = STRICT_HEADER_PREFIX.encode()
+_NOT_IN_IDENTIFIERS = "\t\n\r:"
 
 
 def _check_identifier(value: str, what: str) -> str:
-    if not value or any(c in value for c in "\t\n:"):
+    if not value or any(c in value for c in _NOT_IN_IDENTIFIERS):
         raise ConfigError(f"{what} {value!r} is empty or contains tab/newline/colon")
     return value
 
@@ -73,7 +74,7 @@ def _check_identifiers(pairs: Iterable[tuple[str, str]]) -> None:
     to name the first bad one."""
     ids = list(chain.from_iterable(pairs))
     text = "".join(ids)
-    if "" not in ids and not any(c in text for c in "\t\n:"):
+    if "" not in ids and not any(c in text for c in _NOT_IN_IDENTIFIERS):
         return
     for i in range(0, len(ids), 2):
         _check_identifier(ids[i], "subject_id")
@@ -201,8 +202,7 @@ def _padded(texts: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_comparisons(path: Path) -> ComparisonPlan:
-    """Read a comparison file; enrolment indices are recovered from the
-    order of appearance within each (subject, kind, slot) group.
+    """Read a comparison file.
 
     The file is read as bytes, `CHUNK_BYTES` at a time, and each chunk's
     lines are scanned with array operations. Keys are interned in a dict,
@@ -223,38 +223,7 @@ def load_comparisons(path: Path) -> ComparisonPlan:
         (s, t) for s, _, t in map(str.partition, map(bytes.decode, table), repeat(":"))
     ])
     del table
-    subjects = subject_table(sessions)
-    enrol, verif = keys[:, 0], keys[:, 1]
-    enrol_index = _enrolment_indices(subjects[1][enrol], kind, slot)
-    return ComparisonPlan(sessions, enrol, verif, kind, slot, enrol_index, subjects)
-
-
-def _enrolment_indices(
-    enrolled: np.ndarray, kind: np.ndarray, slot: np.ndarray
-) -> np.ndarray:
-    """Each line's count of the earlier lines with its (enrolled subject,
-    kind, slot). Consecutive lines with one key form a run, and only the
-    runs are sorted: a plan lists a slot's lines together."""
-    keys = (slot, kind, enrolled)
-    n = len(kind)
-    starts = np.zeros(n, dtype=bool)
-    starts[:1] = True
-    for key in keys:
-        starts[1:] |= key[1:] != key[:-1]
-    runs = np.flatnonzero(starts)
-    sizes = np.diff(runs, append=n)
-    run_keys = tuple(key[runs] for key in keys)
-    order = np.lexsort(run_keys)  # stable: the runs of a key keep their order
-    firsts = np.zeros(len(runs), dtype=bool)  # the first sorted run of each key
-    firsts[:1] = True
-    for key in run_keys:
-        ranked = key[order]
-        firsts[1:] |= ranked[1:] != ranked[:-1]
-    # Lines in the sorted runs before each run, minus those before its key's first run.
-    before = np.cumsum(sizes[order]) - sizes[order]
-    earlier = np.empty(len(runs), dtype=np.int64)
-    earlier[order] = before - before[np.flatnonzero(firsts)][np.cumsum(firsts) - 1]
-    return np.repeat(earlier - runs, sizes) + np.arange(n)
+    return ComparisonPlan(sessions, keys[:, 0], keys[:, 1], kind, slot, subject_table(sessions))
 
 
 def _scan_comparison_lines(

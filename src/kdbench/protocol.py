@@ -48,7 +48,6 @@ class Comparison(NamedTuple):
     verif_session: str
     kind: ComparisonKind
     score_index: int
-    enrol_index: int
 
 
 SessionKey = tuple[str, str]  # (subject_id, session_id)
@@ -60,8 +59,7 @@ class ComparisonPlan:
 
     `sessions` is the session table: every (subject_id, session_id) the
     plan references, once. `enrol` and `verif` index it; `kind` holds
-    0/1/2 for G/S/D (`KINDS`), `slot` the score index and `enrol_index`
-    the line's place among the five enrolment comparisons of its slot.
+    0/1/2 for G/S/D (`KINDS`) and `slot` the score index.
     `subjects` is the subject table of the sessions (`subject_table`),
     built from them when not given. Two plans are equal when they list the
     same lines in the same order, whatever the order of their session
@@ -73,7 +71,6 @@ class ComparisonPlan:
     verif: np.ndarray
     kind: np.ndarray
     slot: np.ndarray
-    enrol_index: np.ndarray
     subjects: tuple[list[str], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -85,7 +82,6 @@ class ComparisonPlan:
             ("verif", np.intp),
             ("kind", np.int8),
             ("slot", np.int64),
-            ("enrol_index", np.int64),
         ):
             column = np.asarray(getattr(self, name), dtype=dtype)
             if column.shape != (n,):
@@ -106,18 +102,18 @@ class ComparisonPlan:
 
     def _resolved(self) -> tuple[np.ndarray, ...]:
         keys = np.array(self.sessions, dtype=object).reshape(-1, 2)
-        return keys[self.enrol], keys[self.verif], self.kind, self.slot, self.enrol_index
+        return keys[self.enrol], keys[self.verif], self.kind, self.slot
 
     @property
     def entries(self) -> tuple[Comparison, ...]:
         """The plan as `Comparison` rows, built anew on each access."""
-        enrol, verif, kind, slot, enrol_index = self._resolved()
+        enrol, verif, kind, slot = self._resolved()
         return tuple(map(
             Comparison,
             enrol[:, 0].tolist(), enrol[:, 1].tolist(),
             verif[:, 0].tolist(), verif[:, 1].tolist(),
             np.array(KINDS, dtype=object)[kind].tolist(),
-            slot.tolist(), enrol_index.tolist(),
+            slot.tolist(),
         ))
 
     def referenced_sessions(self) -> set[SessionKey]:
@@ -318,7 +314,6 @@ def build_comparison_plan(evaluation: Dataset, seed: int) -> ComparisonPlan:
         verif=np.broadcast_to(verif[..., None], shape).ravel(),
         kind=np.broadcast_to(np.arange(len(KINDS))[:, None, None], shape).ravel(),
         slot=np.broadcast_to(np.arange(SLOTS_PER_KIND)[:, None], shape).ravel(),
-        enrol_index=np.broadcast_to(np.arange(ENROL_SESSIONS), shape).ravel(),
     )
 
 
@@ -348,83 +343,71 @@ def aggregate_scores(
 
     Returns the enrolled subject ids, sorted, and a read-only
     (subjects, 3, 10) array of their slot means: row r holds subject r's
-    genuine, similar and dissimilar slots, in `KINDS` order. A plan whose
-    slot lies outside [0, 10), whose genuine line pairs two subjects, or
-    whose impostor line pairs a subject with itself is rejected
-    (ProtocolError); when several lines are bad, the first one is reported.
+    genuine, similar and dissimilar slots, in `KINDS` order. A score
+    outside [0, 1] is rejected (AlignmentError). A plan whose slot lies
+    outside [0, 10), whose genuine line pairs two subjects, or whose
+    impostor line pairs a subject with itself is rejected (ProtocolError),
+    and so is one with a slot of other than 5 lines; when several lines
+    are bad, the first one is reported.
     """
     scores = np.asarray(raw_scores, dtype=np.float64)
     if scores.ndim != 1 or len(scores) != len(plan):
         raise AlignmentError(f"{len(scores)} scores for {len(plan)} plan entries")
-    bad = np.flatnonzero(~np.isfinite(scores))
+    bad = np.flatnonzero(~((scores >= 0) & (scores <= 1)))  # NaN fails too
     if bad.size:
-        raise AlignmentError(f"non-finite score at entry {int(bad[0])}")
+        line = int(bad[0])
+        raise AlignmentError(f"score {float(scores[line])!r} at entry {line} outside [0, 1]")
 
     subject_ids, subject_of = plan.subjects
     enrolled, verified = subject_of[plan.enrol], subject_of[plan.verif]
-    kind, slot, enrol_index = plan.kind, plan.slot, plan.enrol_index
+    kind, slot = plan.kind, plan.slot
 
     def slot_name(line: int) -> str:
         return f"{subject_ids[enrolled[line]]}/{KINDS[kind[line]].value}/{slot[line]}"
 
-    # Each line's cell in a (subjects, 3, 10, 5) block; -1 when out of range.
     slot_ok = (slot >= 0) & (slot < SLOTS_PER_KIND)
-    index_ok = (enrol_index >= 0) & (enrol_index < ENROL_SESSIONS)
     pairing_bad = (kind == GENUINE) != (verified == enrolled)
-    cell = np.where(
-        slot_ok & index_ok,
-        ((enrolled * len(KINDS) + kind) * SLOTS_PER_KIND + slot) * ENROL_SESSIONS
-        + enrol_index,
-        -1,
-    )
-    # A repeated cell is bad from its second line on.
-    order = np.argsort(cell, kind="stable")
-    ranked = cell[order]
-    repeated = np.zeros(len(plan), dtype=bool)
-    repeated[order[1:]] = (ranked[1:] == ranked[:-1]) & (ranked[1:] >= 0)
-    bad = np.flatnonzero(~slot_ok | pairing_bad | ~index_ok | repeated)
+    bad = np.flatnonzero(~slot_ok | pairing_bad)
     if bad.size:
         line = int(bad[0])
         if not slot_ok[line]:
             raise ProtocolError(
                 f"slot {slot_name(line)} outside [0, {SLOTS_PER_KIND})"
             )
-        if pairing_bad[line]:
-            raise ProtocolError(
-                f"{KINDS[kind[line]].value} comparison of {subject_ids[enrolled[line]]} "
-                f"against {subject_ids[verified[line]]}: "
-                "genuine lines pair a subject with itself, impostor lines with another"
-            )
         raise ProtocolError(
-            f"slot {slot_name(line)} has a duplicate or out-of-range enrolment "
-            f"index {enrol_index[line]}"
+            f"{KINDS[kind[line]].value} comparison of {subject_ids[enrolled[line]]} "
+            f"against {subject_ids[verified[line]]}: "
+            "genuine lines pair a subject with itself, impostor lines with another"
         )
 
+    # Each line's cell in a (subjects, 3, 10) block of slots.
     shape = (len(subject_ids), len(KINDS), SLOTS_PER_KIND)
-    slot_of = cell // ENROL_SESSIONS
-    filled = np.bincount(slot_of, minlength=math.prod(shape))
-    short = np.flatnonzero(filled[slot_of] < ENROL_SESSIONS)
-    if short.size:
-        line = int(short[0])
+    cell = (enrolled * len(KINDS) + kind) * SLOTS_PER_KIND + slot
+    filled = np.bincount(cell, minlength=math.prod(shape))
+    wrong = np.flatnonzero(filled[cell] != ENROL_SESSIONS)
+    if wrong.size:
+        line = int(wrong[0])
         raise ProtocolError(
-            f"slot {slot_name(line)} has {filled[slot_of[line]]} comparisons, "
+            f"slot {slot_name(line)} has {filled[cell[line]]} comparisons, "
             f"expected {ENROL_SESSIONS}"
         )
 
-    rows = sorted(np.unique(enrolled).tolist(), key=subject_ids.__getitem__)
+    enrolled_rows = np.unique(enrolled)
+    by_id = sorted(range(len(enrolled_rows)), key=lambda r: subject_ids[enrolled_rows[r]])
+    rows = enrolled_rows[by_id]
     missing = np.argwhere(filled.reshape(shape)[rows] == 0)
     if missing.size:
         row, k, i = missing[0].tolist()
         raise ProtocolError(
             f"subject {subject_ids[rows[row]]} is missing {KINDS[k].value} slot {i}"
         )
-    block = np.zeros(shape + (ENROL_SESSIONS,))
-    block.reshape(-1)[cell] = scores
-    # Values sit at their enrolment index and fsum is exact, so permuting
-    # plan lines together with their scores cannot move a mean by an ulp.
+    # Every filled slot has 5 lines, so sorting by cell lines up each slot's
+    # scores; fsum is exact, so the order of lines within a slot cannot move
+    # a mean by an ulp.
     means = np.array([
         math.fsum(values) / ENROL_SESSIONS
-        for values in block[rows].reshape(-1, ENROL_SESSIONS).tolist()
-    ]).reshape((len(rows),) + shape[1:])
+        for values in scores[np.argsort(cell, kind="stable")]
+        .reshape(-1, ENROL_SESSIONS).tolist()
+    ]).reshape((len(rows),) + shape[1:])[by_id]
     means.flags.writeable = False
-    return [subject_ids[s] for s in rows], means
+    return [subject_ids[s] for s in rows.tolist()], means

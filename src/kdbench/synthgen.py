@@ -198,7 +198,13 @@ def generate(config: GeneratorConfig) -> Dataset:
     weights = np.asarray(config.group_weights, dtype=np.float64)
     weights = weights / weights.sum()
     n, sessions = config.n_subjects, config.sessions_per_subject
-    events = np.empty((n, sessions, config.keys_per_session, 3), dtype=np.int64)
+    try:
+        events = np.empty((n, sessions, config.keys_per_session, 3), dtype=np.int64)
+    except MemoryError:
+        raise ConfigError(
+            f"{n} subjects x {sessions} sessions x {config.keys_per_session} keys "
+            "is more events than memory holds"
+        ) from None
     demographics = []
     # A large skew drives a group's timing means to zero or below, or its
     # event times past what int64 milliseconds hold; the float overflow on

@@ -6,7 +6,8 @@ reusing the library's sort/cumsum machinery. Rates are formed as count / n
 and the crossing interpolation uses the same arithmetic expressions as the
 library, so agreement is expected to be bit-exact. The comparison-file
 reader is the per-line loader the chunked one replaced, the comparison-file
-writer is the per-token text writer the byte-matrix one replaced, and the
+writer is the per-token text writer the byte-matrix one replaced, the
+slot aggregation is a dict of each (subject, kind, slot)'s scores, and the
 session embedder is the one-session-at-a-time path the block embedder
 replaced.
 The event-row checks and the chronological session order are the
@@ -17,6 +18,7 @@ reader replaced; they read text-mode lines.
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import Iterable
 
@@ -146,22 +148,19 @@ def plan_of_rows(rows: Iterable[Comparison]) -> ComparisonPlan:
     """The columnar plan of `Comparison` rows; its session table lists each
     (subject, session) in order of first appearance."""
     table: dict[tuple[str, str], int] = {}
-    columns: list[list[int]] = [[], [], [], [], []]
+    columns: list[list[int]] = [[], [], [], []]
     for row in rows:
         enrol = table.setdefault((row.enrol_subject, row.enrol_session), len(table))
         verif = table.setdefault((row.verif_subject, row.verif_session), len(table))
-        values = (enrol, verif, KINDS.index(row.kind), row.score_index, row.enrol_index)
+        values = (enrol, verif, KINDS.index(row.kind), row.score_index)
         for column, value in zip(columns, values):
             column.append(value)
     return ComparisonPlan(tuple(table), *(np.array(c, dtype=np.int64) for c in columns))
 
 
 def load_comparisons_per_line(path) -> list[Comparison]:
-    """A comparison file's rows, one line at a time; enrolment indices are
-    recovered from the order of appearance within each (subject, kind,
-    slot) group."""
+    """A comparison file's rows, one line at a time."""
     entries: list[Comparison] = []
-    occurrence: dict[tuple[str, ComparisonKind, int], int] = {}
     letters = {kind.letter: kind for kind in ComparisonKind}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
@@ -185,16 +184,25 @@ def load_comparisons_per_line(path) -> list[Comparison]:
                 slot = int(fields[3])
             except ValueError:
                 raise ParseError(f"non-integer slot {fields[3]!r}", lineno) from None
-            key = (enrol_subject, kind, slot)
-            enrol_index = occurrence.get(key, 0)
-            occurrence[key] = enrol_index + 1
             entries.append(
-                Comparison(
-                    enrol_subject, enrol_session, verif_subject, verif_session,
-                    kind, slot, enrol_index,
-                )
+                Comparison(enrol_subject, enrol_session, verif_subject, verif_session, kind, slot)
             )
     return entries
+
+
+def aggregate_scores_per_line(rows: Iterable[Comparison], scores) -> tuple[list[str], np.ndarray]:
+    """The enrolled subject ids, sorted, and their (subjects, 3, 10) slot
+    means: each (enrolled subject, kind, slot)'s scores collected in a
+    dict, and each mean their `math.fsum` over 5."""
+    slots: dict[tuple[str, ComparisonKind, int], list[float]] = {}
+    for row, score in zip(rows, scores):
+        slots.setdefault((row.enrol_subject, row.kind, row.score_index), []).append(score)
+    ids = sorted({subject_id for subject_id, _, _ in slots})
+    means = [
+        [[math.fsum(slots[subject_id, kind, i]) / 5 for i in range(10)] for kind in KINDS]
+        for subject_id in ids
+    ]
+    return ids, np.array(means, dtype=np.float64).reshape(len(ids), len(KINDS), 10)
 
 
 def write_comparisons_per_token(plan: ComparisonPlan, path) -> None:

@@ -214,8 +214,8 @@ def run_pipeline(n_subjects, seed, skew, eval_count):
     config = FeatureConfig(FeatureSet.F5, max_len=48)
     stats = fit_normalization(development, config)
     row_of = {key: row for row, key in enumerate(evaluation.session_keys())}
-    embeddings = normalize(raw_embeddings(evaluation, config), stats)
-    raw = score_comparisons(plan, embeddings[[row_of[key] for key in plan.sessions]])
+    sessions = np.array([row_of[key] for key in plan.sessions])
+    raw = score_comparisons(plan, normalize(raw_embeddings(evaluation, sessions, config), stats))
     _, slot_scores = aggregate_scores(plan, raw)
     return evaluation, plan, raw, slot_scores
 

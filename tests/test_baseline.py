@@ -155,6 +155,10 @@ def random_session(session_id, n, rng):
     return Session(session_id, np.stack([rng.integers(0, 256, n), press, release], axis=1))
 
 
+def every_session(dataset):
+    return np.arange(dataset.n_sessions())
+
+
 def dataset_of(sessions, per_subject=5):
     return Dataset.of(
         Subject(f"u{i}", None, tuple(sessions[i * per_subject : (i + 1) * per_subject]))
@@ -189,14 +193,21 @@ class TestBlockPathMatchesPerSessionPath:
     bit; small chunks make every length group span several blocks."""
 
     @settings(max_examples=80, deadline=None)
-    @given(session_blocks(), st.sampled_from([1, 2, 3, 256]))
-    def test_embeddings_and_stats_identical(self, block, chunk):
+    @given(
+        session_blocks(), st.sampled_from([1, 2, 3, 256]),
+        st.lists(st.integers(0, 2**16), max_size=40),
+    )
+    def test_embeddings_and_stats_identical(self, block, chunk, picks):
         sessions, config = block
         dataset = dataset_of(sessions)
+        # Any sessions in any order, some more than once.
+        picked = np.array([i % len(sessions) for i in picks], dtype=np.intp)
         with mock.patch.object(baseline, "CHUNK_SESSIONS", chunk):
-            raw = raw_embeddings(dataset, config)
+            raw = raw_embeddings(dataset, every_session(dataset), config)
+            some = raw_embeddings(dataset, picked, config)
             stats = fit_normalization(dataset, config)
         assert raw.tobytes() == raw_embeddings_per_session(sessions, config).tobytes()
+        assert some.tobytes() == raw[picked].tobytes()
         mean, std = normalization_per_session(sessions, config, baseline.STD_FLOOR)
         assert (stats.mean.tobytes(), stats.std.tobytes()) == (mean.tobytes(), std.tobytes())
         expected = embed_per_session(sessions, config, stats.mean, stats.std)
@@ -209,10 +220,13 @@ class TestBlockPathMatchesPerSessionPath:
         sessions.insert(300, random_session("short", 3, rng))
         config = FeatureConfig(FeatureSet.F11, max_len=16)
         expected = raw_embeddings_per_session(sessions, config)
-        assert raw_embeddings(dataset_of(sessions), config).tobytes() == expected.tobytes()
+        dataset = dataset_of(sessions)
+        assert raw_embeddings(dataset, every_session(dataset), config).tobytes() == (
+            expected.tobytes()
+        )
 
     def test_no_sessions_give_an_empty_block(self):
-        assert raw_embeddings(Dataset.of([]), CFG).shape == (0, 25)
+        assert raw_embeddings(Dataset.of([]), np.arange(0), CFG).shape == (0, 25)
 
 
 class TestBlockPathErrors:
@@ -221,7 +235,7 @@ class TestBlockPathErrors:
         sessions = [random_session("s0", 5, rng), Session("e1", ()), Session("e2", ())]
         dataset = dataset_of(sessions)
         for call in (
-            lambda: raw_embeddings(dataset, CFG),
+            lambda: raw_embeddings(dataset, every_session(dataset), CFG),
             lambda: fit_normalization(dataset, CFG),
         ):
             with pytest.raises(ValueError, match="^session e1 has no events$"):
@@ -230,7 +244,7 @@ class TestBlockPathErrors:
     def test_non_finite_coordinate_rejected(self):
         stats = NormalizationStats(mean=np.full(25, np.inf), std=np.ones(25))
         with pytest.raises(ValueError, match="^embedding contains non-finite coordinates$"):
-            normalize(raw_embeddings(tiny_dataset(), CFG), stats)
+            normalize(raw_embeddings(tiny_dataset(), np.arange(12), CFG), stats)
         with pytest.raises(ValueError, match="^embedding contains non-finite coordinates$"):
             embed_session(extract_features(WORKED_SESSION, CFG), stats)
 
@@ -239,7 +253,7 @@ class TestBlockPathErrors:
             ValueError,
             match="^embedding dimension 25 does not match normalization dimension 7$",
         ):
-            normalize(raw_embeddings(tiny_dataset(), CFG), identity_stats(7))
+            normalize(raw_embeddings(tiny_dataset(), np.arange(12), CFG), identity_stats(7))
 
 
 def test_working_memory_is_a_few_chunks():
@@ -264,7 +278,7 @@ def test_working_memory_is_a_few_chunks():
     chunk_block = baseline.CHUNK_SESSIONS * 64 * config.feature_set.n_channels * 8
     tracemalloc.start()
     try:
-        out = raw_embeddings(dataset, config)
+        out = raw_embeddings(dataset, every_session(dataset), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -273,7 +287,7 @@ def test_working_memory_is_a_few_chunks():
 
 def plan_of(pairs):
     entries = tuple(
-        Comparison("a", left, "b", right, ComparisonKind.SIMILAR, i, 0)
+        Comparison("a", left, "b", right, ComparisonKind.SIMILAR, i)
         for i, (left, right) in enumerate(pairs)
     )
     return plan_of_rows(entries)
@@ -328,11 +342,11 @@ class TestScoreComparisons:
     def test_scores_within_unit_interval(self):
         ds = tiny_dataset()
         vectors = dict(zip(ds.session_keys(), normalize(
-            raw_embeddings(ds, CFG), fit_normalization(ds, CFG)
+            raw_embeddings(ds, every_session(ds), CFG), fit_normalization(ds, CFG)
         )))
         pairs = [("s0", "s1"), ("s1", "s2"), ("s2", "s3")]
         plan = plan_of_rows(
-            Comparison("u0", a, "u1", b, ComparisonKind.SIMILAR, i, 0)
+            Comparison("u0", a, "u1", b, ComparisonKind.SIMILAR, i)
             for i, (a, b) in enumerate(pairs)
         )
         scores = score_comparisons(plan, table_of(plan, vectors))
@@ -342,8 +356,7 @@ class TestScoreComparisons:
 def random_plan(n_sessions, n_comparisons, rng):
     keys = tuple(("u", f"s{i}") for i in range(n_sessions))
     columns = [rng.integers(0, n_sessions, n_comparisons) for _ in range(2)]
-    zeros = np.zeros(n_comparisons, dtype=np.int64)
-    return ComparisonPlan(keys, *columns, zeros, np.arange(n_comparisons), zeros)
+    return ComparisonPlan(keys, *columns, np.zeros(n_comparisons), np.arange(n_comparisons))
 
 
 def unchunked_scores(plan, table):

@@ -168,14 +168,7 @@ class TestScoreCommand:
         # Point the plan at a session id that does not exist.
         plan = load_comparisons(protocol_dir / "comparisons.txt")
         rows = plan.entries
-        entry = rows[0]
-        broken = plan_of_rows(
-            (type(entry)(
-                entry.enrol_subject, "zz99", entry.verif_subject,
-                entry.verif_session, entry.kind, entry.score_index,
-                entry.enrol_index,
-            ),) + rows[1:]
-        )
+        broken = plan_of_rows((rows[0]._replace(enrol_session="zz99"),) + rows[1:])
         write_comparisons(broken, tmp_path / "broken.txt")
         code = run(
             "score",
@@ -604,6 +597,37 @@ def _slot_without_lines(*dirs):
     return _evaluate_subset(dirs, lambda i, line: i >= 5)
 
 
+def _slot_with_four_lines(*dirs):
+    return _evaluate_subset(dirs, lambda i, line: i != 2)
+
+
+def _slot_with_six_lines(*dirs):
+    # The first line again, at the end, with one more score: reported at
+    # the slot's first line.
+    return _evaluate_edited(
+        dirs, edit_comparisons=lambda lines: lines + lines[:1], extra_scores="0.5\n"
+    )
+
+
+def _synth_too_large(synth_dir, protocol_dir, scores_dir, tmp_path):
+    # 1.53 PiB of events: more than the address space, so numpy refuses the
+    # block at once.
+    return ("synth", "--subjects", 100_000_000_000, "--out", tmp_path / "out")
+
+
+def _scores_set_to(value, lines=slice(17, 18)):
+    """evaluate with `value` in place of the fixture run's scores at `lines`."""
+    def make_argv(*dirs):
+        argv = _evaluate_edited(dirs)
+        path = dirs[3] / "scores.txt"
+        scores = path.read_text().splitlines(keepends=True)
+        scores[lines] = [f"{value}\n"] * len(scores[lines])
+        path.write_text("".join(scores))
+        return argv
+    make_argv.__name__ = f"_scores_set_to_{value}"
+    return make_argv
+
+
 def _score_enrolling(enrol):
     """score with the first comparison line's enrolment side set to `enrol`."""
     def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
@@ -750,6 +774,16 @@ BAD_INPUTS = [
     (_one_enrolled_group, 3, "fairness metrics need at least 2 populated groups; "
                              "the plan enrols subjects of 14-17/M only"),
     (_slot_without_lines, 3, "subject u00001 is missing genuine slot 0"),
+    (_slot_with_four_lines, 3, "slot u00001/genuine/0 has 4 comparisons, expected 5"),
+    (_slot_with_six_lines, 3, "slot u00001/genuine/0 has 6 comparisons, expected 5"),
+    (_scores_set_to("7.5"), 5, "score 7.5 at entry 17 outside [0, 1]"),
+    (_scores_set_to("-0.1"), 5, "score -0.1 at entry 17 outside [0, 1]"),
+    # Every score 1e308: a slot's sum would overflow.
+    (_scores_set_to("1e308", slice(None)), 5, "score 1e+308 at entry 0 outside [0, 1]"),
+    (
+        _synth_too_large, 2,
+        "100000000000 subjects x 15 sessions x 48 keys is more events than memory holds",
+    ),
     (_score_enrolling("u00001:zz99"), 4, "session 'zz99' of subject 'u00001' not in dataset"),
     (_score_enrolling("zz_ghost:s00"), 4,
      "subject 'zz_ghost' not in dataset or not protocol-eligible"),

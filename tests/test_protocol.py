@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from kdbench.fairmetrics import impostor_score_entries
 from kdbench.protocol import (
     KINDS,
     ComparisonKind,
+    ComparisonPlan,
     SplitConfig,
     aggregate_scores,
     build_comparison_plan,
@@ -20,7 +23,7 @@ from kdbench.protocol import (
 )
 from kdbench.synthgen import GeneratorConfig, generate
 
-from oracles import chronological_sessions, plan_of_rows
+from oracles import aggregate_scores_per_line, chronological_sessions, plan_of_rows
 from test_core import make_session, make_subject
 from kdbench.core import Dataset, Subject
 
@@ -311,6 +314,72 @@ class TestAggregateScores:
         scores[17] = np.nan
         with pytest.raises(AlignmentError, match="entry 17"):
             aggregate_scores(plan, scores)
+
+    @pytest.mark.parametrize("value", [7.5, -0.1, 1e308, np.inf, -np.inf, -5e-324])
+    def test_score_outside_unit_interval_rejected_with_index(self, value):
+        plan, scores = self._plan_and_scores()
+        scores[17] = value
+        message = f"score {float(value)!r} at entry 17 outside [0, 1]"
+        with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
+            aggregate_scores(plan, scores)
+
+    def test_unit_interval_bounds_accepted(self):
+        plan, scores = self._plan_and_scores()
+        scores[:5], scores[5:10] = 0.0, 1.0
+        ids, slots = aggregate_scores(plan, scores)
+        row = ids.index(plan.entries[0].enrol_subject)
+        assert slots[row, 0, :2].tolist() == [0.0, 1.0]
+
+
+@functools.cache
+def _uniform_plan():
+    plan = build_comparison_plan(uniform_dataset(n_per_group=2), seed=3)
+    return plan, plan.entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(st.integers(0, 3599), st.one_of(st.floats(0, 1), st.just(-0.0))),
+        max_size=20,
+    ),
+    st.sampled_from(["keep", "drop", "repeat"]),
+    st.integers(0, 3599),
+)
+def test_aggregate_scores_agrees_with_the_per_line_oracle(seed, values, op, line):
+    """Any line order gives the oracle's ids and means to the bit; a slot
+    short of a line, or with one line twice, is named with its count."""
+    plan, entries = _uniform_plan()
+    assert len(plan) == 3600
+    rng = np.random.default_rng(seed)
+    scores = rng.uniform(0, 1, len(plan))
+    for i, value in values:
+        scores[i] = value
+    order = rng.permutation(len(plan))
+    edited = entries[order[line]]
+    if op == "drop":
+        order = np.delete(order, line)
+    elif op == "repeat":
+        order = np.insert(order, rng.integers(len(order) + 1), order[line])
+    permuted = ComparisonPlan(
+        plan.sessions, plan.enrol[order], plan.verif[order], plan.kind[order], plan.slot[order]
+    )
+    if op == "keep":
+        ids, means = aggregate_scores(permuted, scores[order])
+        expected_ids, expected = aggregate_scores_per_line(
+            [entries[i] for i in order], scores[order].tolist()
+        )
+        assert ids == expected_ids
+        assert means.tobytes() == expected.tobytes()
+        return
+    count = {"drop": 4, "repeat": 6}[op]
+    with pytest.raises(ProtocolError) as info:
+        aggregate_scores(permuted, scores[order])
+    assert str(info.value) == (
+        f"slot {edited.enrol_subject}/{edited.kind.value}/{edited.score_index} "
+        f"has {count} comparisons, expected 5"
+    )
 
 
 class TestScoreSet:
