@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from . import formats
 from .baseline import fit_normalization, normalize, raw_embeddings, score_comparisons
-from .core import Dataset, attach_demographics, filter_eligible
+from .core import Dataset, attach_demographics, eligibility_issues, filter_eligible
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -147,7 +148,9 @@ def run_protocol(
     split_config: SplitConfig,
     out_dir: Path,
 ) -> ComparisonPlan:
-    dataset = filter_eligible(_load_labeled_dataset(data_path, demographics_path))
+    labeled = _load_labeled_dataset(data_path, demographics_path)
+    dropped = eligibility_issues(labeled)
+    dataset = filter_eligible(labeled)
     development, evaluation = split_dataset(dataset, split_config)
     plan = build_comparison_plan(evaluation, split_config.seed)
     with _writing(out_dir):
@@ -162,12 +165,26 @@ def run_protocol(
         _write_manifest(
             out_dir, "protocol", split_config,
             {"data": data_path, "demographics": demographics_path},
+            diagnostics={
+                "subjects_dropped": len(dropped),
+                "dropped_by_issue": Counter(
+                    kind for issues in dropped.values() for kind in set(map(_issue_kind, issues))
+                ),
+                "first_dropped": labeled.subject_ids[list(dropped)[:5]].tolist(),
+            },
         )
     print(
         f"wrote {len(plan)} comparisons for {len(evaluation)} evaluation "
         f"subjects to {out_dir}"
     )
     return plan
+
+
+def _issue_kind(issue: str) -> str:
+    """An `eligibility_issues` message without its count or session id."""
+    if issue.startswith("session count "):
+        return "session count " + " ".join(issue.split()[3:])
+    return "session with no events"
 
 
 def cmd_protocol(args: argparse.Namespace) -> int:

@@ -290,7 +290,7 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     bad, the first one is reported. Raises UnicodeDecodeError when the
     first bad line is not UTF-8.
     """
-    heads: dict[bytes, int] = {}  # b"subject\tsession" -> session index
+    heads = _Interned()  # b"subject\tsession" -> session index
     session_of = array("q")
     values = array("q")  # code, press, release of each event
     # Line numbers, needed only to name a bad line, in runs of consecutive
@@ -321,7 +321,7 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     events = np.frombuffer(values, dtype=np.int64, count=n * _EVENT_COLUMNS).reshape(
         n, _EVENT_COLUMNS
     )
-    keys = [head.decode().split("\t") for head in heads]
+    keys = [head.decode().split("\t") for head in heads.ids]
     subjects: dict[str, int] = {}
     subject_of = np.array(
         [subjects.setdefault(subject_id, len(subjects)) for subject_id, _ in keys],
@@ -457,7 +457,7 @@ def _split_lines(
 
 
 def _scan_lines(
-    chunk: bytes, lineno: int, heads: dict[bytes, int]
+    chunk: bytes, lineno: int, heads: _Interned
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ParseError | UnicodeDecodeError | None]:
     """The session indices, line numbers and (code, press, release) rows of
     the lines of `chunk`, numbered from `lineno + 1`; blank lines are
@@ -533,15 +533,43 @@ def _bulk_integers(
     return values, bulk
 
 
+class _Interned:
+    """The keys one file's chunks have interned so far: `ids` maps each key
+    to its id, in order of first appearance. The carry is the last chunk's
+    distinct keys of at most 16 bytes, as (length, first word, second word)
+    columns, and their ids. It is written into buffers that each chunk
+    reuses, grown only when too small: a carry allocated anew per chunk
+    fragments the heap under the chunk's other arrays and raises the
+    process's peak RSS."""
+
+    def __init__(self) -> None:
+        self.ids: dict[bytes, int] = {}
+        self._keys = np.empty(0, dtype=np.uint64)  # the three columns in turn
+        self._ids = np.empty(0, dtype=np.int64)
+        self._carried = 0
+
+    def carry(self) -> tuple[np.ndarray, np.ndarray]:
+        """The carry's (3, n) key columns and n ids, as views of the buffers."""
+        n = self._carried
+        return self._keys[: 3 * n].reshape(3, n), self._ids[:n]
+
+    def new_carry(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The `carry` views for a carry of `n` keys, which replaces this one."""
+        if n > len(self._ids):
+            self._keys, self._ids = np.empty(6 * n, dtype=np.uint64), np.empty(2 * n, np.int64)
+        self._carried = n
+        return self.carry()
+
+
 def _intern_heads(
     chunk: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-    heads: dict[bytes, int], lags: Sequence[int],
+    heads: _Interned, lags: Sequence[int],
 ) -> np.ndarray:
     """The id of each key `chunk[starts:ends]`, for `(lines, columns)`
     arrays of key bounds. A key equal to the one `lags[c]` lines before it
-    in its column `c` takes that key's id; the others are looked up in
-    `heads`, line by line and column by column, and those new to it join
-    it, so ids follow the order of first appearance. Keys are compared by
+    in its column `c` takes that key's id; the others go to `_look_up`, and
+    those new to `heads` join it, so ids follow the order of first
+    appearance, line by line and column by column. Keys are compared by
     length and first 16 bytes, then 8 bytes at a time."""
     shape = starts.shape
     words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
@@ -573,9 +601,13 @@ def _intern_heads(
         at, counterpart = at[equal], counterpart[equal]
         offset += 8
     looked_up = np.flatnonzero(~same)
-    names = [chunk[a:b] for a, b in zip(starts[looked_up].tolist(), ends[looked_up].tolist())]
     ids = np.empty(len(lengths), dtype=np.int64)
-    ids[looked_up] = [heads.setdefault(name, len(heads)) for name in names]
+    ids[looked_up] = _look_up(
+        chunk, starts[looked_up], ends[looked_up],
+        np.stack([lengths[looked_up].astype(np.uint64),
+                  first.ravel()[looked_up], second.ravel()[looked_up]]),
+        heads,
+    )
     # Each key takes the id of the last key looked up at or before it in its
     # chain: its column, every `lag` lines.
     source = np.where(same, -1, np.arange(len(same))).reshape(shape)
@@ -584,6 +616,64 @@ def _intern_heads(
         chains[: len(column)] = column
         column[:] = np.maximum.accumulate(chains.reshape(-1, lag), axis=0).ravel()[: len(column)]
     return ids[source]
+
+
+def _look_up(
+    chunk: bytes, starts: np.ndarray, ends: np.ndarray, keys: np.ndarray, heads: _Interned
+) -> np.ndarray:
+    """The ids of the keys `chunk[starts:ends]`, given in (line, column)
+    order with `keys` their (length, first word, second word) columns.
+
+    The columns of keys of at most 16 bytes are sorted with the carry's on
+    their `_mix`; a run of equal columns is a group of byte-equal keys. A
+    group holding a carried key takes its id. The first key of each other
+    group, and each longer key, is looked up in `heads.ids` in (line,
+    column) order, so the dict decides every new id. Distinct keys with
+    one mix can only split a group, which costs a lookup, not a wrong id.
+    The groups of this chunk's keys become the carry: it holds one chunk's
+    keys, however many the file has."""
+    short = np.flatnonzero(keys[0] <= 16)
+    carry_keys, carry_ids = heads.carry()
+    carried = len(carry_ids)
+    rows = np.concatenate([carry_keys, keys.take(short, axis=1)], axis=1)
+    order = np.argsort(_mix(rows))
+    rows = rows.take(order, axis=1)
+    opens = np.ones(rows.shape[1], dtype=bool)
+    opens[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
+    group, firsts = np.cumsum(opens) - 1, np.flatnonzero(opens)
+    # The sort leaves a group's keys in any order; its earliest one leads
+    # it: the carried one, if any, else its first in the chunk.
+    leaders = np.minimum.reduceat(order, firsts)
+    asked = keys[0] > 16
+    asked[short[leaders[leaders >= carried] - carried]] = True
+    asked = np.flatnonzero(asked)
+    ids, table = np.empty(keys.shape[1], dtype=np.int64), heads.ids
+    ids[asked] = [
+        table.setdefault(chunk[a:b], len(table))
+        for a, b in zip(starts[asked].tolist(), ends[asked].tolist())
+    ]
+    # The id of each carried key, then of each short key; every key takes
+    # its group leader's.
+    every = np.concatenate([carry_ids, ids[short]])
+    every[order] = every[leaders][group]
+    ids[short] = every[carried:]
+    in_chunk = np.zeros(len(leaders), dtype=bool)
+    in_chunk[group[order >= carried]] = True
+    carry_keys, carry_ids = heads.new_carry(np.count_nonzero(in_chunk))
+    # "clip" writes straight into the buffers; every index is in range.
+    np.take(rows, firsts[in_chunk], axis=1, out=carry_keys, mode="clip")
+    np.take(every, leaders[in_chunk], out=carry_ids, mode="clip")
+    return ids
+
+
+# Odd multipliers for `_mix`.
+_MIX_FIRST, _MIX_SECOND = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9)
+
+
+def _mix(keys: np.ndarray) -> np.ndarray:
+    """One 64-bit value per (length, first word, second word) column of
+    `keys`: equal columns mix equal, and distinct ones seldom do."""
+    return (keys[1] * _MIX_FIRST ^ keys[2]) * _MIX_SECOND ^ keys[0]
 
 
 def eligibility_issues(dataset: Dataset) -> dict[int, list[str]]:

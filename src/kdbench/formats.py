@@ -38,6 +38,7 @@ from .core import (
     parse_raw_log,
     _bulk_integers,
     _intern_heads,
+    _Interned,
     _line_chunks,
     _parse_demographics_fields,
     _split_lines,
@@ -210,7 +211,7 @@ def load_comparisons(path: Path) -> ComparisonPlan:
     Raises ParseError with the line number of the first bad line, or
     naming the file when a chunk is not UTF-8.
     """
-    table: dict[bytes, int] = {}  # b"subject:session" -> session-table row
+    table = _Interned()  # b"subject:session" -> session-table row
     chunks = [(np.empty((0, 2), dtype=np.int64), np.empty(0, np.int8), np.empty(0, np.int64))]
     lineno = 0
     with _reading(path, "rb") as fh:
@@ -220,14 +221,14 @@ def load_comparisons(path: Path) -> ComparisonPlan:
     keys, kind, slot = (np.concatenate(column) for column in zip(*chunks))
     del chunks
     sessions = tuple([
-        (s, t) for s, _, t in map(str.partition, map(bytes.decode, table), repeat(":"))
+        (s, t) for s, _, t in map(str.partition, map(bytes.decode, table.ids), repeat(":"))
     ])
     del table
     return ComparisonPlan(sessions, keys[:, 0], keys[:, 1], kind, slot, subject_table(sessions))
 
 
 def _scan_comparison_lines(
-    chunk: bytes, lineno: int, table: dict[bytes, int]
+    chunk: bytes, lineno: int, table: _Interned
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (enrol, verif) session-table rows, kinds and slots of the lines
     of `chunk`, numbered from `lineno + 1`; blank lines are skipped and new
@@ -238,7 +239,7 @@ def _scan_comparison_lines(
         chunk.decode("utf-8")  # `_reading` names the file if this fails
     buf, starts, ends, numbers, tabs, error = _split_lines(chunk, lineno, 4)
     stop = len(ends)  # lines before `stop` passed every check so far
-    before = len(table)
+    before = len(table.ids)
     rows = _intern_heads(
         chunk, buf, np.stack([starts, tabs[:, 0] + 1], axis=1), tabs[:, :2], table, _KEY_LAGS
     )
@@ -246,7 +247,7 @@ def _scan_comparison_lines(
     # keys new to the table are checked; the first line holding one without
     # a colon is bad.
     unpaired = [
-        row for row, key in zip(range(len(table) - 1, before - 1, -1), reversed(table))
+        row for row, key in zip(range(len(table.ids) - 1, before - 1, -1), reversed(table.ids))
         if b":" not in key
     ]
     if unpaired:

@@ -137,6 +137,41 @@ class TestProtocolCommand:
         )
         assert code == 3
 
+    def test_diagnostics_name_the_dropped_subjects(self, synth_dir, protocol_dir, tmp_path):
+        # A 14-session copy of u00000 is dropped before the split, so the
+        # plan stays as it was; reruns report it alike.
+        manifest = json.loads((protocol_dir / "manifest_protocol.json").read_text())
+        assert manifest["diagnostics"] == {
+            "subjects_dropped": 0, "dropped_by_issue": {}, "first_dropped": []
+        }
+        log = (synth_dir / "raw_log.tsv").read_text()
+        copy = [
+            "zz_short" + line[len("u00000"):]
+            for line in log.splitlines(keepends=True)
+            if line.split("\t")[:2] in (["u00000", f"s{j:02d}"] for j in range(14))
+        ]
+        (tmp_path / "raw_log.tsv").write_text(log + "".join(copy))
+        diagnostics = []
+        for out in ("a", "b"):
+            code = run(
+                "protocol",
+                "--data", tmp_path / "raw_log.tsv",
+                "--demographics", synth_dir / "demographics.tsv",
+                "--eval-count", 30,
+                "--seed", 5,
+                "--out", tmp_path / out,
+            )
+            assert code == 0
+            manifest = json.loads((tmp_path / out / "manifest_protocol.json").read_text())
+            diagnostics.append(manifest["diagnostics"])
+        assert diagnostics[0] == diagnostics[1] == {
+            "subjects_dropped": 1,
+            "dropped_by_issue": {"session count < 15": 1},
+            "first_dropped": ["zz_short"],
+        }
+        plan = (tmp_path / "a" / "comparisons.txt").read_bytes()
+        assert plan == (protocol_dir / "comparisons.txt").read_bytes()
+
 
 class TestScoreCommand:
     def test_score_line_count_matches_comparisons(self, protocol_dir, scores_dir):

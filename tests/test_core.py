@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import io
+import random
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -30,7 +32,7 @@ from kdbench.core import (
     parse_raw_log,
 )
 from kdbench.errors import ParseError, ProtocolError
-from kdbench.formats import load_raw_log, raw_log_lines
+from kdbench.formats import load_raw_log, raw_log_lines, write_raw_log
 from kdbench.protocol import SplitConfig, split_dataset
 from kdbench.synthgen import GeneratorConfig, generate
 
@@ -622,6 +624,77 @@ def test_long_heads_keep_the_scan_small():
     assert dataset.subject_ids.tolist() == ["u", "u" * 16_000]
     assert dataset.event_offsets.tolist() == [0, 1_000, 1_002]
     assert peak < 2_000_000
+
+
+# Keys for the interner: short and long ones, long ones that share their
+# first 16 bytes, keys of one length that differ only in their last byte,
+# NUL bytes and non-ASCII UTF-8.
+INTERNED_KEY = st.one_of(
+    st.binary(max_size=24),
+    st.sampled_from([b"", b"\0", b"\0\0", b"s\0", "\u00e9:s0".encode(), "u\u4e00".encode()]),
+    st.tuples(
+        st.sampled_from([b"p" * 16, b"p" * 15 + b"\0"]),
+        st.sampled_from([b"", b"\0", b"a", b"b", b"a" * 9]),
+    ).map(b"".join),
+    st.tuples(
+        st.sampled_from([0, 7, 8, 15, 16, 17, 23, 24]), st.sampled_from([0, 97, 98, 255])
+    ).map(lambda key: b"k" * key[0] + bytes([key[1]])),
+)
+
+
+@pytest.mark.parametrize("constant_mix", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(INTERNED_KEY, min_size=1, max_size=8),
+    st.sampled_from([(1,), (5, 1)]),
+    st.lists(st.lists(st.integers(0, 7), max_size=30), max_size=4),
+)
+def test_interner_agrees_with_a_dict_over_chunks(constant_mix, pool, lags, chunks):
+    # Chunks draw their keys from one small pool, so keys repeat at the
+    # lags, within a chunk and in the next chunk or two later. With a
+    # constant mix every key collides with every other.
+    heads, expected = core._Interned(), {}
+    patch = (
+        mock.patch.object(core, "_mix", lambda keys: np.zeros(keys.shape[1], np.uint64))
+        if constant_mix else contextlib.nullcontext()
+    )
+    with patch:
+        for picks in chunks:
+            keys = [pool[i % len(pool)] for i in picks[: len(picks) // len(lags) * len(lags)]]
+            lengths = np.array([len(key) for key in keys], dtype=np.int64)
+            starts = np.cumsum(lengths + 1) - lengths - 1  # one byte between keys
+            chunk = b"".join(key + b"|" for key in keys)
+            buf = np.frombuffer(chunk + core._WORD_PAD, dtype=np.uint8)
+            starts, lengths = starts.reshape(-1, len(lags)), lengths.reshape(-1, len(lags))
+            ids = core._intern_heads(chunk, buf, starts, starts + lengths, heads, lags)
+            assert ids.ravel().tolist() == [expected.setdefault(key, len(expected)) for key in keys]
+            assert list(heads.ids) == list(expected)
+            assert len(heads.carry()[1]) <= len(keys)  # one chunk's keys at most
+
+
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_a_shuffled_log_reads_alike_over_many_chunks(chunk, tmp_path):
+    # Almost every line of a shuffled log starts a run of its own, so the
+    # interner finds the heads by sorting them with the carry of the chunk
+    # before. The sessions are those of the log in synth order.
+    ordered, shuffled = tmp_path / "ordered.tsv", tmp_path / "shuffled.tsv"
+    write_raw_log(generate(GeneratorConfig(n_subjects=6, seed=3, keys_per_session=6)), ordered)
+    lines = ordered.read_text().splitlines(keepends=True)
+    random.Random(3).shuffle(lines)
+    shuffled.write_text("".join(lines))
+    with mock.patch.object(core, "CHUNK_BYTES", chunk):
+        assert assert_parsers_agree(shuffled) is None
+        dataset, expected = load_raw_log(shuffled), load_raw_log(ordered)
+
+    def sessions(dataset):
+        bounds = dataset.event_offsets.tolist()
+        return {
+            key: dataset.events[start:stop].tolist()
+            for key, start, stop in zip(dataset.session_keys(), bounds, bounds[1:])
+        }
+
+    assert sessions(dataset) == sessions(expected)
+    assert dataset.session_keys() != expected.session_keys()
 
 
 @pytest.mark.parametrize("bad, message", [

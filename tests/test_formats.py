@@ -249,6 +249,22 @@ def test_keys_that_differ_in_their_last_byte_are_told_apart(tmp_path):
     assert assert_loaders_agree(path) is None
 
 
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_a_permuted_plan_reads_alike_over_many_chunks(chunk, tmp_path):
+    # In a permuted plan the lag comparisons rarely hold, so most keys
+    # reach the sort, and many recur a chunk or more later.
+    plan = build_comparison_plan(
+        generate(GeneratorConfig(n_subjects=48, seed=31, keys_per_session=1)), seed=1
+    )
+    path = tmp_path / "comparisons.txt"
+    write_comparisons(plan, path)
+    lines = path.read_text().splitlines(keepends=True)
+    np.random.default_rng(2).shuffle(lines)
+    path.write_text("".join(lines))
+    with mock.patch.object(core, "CHUNK_BYTES", chunk):
+        assert assert_loaders_agree(path) is None
+
+
 IDENTIFIER = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r:"),
     min_size=1, max_size=5,
