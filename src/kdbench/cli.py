@@ -91,8 +91,10 @@ def _write_manifest(
 def _require_file(path: Path, exc_type: type[KdbenchError] = ConfigError) -> Path:
     if path.is_dir():
         raise exc_type(f"input file is a directory: {path}")
-    if not path.is_file():
+    if not path.exists():
         raise exc_type(f"input file not found: {path}")
+    if not path.is_file():
+        raise exc_type(f"input file is not a regular file: {path}")
     return path
 
 

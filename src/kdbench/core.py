@@ -274,6 +274,15 @@ _WORD_PAD = b"\n" + bytes(7)
 _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
+def subject_table(sessions: Sequence[Sequence[str]]) -> tuple[list[str], np.ndarray]:
+    """The distinct subject ids of (subject_id, session_id) pairs, in order
+    of first appearance, and the index into them of each pair."""
+    subject_ids = [subject_id for subject_id, _ in sessions]
+    index = {subject_id: i for i, subject_id in enumerate(dict.fromkeys(subject_ids))}
+    rows = np.fromiter(map(index.__getitem__, subject_ids), dtype=np.intp, count=len(subject_ids))
+    return list(index), rows
+
+
 def parse_raw_log(fh: BinaryIO) -> Dataset:
     """Parse a raw log, read as bytes from `fh`, into a Dataset.
 
@@ -298,9 +307,9 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     # would hold 29 MB more at 5,000 subjects.
     run_events, run_lines = array("q"), array("q")
     error: ParseError | UnicodeDecodeError | None = None
-    lineno = 0
-    for chunk in _line_chunks(fh):
+    for lineno, chunk, not_utf8 in _line_chunks(fh):
         sessions, numbers, events, error = _scan_lines(chunk, lineno, heads)
+        error = error or not_utf8
         # A run starts at a chunk's first line and after each blank line.
         runs = np.flatnonzero(np.diff(numbers, prepend=-1) != 1)
         run_events.frombytes((runs + len(session_of)).tobytes())
@@ -309,7 +318,6 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
         values.frombytes(events.tobytes())
         if error is not None:
             break
-        lineno += chunk.count(b"\n")
 
     def line_of(event: int) -> int:
         run = bisect_right(run_events, event) - 1
@@ -322,11 +330,7 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
         n, _EVENT_COLUMNS
     )
     keys = [head.decode().split("\t") for head in heads.ids]
-    subjects: dict[str, int] = {}
-    subject_of = np.array(
-        [subjects.setdefault(subject_id, len(subjects)) for subject_id, _ in keys],
-        dtype=np.intp,
-    )
+    subject_ids, subject_of = subject_table(keys)
     # Sessions are ranked subject by subject, so sorting on the rank also
     # groups the block by subject, with no extra sort key or block copy.
     by_subject = np.argsort(subject_of, kind="stable")
@@ -356,9 +360,9 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
         raise error
 
     return Dataset(
-        subject_ids=list(subjects),
-        demographics=[None] * len(subjects),
-        session_offsets=_offsets(np.bincount(subject_of, minlength=len(subjects))),
+        subject_ids=subject_ids,
+        demographics=[None] * len(subject_ids),
+        session_offsets=_offsets(np.bincount(subject_of, minlength=len(subject_ids))),
         session_ids=[keys[h][1] for h in by_subject.tolist()],
         event_offsets=_offsets(np.bincount(groups, minlength=len(keys))),
         events=block,
@@ -403,11 +407,14 @@ def _event_order(groups: np.ndarray, events: np.ndarray) -> np.ndarray | None:
     return order
 
 
-def _line_chunks(fh: BinaryIO) -> Iterator[bytes]:
+def _line_chunks(fh: BinaryIO) -> Iterator[tuple[int, bytes, UnicodeDecodeError | None]]:
     """The bytes of `fh` in chunks of whole lines, about `CHUNK_BYTES` each,
-    with `\\r\\n` and a lone `\\r` turned into b"\\n". Every chunk ends in
-    b"\\n" but the last, whose line may have no end."""
-    rest = b""
+    with `\\r\\n` and a lone `\\r` turned into b"\\n", as (lines before
+    the chunk, chunk, None). Every chunk ends in b"\\n" but the last, whose
+    line may have no end. A chunk that is not UTF-8 is the last: it is cut
+    before its first bad line and comes with the decode error in place of
+    None, so a reader that scans it first reports the first bad line."""
+    rest, lineno = b"", 0
     while True:
         # A line longer than a chunk is read in doubling blocks, not re-copied
         # once per chunk.
@@ -418,15 +425,20 @@ def _line_chunks(fh: BinaryIO) -> Iterator[bytes]:
         lines = data[:split]
         if b"\r" in lines:
             lines = lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if not block:
-            if lines:
-                yield lines
-            return
-        cut = lines.rfind(b"\n") + 1
+        cut = lines.rfind(b"\n") + 1 if block else len(lines)
         chunk, rest = lines[:cut], lines[cut:] + data[split:]
         del data, lines  # only the chunk is held while it is scanned
-        if chunk:
-            yield chunk
+        error = None
+        if not chunk.isascii():
+            try:
+                chunk.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                chunk, error = chunk[: chunk.rfind(b"\n", 0, exc.start) + 1], exc
+        if chunk or error:
+            yield lineno, chunk, error
+        if error or not block:
+            return
+        lineno += chunk.count(b"\n")
 
 
 def _split_lines(
@@ -458,23 +470,13 @@ def _split_lines(
 
 def _scan_lines(
     chunk: bytes, lineno: int, heads: _Interned
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ParseError | UnicodeDecodeError | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ParseError | None]:
     """The session indices, line numbers and (code, press, release) rows of
     the lines of `chunk`, numbered from `lineno + 1`; blank lines are
     skipped and new heads join `heads`. Only the lines before the first bad
-    one are returned, with that line's error: a line that is not UTF-8
-    reports that, and a line that fails several other checks reports its
-    field count first, then a non-integer field, then a field outside 64
-    bits."""
-    if not chunk.isascii():
-        try:
-            chunk.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # The lines before the undecodable one are scanned on their own.
-            *scanned, error = _scan_lines(
-                chunk[: chunk.rfind(b"\n", 0, exc.start) + 1], lineno, heads
-            )
-            return (*scanned, error or exc)
+    one are returned, with that line's error: a line that fails several
+    checks reports its field count first, then a non-integer field, then a
+    field outside 64 bits."""
     buf, starts, ends, numbers, tabs, error = _split_lines(chunk, lineno, 5)
     stop = len(ends)  # lines before `stop` passed every check so far
     # Heads of lines cut off below by a bad field only add unused entries:

@@ -36,6 +36,7 @@ from .core import (
     Dataset,
     Demographics,
     parse_raw_log,
+    subject_table,
     _bulk_integers,
     _intern_heads,
     _Interned,
@@ -44,7 +45,7 @@ from .core import (
     _split_lines,
 )
 from .errors import AlignmentError, ConfigError, ParseError
-from .protocol import ENROL_SESSIONS, KINDS, ComparisonPlan, subject_table
+from .protocol import ENROL_SESSIONS, KINDS, ComparisonPlan
 
 STRICT_HEADER_PREFIX = "# comparisons_sha256="
 _STRICT_HEADER = STRICT_HEADER_PREFIX.encode()
@@ -209,15 +210,15 @@ def load_comparisons(path: Path) -> ComparisonPlan:
     lines are scanned with array operations. Keys are interned in a dict,
     so the session table lists each pair in order of first appearance.
     Raises ParseError with the line number of the first bad line, or
-    naming the file when a chunk is not UTF-8.
+    naming the file when that line is not UTF-8.
     """
     table = _Interned()  # b"subject:session" -> session-table row
     chunks = [(np.empty((0, 2), dtype=np.int64), np.empty(0, np.int8), np.empty(0, np.int64))]
-    lineno = 0
     with _reading(path, "rb") as fh:
-        for chunk in _line_chunks(fh):
+        for lineno, chunk, not_utf8 in _line_chunks(fh):
             chunks.append(_scan_comparison_lines(chunk, lineno, table))
-            lineno += chunk.count(b"\n")
+            if not_utf8:
+                raise not_utf8
     keys, kind, slot = (np.concatenate(column) for column in zip(*chunks))
     del chunks
     sessions = tuple([
@@ -235,8 +236,6 @@ def _scan_comparison_lines(
     keys join `table`. The first bad line wins, and a line that fails
     several checks reports the first of field count, subject:session pair,
     kind and slot."""
-    if not chunk.isascii():
-        chunk.decode("utf-8")  # `_reading` names the file if this fails
     buf, starts, ends, numbers, tabs, error = _split_lines(chunk, lineno, 4)
     stop = len(ends)  # lines before `stop` passed every check so far
     before = len(table.ids)
@@ -300,16 +299,16 @@ def load_scores(path: Path) -> tuple[np.ndarray, str | None]:
     """
     digest = None
     scores = []
-    lineno = 0
     with _reading(path, "rb") as fh:
-        for chunk in _line_chunks(fh):
+        for lineno, chunk, not_utf8 in _line_chunks(fh):
             if lineno == 0 and chunk.startswith(_STRICT_HEADER):
                 header, _, chunk = chunk.partition(b"\n")
                 digest = header[len(_STRICT_HEADER):].decode()
                 lineno = 1
             lines = chunk.split(b"\n") if chunk.isascii() else chunk.decode().split("\n")
             scores.append(_read_score_lines(lines, lineno))
-            lineno += chunk.count(b"\n")
+            if not_utf8:
+                raise not_utf8
     return np.concatenate([np.empty(0), *scores]), digest
 
 

@@ -13,11 +13,11 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import PRESS, AgeGroup, Dataset, Demographics, eligibility_issues
+from .core import PRESS, AgeGroup, Dataset, Demographics, eligibility_issues, subject_table
 from .errors import AlignmentError, ConfigError, ProtocolError
 
 ENROL_SESSIONS = 5
@@ -118,15 +118,6 @@ class ComparisonPlan:
 
     def referenced_sessions(self) -> set[SessionKey]:
         return set(self.sessions)
-
-
-def subject_table(sessions: Sequence[SessionKey]) -> tuple[list[str], np.ndarray]:
-    """The distinct subject ids of a session table, in table order, and the
-    index into them of each session-table row."""
-    subject_ids = [subject_id for subject_id, _ in sessions]
-    index = {subject_id: i for i, subject_id in enumerate(dict.fromkeys(subject_ids))}
-    rows = np.fromiter(map(index.__getitem__, subject_ids), dtype=np.intp, count=len(subject_ids))
-    return list(index), rows
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ FMR_TARGETS_PERCENT = (0.1, 1.0, 10.0)
 class RocCurve:
     """Exact step curve over the observed score multiset.
 
-    Thresholds are strictly increasing and include a sentinel below the
-    minimum score (fmr=1, fnmr=0) and above the maximum (fmr=0, fnmr=1).
-    Rates are fractions in [0, 1].
+    Thresholds never decrease (`roc` lists each once) and include a
+    sentinel below the minimum score (fmr=1, fnmr=0) and above the maximum
+    (fmr=0, fnmr=1). Rates are fractions in [0, 1]; a stack has leading axes.
     """
 
     thresholds: np.ndarray
@@ -53,12 +53,8 @@ def roc(genuine: Iterable[float], impostor: Iterable[float]) -> RocCurve:
     fraction with score < t, evaluated at every observed score plus the
     two sentinels.
     """
-    return _roc(_as_scores(genuine, "genuine"), _as_scores(impostor, "impostor"))
-
-
-def _roc(genuine: np.ndarray, impostor: np.ndarray) -> RocCurve:
-    """`roc` of score arrays already checked by `_as_scores`."""
-    gen, imp = np.sort(genuine), np.sort(impostor)
+    gen = np.sort(_as_scores(genuine, "genuine"))
+    imp = np.sort(_as_scores(impostor, "impostor"))
     uniq = np.unique(np.concatenate([gen, imp]))
     thresholds = np.concatenate([[uniq[0] - 1.0], uniq, [uniq[-1] + 1.0]])
     fmr = (len(imp) - np.searchsorted(imp, thresholds, side="left")) / len(imp)
@@ -73,17 +69,22 @@ def eer(curve: RocCurve) -> tuple[float, float]:
     threshold; otherwise interpolates linearly between the two bracketing
     points, which is also where the reported threshold lives.
     """
-    diff = curve.fnmr - curve.fmr
-    i = int(np.argmax(diff >= 0.0))
-    if diff[i] == 0.0:
-        return float(curve.fmr[i]) * 100.0, float(curve.thresholds[i])
-    f0, f1 = float(curve.fmr[i - 1]), float(curve.fmr[i])
-    n0, n1 = float(curve.fnmr[i - 1]), float(curve.fnmr[i])
-    t0, t1 = float(curve.thresholds[i - 1]), float(curve.thresholds[i])
+    value, threshold = _crossing(curve)
+    return float(value), float(threshold)
+
+
+def _crossing(curve: RocCurve) -> tuple[np.ndarray, np.ndarray]:
+    """`eer` of each curve of a stack. A threshold may repeat: the crossing
+    is found at its first copy, whose neighbour below is the next lower
+    threshold, as on a curve without repeats."""
+    i = np.argmax(curve.fnmr - curve.fmr >= 0.0, axis=-1)[..., None]
+    f0, f1, n0, n1, t0, t1 = (
+        np.take_along_axis(values, at, axis=-1)[..., 0]
+        for values in (curve.fmr, curve.fnmr, curve.thresholds) for at in (i - 1, i)
+    )
     s = (f0 - n0) / ((n1 - n0) - (f1 - f0))
-    value = n0 + s * (n1 - n0)
-    threshold = t0 + s * (t1 - t0)
-    return value * 100.0, threshold
+    exact = n1 == f1
+    return np.where(exact, f1, n0 + s * (n1 - n0)) * 100.0, np.where(exact, t1, t0 + s * (t1 - t0))
 
 
 def operating_point(curve: RocCurve, x_percent: float) -> tuple[float, float]:
@@ -105,12 +106,8 @@ def auc(genuine: Iterable[float], impostor: Iterable[float]) -> float:
     Equals the rank statistic P(genuine > impostor) + 0.5 P(equal) over
     all genuine x impostor pairs.
     """
-    return _auc(_as_scores(genuine, "genuine"), _as_scores(impostor, "impostor"))
-
-
-def _auc(gen: np.ndarray, impostor: np.ndarray) -> float:
-    """`auc` of score arrays already checked by `_as_scores`."""
-    imp = np.sort(impostor)
+    gen = _as_scores(genuine, "genuine")
+    imp = np.sort(_as_scores(impostor, "impostor"))
     below = np.searchsorted(imp, gen, side="left")
     ties = np.searchsorted(imp, gen, side="right") - below
     total = float(below.sum()) + 0.5 * float(ties.sum())
@@ -123,15 +120,16 @@ def accuracy_at(
     """Fraction of correct decisions (percent) under accept iff score >= threshold."""
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    return _accuracy(
+    return float(_accuracy(
         _as_scores(genuine, "genuine"), _as_scores(impostor, "impostor"), threshold
-    )
+    ))
 
 
-def _accuracy(gen: np.ndarray, imp: np.ndarray, threshold: float) -> float:
-    """`accuracy_at` of score arrays already checked by `_as_scores`."""
-    correct = int((gen >= threshold).sum()) + int((imp < threshold).sum())
-    return correct / (len(gen) + len(imp)) * 100.0
+def _accuracy(gen: np.ndarray, imp: np.ndarray, threshold: np.ndarray | float) -> np.ndarray:
+    """`accuracy_at` along the last axis, at one threshold per row."""
+    at = np.asarray(threshold)[..., None]
+    correct = (gen >= at).sum(axis=-1) + (imp < at).sum(axis=-1)
+    return correct / (gen.shape[-1] + imp.shape[-1]) * 100.0
 
 
 @dataclass(frozen=True)
@@ -201,28 +199,30 @@ def global_metrics(slot_scores: np.ndarray) -> GlobalMetrics:
 
 def per_subject_metrics(slot_scores: np.ndarray) -> PerSubjectMetrics:
     """Subject-adaptive evaluation: EER/AUC/accuracy per subject (row of
-    the slot scores), averaged in row order.
+    the slot scores), averaged in row order, every row at once.
 
-    Accuracy uses each subject's own EER threshold. Rank-1 is the fraction
-    of genuine attempts strictly exceeding all 20 of that subject's
-    impostor scores.
+    A row's curve is taken at its 30 scores, repeats kept, and the two
+    sentinels. Accuracy uses each subject's own EER threshold. Rank-1 is
+    the fraction of genuine attempts strictly exceeding all 20 of that
+    subject's impostor scores.
     """
     if not len(slot_scores):
         raise ValueError("no subjects")
-    # One check covers every row's curve, AUC and accuracy.
     slot_scores = _as_scores(slot_scores, "slot")
     genuine = slot_scores[:, GENUINE]
     impostor = slot_scores[:, SIMILAR:].reshape(len(slot_scores), -1)
-    eers, aucs, accs = [], [], []
-    for gen, imp in zip(genuine, impostor):
-        eer_value, eer_thr = eer(_roc(gen, imp))
-        eers.append(eer_value)
-        aucs.append(_auc(gen, imp))
-        accs.append(_accuracy(gen, imp, eer_thr))
+    scores = np.sort(slot_scores.reshape(len(slot_scores), -1))
+    at = np.concatenate([scores[:, :1] - 1.0, scores, scores[:, -1:] + 1.0], axis=1)[..., None]
+    eers, eer_thresholds = _crossing(RocCurve(
+        at[..., 0], (impostor[:, None] >= at).mean(axis=-1), (genuine[:, None] < at).mean(axis=-1)
+    ))
+    wins = genuine[:, :, None] > impostor[:, None]
+    ties = genuine[:, :, None] == impostor[:, None]
+    aucs = (wins.sum(axis=(1, 2)) + 0.5 * ties.sum(axis=(1, 2))) / wins[0].size * 100.0
     return PerSubjectMetrics(
         eer=float(np.mean(eers)),
         auc=float(np.mean(aucs)),
-        accuracy=float(np.mean(accs)),
+        accuracy=float(np.mean(_accuracy(genuine, impostor, eer_thresholds))),
         rank1=float((genuine > impostor.max(axis=1, keepdims=True)).mean()) * 100.0,
     )
 

@@ -788,6 +788,22 @@ def _directory_input(name, replaced, *argv):
     return make_argv
 
 
+def _evaluate_reading(replaced, content, name):
+    """evaluate on the fixture run with its input `replaced` holding the
+    bytes `content`, or replaced by the path `content`."""
+    def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
+        inputs = _fixture_inputs(synth_dir, protocol_dir, scores_dir)
+        if isinstance(content, bytes):
+            inputs[replaced] = tmp_path / replaced
+            inputs[replaced].write_bytes(content)
+        else:
+            inputs[replaced] = content
+        argv = ("evaluate", *STAGE_ARGS["evaluate"])
+        return (*(inputs.get(a, a) for a in argv), "--out", tmp_path / "out")
+    make_argv.__name__ = f"_evaluate_reading_{name}"
+    return make_argv
+
+
 BAD_INPUTS = [
     (_colon_ids, 2, "contains tab/newline/colon"),
     (_demographics_missing_evaluated_subject, 3, "no demographics for subject"),
@@ -829,6 +845,15 @@ BAD_INPUTS = [
         "raw_log.tsv is not UTF-8 text (invalid start byte)",
     ),
     (_non_utf8_comparisons, 2, "comparisons.txt is not UTF-8 text (invalid start byte)"),
+    # A bad line before a line that is not UTF-8, in the same chunk, wins.
+    (
+        _evaluate_reading("comparisons.txt", b"u1:s1\tu1:s2\tG\n\xff\n", "bad_plan_line_first"),
+        2, "line 1: expected 4 tab-separated fields, got 3",
+    ),
+    (_evaluate_reading("scores.txt", b"0.5\nabc\n\xff\n", "bad_score_line_first"),
+     2, "line 2: non-numeric score 'abc'"),
+    (_evaluate_reading("scores.txt", Path("/dev/null"), "dev_null"),
+     2, "input file is not a regular file: /dev/null"),
     (_score_empty_comparisons, 2, "has no comparisons"),
     (_negative_seed("synth", "synth", "--subjects", 2, "--seed", -1), 2,
      "seed must be >= 0, got -1"),

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kdbench.verifmetrics import (
+    RocCurve,
     accuracy_at,
     auc,
     compute_metrics_report,
@@ -67,6 +68,12 @@ class TestEer:
         value, threshold = eer(roc(TOY_GENUINE, TOY_IMPOSTOR))
         assert value == pytest.approx(100 / 3, abs=1e-12)
         assert threshold == pytest.approx(0.6, abs=1e-12)
+
+    def test_exact_crossing_is_read_not_interpolated(self):
+        # FNMR 0 -> 1/3 while FMR 5/6 -> 2/6: interpolating between the two
+        # points misses FMR == FNMR at 0.9 by an ulp.
+        curve = roc([0.5, 0.9, 0.9], [0.1, 0.5, 0.5, 0.5, 0.9, 0.9])
+        assert eer(curve) == (2 / 6 * 100.0, 0.9)
 
     def test_perfect_separation(self):
         value, _ = eer(roc([0.8, 0.9], [0.1, 0.2]))
@@ -271,3 +278,41 @@ def test_rank_statistics_affine_invariant(genuine, impostor, scale, offset):
     assume(before == after)
     assert auc(g, i) == pytest.approx(auc(g2, i2), abs=1e-9)
     assert eer(roc(g, i))[0] == pytest.approx(eer(roc(g2, i2))[0], abs=1e-9)
+
+
+# Scores on a coarse grid, so that ties are common.
+GRID_SCORES = st.integers(0, 4).map(lambda k: k / 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(GRID_SCORES, min_size=30 * n, max_size=30 * n)
+))
+@example([0.5] * 30)
+@example([0.25 * (k % 5) for k in range(30)])
+def test_per_subject_metrics_equal_the_row_means_of_the_oracles(scores):
+    slots = np.array(scores).reshape(-1, 3, 10)
+    rows = [(genuine, np.concatenate(impostors)) for genuine, *impostors in slots]
+    eers = [eer_brute(genuine, impostor) for genuine, impostor in rows]
+    report = per_subject_metrics(slots)
+    assert report.eer == float(np.mean([value for value, _ in eers]))
+    assert report.auc == float(np.mean([auc_brute(*row) for row in rows]))
+    assert report.accuracy == float(
+        np.mean([accuracy_brute(*row, threshold) for row, (_, threshold) in zip(rows, eers)])
+    )
+    assert report.rank1 == rank1_brute(slots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*[st.lists(GRID_SCORES, min_size=1, max_size=30)] * 2)
+def test_eer_reads_a_repeated_threshold_as_one(genuine, impostor):
+    """A curve taken at every score, repeats kept, has the EER of `roc`'s."""
+    genuine, impostor = np.array(genuine), np.array(impostor)
+    scores = np.sort(np.concatenate([genuine, impostor]))
+    thresholds = np.concatenate([[scores[0] - 1.0], scores, [scores[-1] + 1.0]])
+    repeated = RocCurve(
+        thresholds,
+        (impostor >= thresholds[:, None]).mean(axis=1),
+        (genuine < thresholds[:, None]).mean(axis=1),
+    )
+    assert eer(repeated) == eer(roc(genuine, impostor))
