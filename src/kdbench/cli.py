@@ -214,17 +214,9 @@ def run_score(
     dataset = filter_eligible(formats.load_raw_log(_require_file(data_path)))
     plan = _load_plan(comparisons_path)
 
+    # Plan references resolve first (exit 4), then the development set
+    # must be non-empty (exit 3).
     referenced = plan.referenced_sessions()
-    referenced_subjects = {subject_id for subject_id, _ in referenced}
-    is_referenced = np.isin(dataset.subject_ids, list(referenced_subjects))
-    development = dataset.select(np.flatnonzero(~is_referenced))
-    if not len(development):
-        raise ProtocolError(
-            "every eligible subject in the dataset is referenced by the comparison "
-            "file; no development subjects left to fit normalization"
-        )
-    stats = fit_normalization(development, feature_config)
-
     row_of = {key: row for row, key in enumerate(dataset.session_keys())}
     for subject_id, session_id in sorted(referenced - row_of.keys()):
         if subject_id not in dataset.subject_ids:
@@ -234,6 +226,16 @@ def run_score(
         raise DataReferenceError(
             f"session {session_id!r} of subject {subject_id!r} not in dataset"
         )
+
+    referenced_subjects = {subject_id for subject_id, _ in referenced}
+    is_referenced = np.isin(dataset.subject_ids, list(referenced_subjects))
+    development = dataset.select(np.flatnonzero(~is_referenced))
+    if not len(development):
+        raise ProtocolError(
+            "every eligible subject in the dataset is referenced by the comparison "
+            "file; no development subjects left to fit normalization"
+        )
+    stats = fit_normalization(development, feature_config)
 
     sessions = np.array([row_of[key] for key in plan.sessions], dtype=np.intp)
     scores = score_comparisons(

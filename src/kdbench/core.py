@@ -53,6 +53,8 @@ class Demographics:
 ALL_GROUPS: tuple[Demographics, ...] = tuple(
     Demographics(age, gender) for age in AgeGroup for gender in Gender
 )
+# Each group's index into ALL_GROUPS: age bin x 2 + gender (MALE 0, FEMALE 1).
+GROUP_INDEX: dict[Demographics, int] = {group: i for i, group in enumerate(ALL_GROUPS)}
 
 
 # Column layout of the event block: one int64 row per key event.
@@ -247,18 +249,6 @@ class Dataset:
 REQUIRED_SESSIONS = 15
 
 
-def _parse_demographics_fields(age_token: str, gender_token: str, lineno: int) -> Demographics:
-    try:
-        age = AgeGroup(age_token)
-    except ValueError:
-        raise ParseError(f"unknown age group {age_token!r}", lineno) from None
-    try:
-        gender = Gender(gender_token)
-    except ValueError:
-        raise ParseError(f"unknown gender {gender_token!r}", lineno) from None
-    return Demographics(age, gender)
-
-
 # Bytes of a raw log read per scan (512 KiB); each scanned chunk ends
 # after a line. Larger chunks are no faster and leave more freed scan
 # arrays in the heap for the stage that follows.
@@ -349,13 +339,10 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
         ]
         first_repeat = int(repeats.min()) if repeats.size else None
 
-    # The first bad line wins, whichever check it fails.
-    bad = _first_bad_row(events)
-    if first_repeat is not None and (bad is None or first_repeat < bad):
+    # The scan stopped at the first bad line, so a repeat lies before it.
+    if first_repeat is not None:
         event = (*keys[session_of[first_repeat]], *events[first_repeat].tolist())
         raise ParseError(f"duplicate event {event!r}", line_of(first_repeat))
-    if bad is not None:
-        raise ParseError(_event_problem(*events[bad].tolist()), line_of(bad))
     if error is not None:
         raise error
 
@@ -476,7 +463,8 @@ def _scan_lines(
     skipped and new heads join `heads`. Only the lines before the first bad
     one are returned, with that line's error: a line that fails several
     checks reports its field count first, then a non-integer field, then a
-    field outside 64 bits."""
+    field outside 64 bits, then a code outside [0, 255] or a release before
+    its press."""
     buf, starts, ends, numbers, tabs, error = _split_lines(chunk, lineno, 5)
     stop = len(ends)  # lines before `stop` passed every check so far
     # Heads of lines cut off below by a bad field only add unused entries:
@@ -504,6 +492,9 @@ def _scan_lines(
                 int(numbers[i]),
             )
             break
+    bad = _first_bad_row(events[:stop])
+    if bad is not None:
+        stop, error = bad, ParseError(_event_problem(*events[bad].tolist()), int(numbers[bad]))
     return sessions[:stop], numbers[:stop], events[:stop], error
 
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AgeGroup, ALL_GROUPS, Demographics, Gender
+from .core import ALL_GROUPS, GROUP_INDEX, AgeGroup, Demographics, Gender
 from .errors import ConfigError, ProtocolError
 from .protocol import GENUINE, KINDS, SIMILAR, ComparisonPlan
 from .verifmetrics import GlobalMetrics, accuracy_at, operating_point, pooled_scores
@@ -110,10 +110,7 @@ def group_index(
 ) -> np.ndarray:
     """Each subject's index into `ALL_GROUPS`; -1 for a subject without
     demographics."""
-    return np.array(
-        [ALL_GROUPS.index(demographics[s]) if s in demographics else -1 for s in subject_ids],
-        dtype=np.intp,
-    )
+    return np.array([GROUP_INDEX.get(demographics.get(s), -1) for s in subject_ids], np.intp)
 
 
 def _by_group(slot_scores: np.ndarray, groups: np.ndarray):

@@ -27,21 +27,22 @@ import json
 from contextlib import contextmanager
 from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
     CHUNK_BYTES,
+    AgeGroup,
     Dataset,
     Demographics,
+    Gender,
     parse_raw_log,
     subject_table,
     _bulk_integers,
     _intern_heads,
     _Interned,
     _line_chunks,
-    _parse_demographics_fields,
     _split_lines,
 )
 from .errors import AlignmentError, ConfigError, ParseError
@@ -59,11 +60,11 @@ def _check_identifier(value: str, what: str) -> str:
 
 
 @contextmanager
-def _reading(path: Path, mode: str = "r") -> Iterator[IO]:
-    """Open an input as UTF-8 text, or as bytes with mode "rb"; a byte that
-    is not UTF-8 is reported with the file's path, whichever loader reads it."""
+def _reading(path: Path) -> Iterator[BinaryIO]:
+    """Open an input as bytes; a byte that is not UTF-8 is reported with the
+    file's path, whichever loader reads it."""
     try:
-        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(path, "rb") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
@@ -105,7 +106,7 @@ def write_raw_log(dataset: Dataset, path: Path) -> None:
 
 
 def load_raw_log(path: Path) -> Dataset:
-    with _reading(path, "rb") as fh:
+    with _reading(path) as fh:
         return parse_raw_log(fh)
 
 
@@ -127,24 +128,38 @@ def write_demographics(dataset: Dataset, path: Path) -> None:
 
 
 def load_demographics(path: Path) -> dict[str, Demographics]:
+    """Read a demographics file, `CHUNK_BYTES` at a time. Raises ParseError
+    naming the first bad line, or the file when that line is not UTF-8."""
     mapping: dict[str, Demographics] = {}
     with _reading(path) as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(fields)}", lineno
-                )
-            demo = _parse_demographics_fields(fields[1], fields[2], lineno)
-            prior = mapping.setdefault(fields[0], demo)
-            if prior != demo:
-                raise ParseError(
-                    f"conflicting demographics for subject {fields[0]!r}", lineno
-                )
+        for lineno, chunk, not_utf8 in _line_chunks(fh):
+            for number, line in enumerate(chunk.decode().split("\n"), start=lineno + 1):
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", number)
+                demo = _parse_demographics_fields(fields[1], fields[2], number)
+                prior = mapping.setdefault(fields[0], demo)
+                if prior != demo:
+                    raise ParseError(
+                        f"conflicting demographics for subject {fields[0]!r}", number
+                    )
+            if not_utf8:
+                raise not_utf8
     return mapping
+
+
+def _parse_demographics_fields(age_token: str, gender_token: str, lineno: int) -> Demographics:
+    try:
+        age = AgeGroup(age_token)
+    except ValueError:
+        raise ParseError(f"unknown age group {age_token!r}", lineno) from None
+    try:
+        gender = Gender(gender_token)
+    except ValueError:
+        raise ParseError(f"unknown gender {gender_token!r}", lineno) from None
+    return Demographics(age, gender)
 
 
 # -- comparison plans ---------------------------------------------------
@@ -214,7 +229,7 @@ def load_comparisons(path: Path) -> ComparisonPlan:
     """
     table = _Interned()  # b"subject:session" -> session-table row
     chunks = [(np.empty((0, 2), dtype=np.int64), np.empty(0, np.int8), np.empty(0, np.int64))]
-    with _reading(path, "rb") as fh:
+    with _reading(path) as fh:
         for lineno, chunk, not_utf8 in _line_chunks(fh):
             chunks.append(_scan_comparison_lines(chunk, lineno, table))
             if not_utf8:
@@ -299,7 +314,7 @@ def load_scores(path: Path) -> tuple[np.ndarray, str | None]:
     """
     digest = None
     scores = []
-    with _reading(path, "rb") as fh:
+    with _reading(path) as fh:
         for lineno, chunk, not_utf8 in _line_chunks(fh):
             if lineno == 0 and chunk.startswith(_STRICT_HEADER):
                 header, _, chunk = chunk.partition(b"\n")

@@ -17,7 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PRESS, AgeGroup, Dataset, Demographics, eligibility_issues, subject_table
+from .core import (
+    ALL_GROUPS, GROUP_INDEX, PRESS, AgeGroup, Dataset, Gender, eligibility_issues, subject_table,
+)
 from .errors import AlignmentError, ConfigError, ProtocolError
 
 ENROL_SESSIONS = 5
@@ -155,8 +157,12 @@ def _subject_stream(seed: int, subject_id: str) -> np.random.Generator:
     )
 
 
-def _require_protocol_ready(dataset: Dataset) -> None:
+def _protocol_groups(dataset: Dataset) -> np.ndarray:
+    """Each subject's index into `ALL_GROUPS`. Every subject must have
+    demographics and be protocol-eligible; the first that is not, in
+    dataset order, is reported."""
     issues = eligibility_issues(dataset)
+    group = np.empty(len(dataset), dtype=np.intp)
     for i, (subject_id, demographics) in enumerate(
         zip(dataset.subject_ids.tolist(), dataset.demographics.tolist())
     ):
@@ -166,6 +172,8 @@ def _require_protocol_ready(dataset: Dataset) -> None:
             raise ProtocolError(
                 f"subject {subject_id} not protocol-eligible: " + "; ".join(issues[i])
             )
+        group[i] = GROUP_INDEX[demographics]
+    return group
 
 
 def split_dataset(dataset: Dataset, config: SplitConfig) -> tuple[Dataset, Dataset]:
@@ -176,7 +184,7 @@ def split_dataset(dataset: Dataset, config: SplitConfig) -> tuple[Dataset, Datas
     concrete subjects are drawn from a seeded shuffle and the excess stays
     in development.
     """
-    _require_protocol_ready(dataset)
+    group = _protocol_groups(dataset)
     n = len(dataset)
     if config.eval_count is not None:
         eval_count = config.eval_count
@@ -196,46 +204,34 @@ def split_dataset(dataset: Dataset, config: SplitConfig) -> tuple[Dataset, Datas
         if pairs_total < 1:
             raise ConfigError("gender-balanced split needs an evaluation size of >= 2")
 
-        bins: dict[AgeGroup, dict[str, list[int]]] = {
-            age: {"M": [], "F": []} for age in AgeGroup
-        }
-        for idx, demo in enumerate(dataset.demographics.tolist()):
-            bins[demo.age_group][demo.gender.value].append(idx)
-
-        quotas = _largest_remainder_quotas(
-            [len(b["M"]) + len(b["F"]) for b in bins.values()], pairs_total
-        )
-        for bin_index, (age, members) in enumerate(bins.items()):
-            k = quotas[bin_index]
-            if k == 0:
-                continue
-            if k > min(len(members["M"]), len(members["F"])):
+        # Subjects per (age bin, gender): ALL_GROUPS runs over the genders
+        # within each age bin.
+        sizes = np.bincount(group, minlength=len(ALL_GROUPS)).reshape(len(AgeGroup), len(Gender))
+        quotas = _largest_remainder_quotas(sizes.sum(axis=1), pairs_total)
+        for age_bin in np.flatnonzero(quotas).tolist():
+            k = int(quotas[age_bin])
+            males, females = sizes[age_bin].tolist()
+            if k > min(males, females):
                 raise ProtocolError(
-                    f"age bin {age.value}: needs {k} subjects per gender, has "
-                    f"{len(members['M'])} male / {len(members['F'])} female"
+                    f"age bin {list(AgeGroup)[age_bin].value}: needs {k} subjects per "
+                    f"gender, has {males} male / {females} female"
                 )
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed, bin_index]))
-            for gender in ("M", "F"):
-                order = rng.permutation(len(members[gender]))
-                evaluation[[members[gender][i] for i in order[:k]]] = True
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, age_bin]))
+            for g in range(age_bin * len(Gender), (age_bin + 1) * len(Gender)):
+                members = np.flatnonzero(group == g)
+                evaluation[members[rng.permutation(len(members))[:k]]] = True
     return (
         dataset.select(np.flatnonzero(~evaluation)),
         dataset.select(np.flatnonzero(evaluation)),
     )
 
 
-def _largest_remainder_quotas(sizes: list[int], total: int) -> list[int]:
-    population = sum(sizes)
-    if population == 0:
-        raise ProtocolError("dataset has no demographically labeled subjects")
-    exact = [total * s / population for s in sizes]
-    quotas = [math.floor(x) for x in exact]
-    remainder = total - sum(quotas)
-    by_fraction = sorted(
-        range(len(sizes)), key=lambda i: (quotas[i] - exact[i], i)
-    )
-    for i in by_fraction[:remainder]:
-        quotas[i] += 1
+def _largest_remainder_quotas(sizes: np.ndarray, total: int) -> np.ndarray:
+    exact = total * sizes / sizes.sum()
+    quotas = np.floor(exact).astype(np.intp)
+    # The largest remainders get one more; a tie goes to the earlier bin.
+    by_fraction = np.argsort(quotas - exact, kind="stable")
+    quotas[by_fraction[: total - quotas.sum()]] += 1
     return quotas
 
 
@@ -250,28 +246,23 @@ def build_comparison_plan(evaluation: Dataset, seed: int) -> ComparisonPlan:
     the evaluation set, subject by subject, in chronological order: by
     first press, ties broken by session id.
     """
-    _require_protocol_ready(evaluation)
+    group = _protocol_groups(evaluation)
     subject_ids = evaluation.subject_ids.tolist()
-    demographics = evaluation.demographics.tolist()
-
-    groups: dict[Demographics, list[int]] = {}
-    for idx, demo in enumerate(demographics):
-        groups.setdefault(demo, []).append(idx)
-    for demo, members in groups.items():
-        if len(members) < 2:
-            raise ProtocolError(
-                f"group {demo.label()} has only {len(members)} subject(s); "
-                "similar impostors need at least 2"
-            )
-    members_of = {demo: np.array(members) for demo, members in groups.items()}
-    dissimilar_pool = {
-        demo: np.array([
-            idx
-            for idx, other in enumerate(demographics)
-            if other.age_group != demo.age_group and other.gender != demo.gender
-        ], dtype=np.intp)
-        for demo in groups
-    }
+    sizes = np.bincount(group, minlength=len(ALL_GROUPS))
+    alone = np.flatnonzero(sizes[group] < 2)
+    if alone.size:
+        g = group[alone[0]]
+        raise ProtocolError(
+            f"group {ALL_GROUPS[g].label()} has only {sizes[g]} subject(s); "
+            "similar impostors need at least 2"
+        )
+    # Each group's similar (its own members) and dissimilar (other age bin
+    # and other gender) impostor pools.
+    age_bin, gender = np.divmod(group, len(Gender))
+    pools = [
+        (np.flatnonzero(group == g), np.flatnonzero((age_bin != a) & (gender != s)))
+        for g, (a, s) in enumerate(np.ndindex(len(AgeGroup), len(Gender)))
+    ]
 
     keys, subject_of = evaluation.session_keys(), evaluation.subject_of_session()
     first_press = evaluation.events[evaluation.event_offsets[:-1], PRESS]
@@ -281,14 +272,14 @@ def build_comparison_plan(evaluation: Dataset, seed: int) -> ComparisonPlan:
     counts = np.diff(first_row)
     # Session-table rows of the similar (0) and dissimilar (1) impostors.
     impostors = np.empty((len(subject_ids), 2, SLOTS_PER_KIND), dtype=np.intp)
-    for idx, (subject_id, demo) in enumerate(zip(subject_ids, demographics)):
-        if not dissimilar_pool[demo].size:
+    for idx, (subject_id, g) in enumerate(zip(subject_ids, group.tolist())):
+        similar, dissimilar = pools[g]
+        if not dissimilar.size:
             raise ProtocolError(
                 f"subject {subject_id}: no subject differs in both gender and age bin"
             )
         rng = _subject_stream(seed, subject_id)
-        similar = members_of[demo]
-        for k, pool in enumerate((similar[similar != idx], dissimilar_pool[demo])):
+        for k, pool in enumerate((similar[similar != idx], dissimilar)):
             impostors[idx, k] = _draw_impostors(rng, pool, counts, first_row)
 
     # Lines run subject, kind, slot, enrolment session, as the file lists them.

@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ALL_GROUPS,
-    CODE,
-    PRESS,
-    RELEASE,
-    Dataset,
-    Demographics,
-    Gender,
-)
+from .core import ALL_GROUPS, CODE, PRESS, RELEASE, Dataset, Gender
 from .errors import ConfigError
 
 PRINTABLE_ASCII = tuple(range(32, 127))
@@ -98,20 +90,19 @@ def _subject_rng(config: GeneratorConfig, index: int) -> np.random.Generator:
     )
 
 
-def _group_shift(demo: Demographics, skew_strength: float) -> float:
-    # Relative shift of the timing means: a gradient over age bins plus a
-    # gender offset, both scaled by skew_strength. Zero skew means every
-    # group draws from identical hyper-priors.
-    age_idx = list(type(demo.age_group)).index(demo.age_group)
-    age_term = (age_idx - 2.5) / 2.5
-    gender_term = 1.0 if demo.gender is Gender.FEMALE else -1.0
+def _group_shift(group: int, skew_strength: float) -> float:
+    # Relative shift of the timing means of group `group` (an ALL_GROUPS
+    # index): a gradient over age bins plus a gender offset (-1 male, +1
+    # female), both scaled by skew_strength. Zero skew means every group
+    # draws from identical hyper-priors.
+    age_bin, gender = divmod(group, len(Gender))
+    age_term = (age_bin - 2.5) / 2.5
+    gender_term = 2.0 * gender - 1.0
     return skew_strength * (0.30 * age_term + 0.15 * gender_term)
 
 
-def _draw_profile(
-    rng: np.random.Generator, demo: Demographics, skew_strength: float
-) -> TypingProfile:
-    shift = 1.0 + _group_shift(demo, skew_strength)
+def _draw_profile(rng: np.random.Generator, group: int, skew_strength: float) -> TypingProfile:
+    shift = 1.0 + _group_shift(group, skew_strength)
     mean_hold = 0.085 * math.exp(rng.normal(0.0, 0.22)) * shift
     mean_gap = 0.230 * math.exp(rng.normal(0.0, 0.25)) * shift
     sd_hold = 0.25 * mean_hold * math.exp(rng.normal(0.0, 0.20))
@@ -212,10 +203,11 @@ def generate(config: GeneratorConfig) -> Dataset:
     with np.errstate(over="ignore", invalid="ignore"):
         for index in range(n):
             rng = _subject_rng(config, index)
-            demo = ALL_GROUPS[int(rng.choice(len(ALL_GROUPS), p=weights))]
+            group = int(rng.choice(len(ALL_GROUPS), p=weights))
+            demo = ALL_GROUPS[group]
             demographics.append(demo)
             try:
-                profile = _draw_profile(rng, demo, config.skew_strength)
+                profile = _draw_profile(rng, group, config.skew_strength)
                 _generate_subject_sessions(rng, profile, _key_distribution(rng), events[index])
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(

@@ -11,7 +11,9 @@ slot aggregation is a dict of each (subject, kind, slot)'s scores, and the
 session embedder is the one-session-at-a-time path the block embedder
 replaced.
 The event-row checks and the chronological session order are the
-per-session code the columnar dataset replaced. The raw-log parser and the
+per-session code the columnar dataset replaced. The split and the plan
+builder are the code that grouped subjects in dicts keyed by
+`Demographics` and by "M"/"F", which the `ALL_GROUPS` index arrays replaced. The raw-log parser and the
 score reader are the per-line code the byte scanner and the chunked score
 reader replaced; they read text-mode lines.
 """
@@ -29,17 +31,32 @@ from kdbench.core import (
     CODE,
     PRESS,
     RELEASE,
+    AgeGroup,
     Dataset,
+    Demographics,
     Session,
     Subject,
     _event_problem,
     _first_bad_row,
     _offsets,
+    eligibility_issues,
 )
-from kdbench.errors import ParseError
+from kdbench.errors import ConfigError, ParseError, ProtocolError
 from kdbench.features import ASCII_CHANNEL, FeatureConfig, order_insensitive_mean_std
 from kdbench.formats import STRICT_HEADER_PREFIX
-from kdbench.protocol import KINDS, Comparison, ComparisonKind, ComparisonPlan
+from kdbench.protocol import (
+    ENROL_SESSIONS,
+    GENUINE,
+    KINDS,
+    SIMILAR,
+    SLOTS_PER_KIND,
+    Comparison,
+    ComparisonKind,
+    ComparisonPlan,
+    SplitConfig,
+    _draw_impostors,
+    _subject_stream,
+)
 
 
 def check_session_rows(session_id: str, events) -> None:
@@ -142,6 +159,144 @@ def group_rates_brute(subject_ids, slot_scores, demographics, threshold):
         fnmr = sum(1 for v in genuine if v < threshold) / len(genuine)
         out[group] = (fmr, fnmr)
     return out
+
+
+def _require_protocol_ready(dataset: Dataset) -> None:
+    issues = eligibility_issues(dataset)
+    for i, (subject_id, demographics) in enumerate(
+        zip(dataset.subject_ids.tolist(), dataset.demographics.tolist())
+    ):
+        if demographics is None:
+            raise ProtocolError(f"subject {subject_id} has no demographics")
+        if i in issues:
+            raise ProtocolError(
+                f"subject {subject_id} not protocol-eligible: " + "; ".join(issues[i])
+            )
+
+
+def split_dataset_by_dicts(dataset: Dataset, config: SplitConfig) -> tuple[Dataset, Dataset]:
+    """`protocol.split_dataset` with its subjects binned in a dict of age
+    bins, each a dict of "M"/"F" index lists."""
+    _require_protocol_ready(dataset)
+    n = len(dataset)
+    if config.eval_count is not None:
+        eval_count = config.eval_count
+    else:
+        eval_count = round(config.eval_fraction * n)
+    if eval_count >= n:
+        raise ConfigError(f"evaluation size {eval_count} must be < dataset size {n}")
+    if eval_count < 1:
+        raise ConfigError("evaluation size must be at least 1")
+
+    evaluation = np.zeros(n, dtype=bool)
+    if not config.gender_balance:
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
+        evaluation[rng.choice(n, size=eval_count, replace=False)] = True
+    else:
+        pairs_total = eval_count // 2
+        if pairs_total < 1:
+            raise ConfigError("gender-balanced split needs an evaluation size of >= 2")
+
+        bins: dict[AgeGroup, dict[str, list[int]]] = {
+            age: {"M": [], "F": []} for age in AgeGroup
+        }
+        for idx, demo in enumerate(dataset.demographics.tolist()):
+            bins[demo.age_group][demo.gender.value].append(idx)
+
+        quotas = _largest_remainder_quotas(
+            [len(b["M"]) + len(b["F"]) for b in bins.values()], pairs_total
+        )
+        for bin_index, (age, members) in enumerate(bins.items()):
+            k = quotas[bin_index]
+            if k == 0:
+                continue
+            if k > min(len(members["M"]), len(members["F"])):
+                raise ProtocolError(
+                    f"age bin {age.value}: needs {k} subjects per gender, has "
+                    f"{len(members['M'])} male / {len(members['F'])} female"
+                )
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, bin_index]))
+            for gender in ("M", "F"):
+                order = rng.permutation(len(members[gender]))
+                evaluation[[members[gender][i] for i in order[:k]]] = True
+    return (
+        dataset.select(np.flatnonzero(~evaluation)),
+        dataset.select(np.flatnonzero(evaluation)),
+    )
+
+
+def _largest_remainder_quotas(sizes: list[int], total: int) -> list[int]:
+    population = sum(sizes)
+    if population == 0:
+        raise ProtocolError("dataset has no demographically labeled subjects")
+    exact = [total * s / population for s in sizes]
+    quotas = [math.floor(x) for x in exact]
+    remainder = total - sum(quotas)
+    by_fraction = sorted(
+        range(len(sizes)), key=lambda i: (quotas[i] - exact[i], i)
+    )
+    for i in by_fraction[:remainder]:
+        quotas[i] += 1
+    return quotas
+
+
+def build_comparison_plan_by_dicts(evaluation: Dataset, seed: int) -> ComparisonPlan:
+    """`protocol.build_comparison_plan` with its impostor pools in dicts
+    keyed by `Demographics`, the dissimilar pool built subject by subject."""
+    _require_protocol_ready(evaluation)
+    subject_ids = evaluation.subject_ids.tolist()
+    demographics = evaluation.demographics.tolist()
+
+    groups: dict[Demographics, list[int]] = {}
+    for idx, demo in enumerate(demographics):
+        groups.setdefault(demo, []).append(idx)
+    for demo, members in groups.items():
+        if len(members) < 2:
+            raise ProtocolError(
+                f"group {demo.label()} has only {len(members)} subject(s); "
+                "similar impostors need at least 2"
+            )
+    members_of = {demo: np.array(members) for demo, members in groups.items()}
+    dissimilar_pool = {
+        demo: np.array([
+            idx
+            for idx, other in enumerate(demographics)
+            if other.age_group != demo.age_group and other.gender != demo.gender
+        ], dtype=np.intp)
+        for demo in groups
+    }
+
+    keys, subject_of = evaluation.session_keys(), evaluation.subject_of_session()
+    first_press = evaluation.events[evaluation.event_offsets[:-1], PRESS]
+    id_rank = np.unique(evaluation.session_ids, return_inverse=True)[1]
+    chronological = np.lexsort((id_rank, first_press, subject_of))
+    first_row = evaluation.session_offsets
+    counts = np.diff(first_row)
+    impostors = np.empty((len(subject_ids), 2, SLOTS_PER_KIND), dtype=np.intp)
+    for idx, (subject_id, demo) in enumerate(zip(subject_ids, demographics)):
+        if not dissimilar_pool[demo].size:
+            raise ProtocolError(
+                f"subject {subject_id}: no subject differs in both gender and age bin"
+            )
+        rng = _subject_stream(seed, subject_id)
+        similar = members_of[demo]
+        for k, pool in enumerate((similar[similar != idx], dissimilar_pool[demo])):
+            impostors[idx, k] = _draw_impostors(rng, pool, counts, first_row)
+
+    shape = (len(subject_ids), len(KINDS), SLOTS_PER_KIND, ENROL_SESSIONS)
+    verif = np.empty(shape[:3], dtype=np.intp)
+    verif[:, GENUINE] = first_row[:-1, None] + ENROL_SESSIONS + np.arange(SLOTS_PER_KIND)
+    verif[:, SIMILAR:] = impostors
+    return ComparisonPlan(
+        sessions=tuple(keys[j] for j in chronological.tolist()),
+        subjects=(subject_ids, subject_of[chronological]),
+        enrol=np.broadcast_to(
+            first_row[:-1, None, None, None] + np.arange(ENROL_SESSIONS), shape
+        ).ravel(),
+        verif=np.broadcast_to(verif[..., None], shape).ravel(),
+        kind=np.broadcast_to(np.arange(len(KINDS))[:, None, None], shape).ravel(),
+        slot=np.broadcast_to(np.arange(SLOTS_PER_KIND)[:, None], shape).ravel(),
+    )
 
 
 def plan_of_rows(rows: Iterable[Comparison]) -> ComparisonPlan:

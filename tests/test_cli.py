@@ -731,6 +731,27 @@ def _non_utf8_comparisons(synth_dir, protocol_dir, scores_dir, tmp_path):
     )
 
 
+def _score_on_evaluated(count):
+    """score with the fixture run's raw log cut to the first `count`
+    evaluated subjects (all of them for None): no development subject is
+    left, and with a count, plan subjects are missing too."""
+    def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
+        evaluated = json.loads((protocol_dir / "split.json").read_text())["evaluation"]
+        kept = set(evaluated[:count])
+        lines = (synth_dir / "raw_log.tsv").read_text().splitlines(keepends=True)
+        (tmp_path / "raw_log.tsv").write_text(
+            "".join(line for line in lines if _fields(line)[0] in kept)
+        )
+        return (
+            "score",
+            "--data", tmp_path / "raw_log.tsv",
+            "--comparisons", protocol_dir / "comparisons.txt",
+            "--out", tmp_path / "out",
+        )
+    make_argv.__name__ = f"_score_on_evaluated_{count or 'all'}"
+    return make_argv
+
+
 def _score_empty_comparisons(synth_dir, protocol_dir, scores_dir, tmp_path):
     (tmp_path / "comparisons.txt").write_text("")
     return (
@@ -838,6 +859,9 @@ BAD_INPUTS = [
     (_score_enrolling("u00001:zz99"), 4, "session 'zz99' of subject 'u00001' not in dataset"),
     (_score_enrolling("zz_ghost:s00"), 4,
      "subject 'zz_ghost' not in dataset or not protocol-eligible"),
+    # Plan references resolve before the development set is needed.
+    (_score_on_evaluated(1), 4, "not in dataset or not protocol-eligible"),
+    (_score_on_evaluated(None), 3, "every eligible subject in the dataset is referenced"),
     (_non_utf8_scores, 2, "scores.txt is not UTF-8 text (invalid start byte)"),
     (_non_utf8_raw_log, 2, "raw_log.tsv is not UTF-8 text (invalid start byte)"),
     (
@@ -852,6 +876,12 @@ BAD_INPUTS = [
     ),
     (_evaluate_reading("scores.txt", b"0.5\nabc\n\xff\n", "bad_score_line_first"),
      2, "line 2: non-numeric score 'abc'"),
+    (
+        _evaluate_reading(
+            "demographics.tsv", b"u00000\t18-26\n\xff\n", "bad_demographics_line_first"
+        ),
+        2, "line 1: expected 3 tab-separated fields, got 2",
+    ),
     (_evaluate_reading("scores.txt", Path("/dev/null"), "dev_null"),
      2, "input file is not a regular file: /dev/null"),
     (_score_empty_comparisons, 2, "has no comparisons"),

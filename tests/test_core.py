@@ -18,6 +18,7 @@ from kdbench import core
 from kdbench.core import (
     AgeGroup,
     ALL_GROUPS,
+    GROUP_INDEX,
     Dataset,
     Demographics,
     Gender,
@@ -216,6 +217,14 @@ class TestDataset:
     def test_twelve_demographic_groups(self):
         assert len(ALL_GROUPS) == 12
         assert len(set(ALL_GROUPS)) == 12
+
+    def test_group_index_is_age_bin_times_two_plus_gender(self):
+        assert GROUP_INDEX == {
+            Demographics(age, gender): 2 * a + s
+            for a, age in enumerate(AgeGroup)
+            for s, gender in enumerate((Gender.MALE, Gender.FEMALE))
+        }
+        assert all(ALL_GROUPS[i] == group for group, i in GROUP_INDEX.items())
 
 
 def test_attach_demographics_requires_coverage():

@@ -23,7 +23,13 @@ from kdbench.protocol import (
 )
 from kdbench.synthgen import GeneratorConfig, generate
 
-from oracles import aggregate_scores_per_line, chronological_sessions, plan_of_rows
+from oracles import (
+    aggregate_scores_per_line,
+    build_comparison_plan_by_dicts,
+    chronological_sessions,
+    plan_of_rows,
+    split_dataset_by_dicts,
+)
 from test_core import make_session, make_subject
 from kdbench.core import Dataset, Subject
 
@@ -469,3 +475,65 @@ def test_split_disjoint_for_any_seed(seed):
     assert not {s.subject_id for s in dev.subjects} & {
         s.subject_id for s in ev.subjects
     }
+
+
+@st.composite
+def group_layouts(draw):
+    """A dataset of subjects over the 12 groups, one key per session, in a
+    shuffled group order. Some layouts populate one age bin or one gender
+    only, which leaves the dissimilar pools empty; groups hold 0 to 12
+    subjects, so lone members, pools smaller than 10 and age bins short of
+    one gender are common. One subject may lack demographics or a session."""
+    every_age, every_gender = set(range(len(AgeGroup))), set(range(len(Gender)))
+    ages = draw(st.sampled_from([every_age] * 3 + [{0}, {2, 5}]))
+    genders = draw(st.sampled_from([every_gender] * 3 + [{0}, {1}]))
+    sizes = draw(st.lists(st.integers(0, 12), min_size=len(ALL_GROUPS), max_size=len(ALL_GROUPS)))
+    groups = [
+        g for g, size in enumerate(sizes)
+        for _ in range(size if g // len(Gender) in ages and g % len(Gender) in genders else 0)
+    ]
+    groups = draw(st.permutations(groups))
+    demographics = [ALL_GROUPS[g] for g in groups]
+    sessions = [15] * len(groups)
+    flaw = draw(st.sampled_from([None] * 8 + ["demographics", "session"]))
+    if flaw and groups:
+        at = draw(st.integers(0, len(groups) - 1))
+        if flaw == "demographics":
+            demographics[at] = None
+        else:
+            sessions[at] = 14
+    press = np.arange(sum(sessions), dtype=np.int64)[::-1] * 100
+    return Dataset(
+        subject_ids=[f"u{i:03d}" for i in range(len(groups))],
+        demographics=demographics,
+        session_offsets=np.concatenate([[0], np.cumsum(sessions)]),
+        session_ids=[f"s{j:02d}" for count in sessions for j in range(count)],
+        event_offsets=np.arange(sum(sessions) + 1),
+        events=np.stack([np.full_like(press, 97), press, press + 50], axis=1),
+    )
+
+
+def _outcome(function, *args):
+    """What `function(*args)` returns, or its error's type and message."""
+    try:
+        return function(*args)
+    except (ConfigError, ProtocolError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_layouts(), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_split_and_plan_agree_with_the_dict_based_code(dataset, seed, balance, data):
+    # Sizes up to the dataset's own, which is one too many; odd ones too.
+    size = data.draw(st.one_of(
+        st.fixed_dictionaries({"eval_count": st.integers(1, max(1, len(dataset)))}),
+        st.fixed_dictionaries({"eval_fraction": st.floats(0.01, 0.99)}),
+    ))
+    config = SplitConfig(seed, gender_balance=balance, **size)
+    split = _outcome(split_dataset, dataset, config)
+    assert split == _outcome(split_dataset_by_dicts, dataset, config)
+    # The plan of the whole layout, and of the evaluation set when the
+    # split succeeded.
+    for evaluation in (dataset, *([split[1]] if isinstance(split[1], Dataset) else [])):
+        plan = _outcome(build_comparison_plan, evaluation, seed)
+        assert plan == _outcome(build_comparison_plan_by_dicts, evaluation, seed)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdbench.core import ALL_GROUPS, Gender, parse_raw_log
+from kdbench.core import ALL_GROUPS, AgeGroup, Gender, parse_raw_log
 from kdbench.errors import ConfigError
 from kdbench.formats import raw_log_lines
 from kdbench.synthgen import (
@@ -17,6 +17,7 @@ from kdbench.synthgen import (
     _SESSION_SPACING_MS,
     GeneratorConfig,
     _event_times,
+    _group_shift,
     generate,
 )
 
@@ -99,6 +100,17 @@ def test_skew_shifts_group_means():
         ]
         by_gender[subject.demographics.gender].append(float(np.mean(holds)))
     assert np.mean(by_gender[Gender.FEMALE]) > np.mean(by_gender[Gender.MALE])
+
+
+@pytest.mark.parametrize("skew", [0.0, 0.3, 1.0, 7.25, 100.0, 1e308])
+def test_group_shift_is_bit_equal_to_the_enum_formula(skew):
+    # The shift from a group's index equals the one from its age bin's
+    # position in AgeGroup and its Gender member.
+    for group, demo in enumerate(ALL_GROUPS):
+        age_idx = list(AgeGroup).index(demo.age_group)
+        gender_term = 1.0 if demo.gender is Gender.FEMALE else -1.0
+        expected = skew * (0.30 * ((age_idx - 2.5) / 2.5) + 0.15 * gender_term)
+        assert _group_shift(group, skew).hex() == expected.hex()
 
 
 def test_demographic_composition_matches_weights():
