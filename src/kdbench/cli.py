@@ -227,9 +227,10 @@ def run_score(
             f"session {session_id!r} of subject {subject_id!r} not in dataset"
         )
 
-    referenced_subjects = {subject_id for subject_id, _ in referenced}
-    is_referenced = np.isin(dataset.subject_ids, list(referenced_subjects))
-    development = dataset.select(np.flatnonzero(~is_referenced))
+    sessions = np.array([row_of[key] for key in plan.sessions], dtype=np.intp)
+    in_plan = np.zeros(len(dataset), dtype=bool)
+    in_plan[dataset.subject_of_session()[sessions]] = True
+    development = dataset.select(np.flatnonzero(~in_plan))
     if not len(development):
         raise ProtocolError(
             "every eligible subject in the dataset is referenced by the comparison "
@@ -237,7 +238,6 @@ def run_score(
         )
     stats = fit_normalization(development, feature_config)
 
-    sessions = np.array([row_of[key] for key in plan.sessions], dtype=np.intp)
     scores = score_comparisons(
         plan, normalize(raw_embeddings(dataset, sessions, feature_config), stats)
     )

@@ -9,7 +9,6 @@ impostor similarity within and across groups, per attribute.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .core import ALL_GROUPS, GROUP_INDEX, AgeGroup, Demographics, Gender
 from .errors import ConfigError, ProtocolError
-from .protocol import GENUINE, KINDS, SIMILAR, ComparisonPlan
+from .protocol import GENUINE, KINDS, SIMILAR, ComparisonPlan, cell_means
 from .verifmetrics import GlobalMetrics, accuracy_at, operating_point, pooled_scores
 
 
@@ -308,28 +307,17 @@ def sir(entries: ImpostorEntries, attribute: str) -> tuple[SirMatrix, float]:
         raise ValueError(f"attribute must be one of {sorted(_ATTRIBUTES)}")
     labels = _ATTRIBUTES[attribute]
     n = len(labels)
-    enrol, verif, scores = (np.asarray(column) for column in entries)
+    enrol, verif = (np.asarray(column, dtype=np.intp) for column in entries[:2])
 
     cell = _attribute_index(enrol, attribute) * n + _attribute_index(verif, attribute)
-    order = np.argsort(cell)
-    bounds = np.searchsorted(cell[order], np.arange(n * n + 1)).tolist()
-    ranked = scores[order].tolist()
-    # fsum keeps each cell mean independent of entry order.
-    values = np.array([
-        math.fsum(ranked[start:stop]) / (stop - start) if stop > start else 0.0
-        for start, stop in zip(bounds, bounds[1:])
-    ]).reshape(n, n)
-    missing = (np.diff(bounds) == 0).reshape(n, n)
+    counts = np.bincount(cell, minlength=n * n)
+    values = cell_means(entries[2], cell, counts).reshape(n, n)
+    missing = (counts == 0).reshape(n, n)
 
-    gaps = [
-        abs(values[i, i] - values[i, j])
-        for i in range(n)
-        for j in range(n)
-        if i != j and not (missing[i, i] or missing[i, j])
-    ]
-    if not gaps:
+    usable = ~(missing | missing.diagonal()[:, None] | np.eye(n, dtype=bool))
+    if not usable.any():
         raise ValueError(f"SIR({attribute}): no group pairs with comparisons")
-    scalar = 100.0 * float(np.mean(gaps))
+    scalar = 100.0 * float(np.mean(np.abs(values.diagonal()[:, None] - values)[usable]))
 
     available = values[~missing]
     threshold = otsu_threshold(available)

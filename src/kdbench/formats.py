@@ -307,10 +307,9 @@ def write_scores(
 def load_scores(path: Path) -> tuple[np.ndarray, str | None]:
     """Returns (scores, strict-mode digest or None).
 
-    The file is read as bytes, `CHUNK_BYTES` at a time, and each chunk's
-    lines are converted with one `float` map, which reads ASCII bytes; a
-    chunk that is not ASCII is decoded first. A line-by-line pass runs
-    only to name the first bad line.
+    The file is read as bytes, `CHUNK_BYTES` at a time, and each chunk is
+    decoded and its lines converted with one `float` map. A line-by-line
+    pass runs only to name the first bad line.
     """
     digest = None
     scores = []
@@ -320,14 +319,13 @@ def load_scores(path: Path) -> tuple[np.ndarray, str | None]:
                 header, _, chunk = chunk.partition(b"\n")
                 digest = header[len(_STRICT_HEADER):].decode()
                 lineno = 1
-            lines = chunk.split(b"\n") if chunk.isascii() else chunk.decode().split("\n")
-            scores.append(_read_score_lines(lines, lineno))
+            scores.append(_read_score_lines(chunk.decode().split("\n"), lineno))
             if not_utf8:
                 raise not_utf8
     return np.concatenate([np.empty(0), *scores]), digest
 
 
-def _read_score_lines(lines: list[bytes] | list[str], lineno: int) -> np.ndarray:
+def _read_score_lines(lines: list[str], lineno: int) -> np.ndarray:
     """The scores of `lines`, numbered from `lineno + 1`; blank lines are
     skipped."""
     tokens = list(filter(None, lines))
@@ -338,7 +336,6 @@ def _read_score_lines(lines: list[bytes] | list[str], lineno: int) -> np.ndarray
     for number, line in enumerate(lines, start=lineno + 1):
         if not line:
             continue
-        line = line.decode() if isinstance(line, bytes) else line
         if line.startswith(STRICT_HEADER_PREFIX):
             raise ParseError("strict header must be the first line", number)
         try:

@@ -13,6 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -246,6 +247,8 @@ def build_comparison_plan(evaluation: Dataset, seed: int) -> ComparisonPlan:
     the evaluation set, subject by subject, in chronological order: by
     first press, ties broken by session id.
     """
+    if not len(evaluation):
+        raise ProtocolError("evaluation set has no subjects")
     group = _protocol_groups(evaluation)
     subject_ids = evaluation.subject_ids.tolist()
     sizes = np.bincount(group, minlength=len(ALL_GROUPS))
@@ -374,22 +377,23 @@ def aggregate_scores(
             f"expected {ENROL_SESSIONS}"
         )
 
-    enrolled_rows = np.unique(enrolled)
-    by_id = sorted(range(len(enrolled_rows)), key=lambda r: subject_ids[enrolled_rows[r]])
-    rows = enrolled_rows[by_id]
+    rows = sorted(np.unique(enrolled).tolist(), key=subject_ids.__getitem__)
     missing = np.argwhere(filled.reshape(shape)[rows] == 0)
     if missing.size:
         row, k, i = missing[0].tolist()
         raise ProtocolError(
             f"subject {subject_ids[rows[row]]} is missing {KINDS[k].value} slot {i}"
         )
-    # Every filled slot has 5 lines, so sorting by cell lines up each slot's
-    # scores; fsum is exact, so the order of lines within a slot cannot move
-    # a mean by an ulp.
-    means = np.array([
-        math.fsum(values) / ENROL_SESSIONS
-        for values in scores[np.argsort(cell, kind="stable")]
-        .reshape(-1, ENROL_SESSIONS).tolist()
-    ]).reshape((len(rows),) + shape[1:])[by_id]
+    means = cell_means(scores, cell, filled).reshape(shape)[rows]
     means.flags.writeable = False
-    return [subject_ids[s] for s in rows.tolist()], means
+    return [subject_ids[s] for s in rows], means
+
+
+def cell_means(values: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean of each cell's `values`: the `math.fsum` of the values whose
+    `cells` entry is the cell, over their count (`counts`, as
+    `np.bincount(cells)` gives it), or 0 for an empty cell. fsum is exact,
+    so the order of a cell's values cannot move its mean by an ulp."""
+    ranked = iter(np.asarray(values, dtype=np.float64)[np.argsort(cells, kind="stable")].tolist())
+    sums = [math.fsum(islice(ranked, count)) for count in counts.tolist()]
+    return np.array(sums) / np.maximum(counts, 1)

@@ -15,7 +15,8 @@ per-session code the columnar dataset replaced. The split and the plan
 builder are the code that grouped subjects in dicts keyed by
 `Demographics` and by "M"/"F", which the `ALL_GROUPS` index arrays replaced. The raw-log parser and the
 score reader are the per-line code the byte scanner and the chunked score
-reader replaced; they read text-mode lines.
+reader replaced; they read text-mode lines. The SIR scalar is the loop over
+group pairs that the masked gap array replaced.
 """
 
 from __future__ import annotations
@@ -161,6 +162,21 @@ def group_rates_brute(subject_ids, slot_scores, demographics, threshold):
     return out
 
 
+def sir_scalar_per_pair(values: np.ndarray, missing: np.ndarray) -> float | None:
+    """`fairmetrics.sir`'s scalar from its cell means: the mean
+    |diagonal - off-diagonal| gap over the ordered group pairs whose two
+    cells are not missing, row by row, in percent; None when no pair is
+    left."""
+    n = len(values)
+    gaps = [
+        abs(values[i, i] - values[i, j])
+        for i in range(n)
+        for j in range(n)
+        if i != j and not (missing[i, i] or missing[i, j])
+    ]
+    return 100.0 * float(np.mean(gaps)) if gaps else None
+
+
 def _require_protocol_ready(dataset: Dataset) -> None:
     issues = eligibility_issues(dataset)
     for i, (subject_id, demographics) in enumerate(
@@ -243,6 +259,8 @@ def _largest_remainder_quotas(sizes: list[int], total: int) -> list[int]:
 def build_comparison_plan_by_dicts(evaluation: Dataset, seed: int) -> ComparisonPlan:
     """`protocol.build_comparison_plan` with its impostor pools in dicts
     keyed by `Demographics`, the dissimilar pool built subject by subject."""
+    if not len(evaluation):
+        raise ProtocolError("evaluation set has no subjects")
     _require_protocol_ready(evaluation)
     subject_ids = evaluation.subject_ids.tolist()
     demographics = evaluation.demographics.tolist()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdbench.baseline import fit_normalization
 from kdbench.cli import main
 from kdbench.core import ALL_GROUPS, CHUNK_BYTES, Dataset
 from kdbench.fairmetrics import FairnessConfig
@@ -212,6 +213,36 @@ class TestScoreCommand:
             "--out", tmp_path / "out",
         )
         assert code == 4
+
+    def test_development_set_is_the_eligible_subjects_outside_the_plan(
+        self, synth_dir, protocol_dir, tmp_path, monkeypatch
+    ):
+        # Every fifth subject loses its last session, so ineligible subjects
+        # sit between eligible ones and shift the eligible subjects' indices.
+        evaluated = set(json.loads((protocol_dir / "split.json").read_text())["evaluation"])
+        lines = (synth_dir / "raw_log.tsv").read_text().splitlines(keepends=True)
+        log_order = list(dict.fromkeys(_fields(line)[0] for line in lines))
+        short = {s for s in log_order[::5] if s not in evaluated}
+        first_short = min(map(log_order.index, short))
+        assert evaluated & set(log_order[first_short:])
+        (tmp_path / "raw_log.tsv").write_text("".join(
+            line for line in lines if not (_fields(line)[0] in short and _fields(line)[1] == "s14")
+        ))
+        fitted = []
+
+        def spy(development, config):
+            fitted.append(development.subject_ids.tolist())
+            return fit_normalization(development, config)
+
+        monkeypatch.setattr("kdbench.cli.fit_normalization", spy)
+        code = run(
+            "score",
+            "--data", tmp_path / "raw_log.tsv",
+            "--comparisons", protocol_dir / "comparisons.txt",
+            "--out", tmp_path / "out",
+        )
+        assert code == 0
+        assert fitted == [[s for s in log_order if s not in evaluated | short]]
 
     def test_ineligible_subject_leaves_scores_unchanged(
         self, synth_dir, scores_dir, protocol_dir, tmp_path

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kdbench.core import ALL_GROUPS, AgeGroup, Demographics, Gender
 from kdbench.fairmetrics import (
@@ -22,7 +25,7 @@ from kdbench.fairmetrics import (
 )
 from kdbench.verifmetrics import operating_point, pooled_scores, roc
 
-from oracles import group_rates_brute
+from oracles import group_rates_brute, sir_scalar_per_pair
 
 # Reference 12-group accuracy tables with known spread statistics
 # (row-major over six age bins x two genders).
@@ -276,6 +279,32 @@ class TestSir:
     def test_unknown_attribute_rejected(self):
         with pytest.raises(ValueError, match="attribute"):
             sir([], "handedness")
+
+    def test_no_entries_rejected(self):
+        with pytest.raises(ValueError, match="no group pairs"):
+            sir(([], [], []), "gender")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["age", "gender"]), st.data())
+def test_sir_scalar_agrees_with_the_per_pair_loop(attribute, data):
+    n = len(AgeGroup) if attribute == "age" else len(Gender)
+    values = data.draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0, 1)))
+    missing = data.draw(hnp.arrays(np.bool_, (n, n)))
+    # One entry per available cell, so each cell's mean is its value; an
+    # attribute's i-th group is ALL_GROUPS index i * 2 for age, i for gender.
+    i, j = np.nonzero(~missing)
+    step = len(Gender) if attribute == "age" else 1
+    entries = (i * step, j * step, values[i, j])
+    expected = sir_scalar_per_pair(values, missing)
+    if expected is None:
+        with pytest.raises(ValueError, match="no group pairs"):
+            sir(entries, attribute)
+        return
+    matrix, scalar = sir(entries, attribute)
+    assert np.array_equal(matrix.missing, missing)
+    assert np.array_equal(matrix.values[~missing], values[~missing])
+    assert scalar == expected
 
 
 class TestOtsu:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 
 import numpy as np
@@ -19,6 +20,7 @@ from kdbench.protocol import (
     SplitConfig,
     aggregate_scores,
     build_comparison_plan,
+    cell_means,
     split_dataset,
 )
 from kdbench.synthgen import GeneratorConfig, generate
@@ -95,6 +97,11 @@ class TestSplitDataset:
         ds = uniform_dataset(n_per_group=4)  # 48 subjects
         dev, ev = split_dataset(ds, SplitConfig(seed=0, eval_fraction=0.25))
         assert len(ev) == 12
+
+    def test_eval_fraction_rounding_to_zero_rejected(self):
+        ds = uniform_dataset(n_per_group=4)  # 0.01 of 48 subjects rounds to 0
+        with pytest.raises(ConfigError, match="^evaluation size must be at least 1$"):
+            split_dataset(ds, SplitConfig(seed=0, eval_fraction=0.01))
 
     def test_balance_off_exact_count(self):
         ds = uniform_dataset(n_per_group=2)
@@ -190,6 +197,11 @@ class TestBuildComparisonPlan:
     def test_determinism(self):
         ev = uniform_dataset(n_per_group=2)
         assert build_comparison_plan(ev, seed=3) == build_comparison_plan(ev, seed=3)
+
+    def test_empty_evaluation_set_rejected(self):
+        ev = uniform_dataset(n_per_group=2)
+        with pytest.raises(ProtocolError, match="^evaluation set has no subjects$"):
+            build_comparison_plan(ev.select([]), 0)
 
     def test_lone_group_member_rejected(self):
         demo_a = ALL_GROUPS[0]
@@ -386,6 +398,30 @@ def test_aggregate_scores_agrees_with_the_per_line_oracle(seed, values, op, line
         f"slot {edited.enrol_subject}/{edited.kind.value}/{edited.score_index} "
         f"has {count} comparisons, expected 5"
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, n - 1), st.one_of(st.floats(0, 1), st.floats(-1e16, 1e16))),
+        max_size=30,
+    ))),
+    st.randoms(use_true_random=False),
+)
+def test_cell_means_are_each_cells_fsum_over_its_count(cells_and_pairs, random):
+    """Bit for bit, in any order of the values; an empty cell's mean is 0."""
+    n, pairs = cells_and_pairs
+    cells = np.array([c for c, _ in pairs], dtype=np.intp)
+    values = np.array([v for _, v in pairs], dtype=np.float64)
+    counts = np.bincount(cells, minlength=n)
+    expected = [
+        math.fsum(v for c, v in pairs if c == k) / int(counts[k]) if counts[k] else 0.0
+        for k in range(n)
+    ]
+    order = list(range(len(pairs)))
+    random.shuffle(order)
+    for means in (cell_means(values, cells, counts), cell_means(values[order], cells[order], counts)):
+        assert [m.hex() for m in means.tolist()] == [e.hex() for e in expected]
 
 
 class TestScoreSet:
