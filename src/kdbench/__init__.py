@@ -30,4 +30,4 @@ from .protocol import (  # noqa: F401
     build_comparison_plan,
     split_dataset,
 )
-from .synthgen import GeneratorConfig, TypingProfile, generate  # noqa: F401
+from .synthgen import GeneratorConfig, generate  # noqa: F401

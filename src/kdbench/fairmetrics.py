@@ -276,9 +276,10 @@ def impostor_score_entries(
 def otsu_threshold(values: np.ndarray) -> float:
     """Deterministic two-class threshold maximizing between-class variance.
 
-    Candidates are midpoints between consecutive distinct values; ties go
-    to the smallest candidate. With fewer than two distinct values the
-    single value is returned.
+    Candidates are midpoints between consecutive distinct values, or the
+    right value where the midpoint rounds onto the left one; ties go to the
+    smallest candidate. With fewer than two distinct values the single
+    value is returned.
     """
     uniq = np.unique(values)
     if uniq.size < 2:
@@ -286,6 +287,8 @@ def otsu_threshold(values: np.ndarray) -> float:
     best_t, best_sep = float(uniq[0]), -1.0
     for left, right in zip(uniq, uniq[1:]):
         t = (left + right) / 2.0
+        if t == left:
+            t = right
         lower = values[values < t]
         upper = values[values >= t]
         w0, w1 = lower.size / values.size, upper.size / values.size

@@ -61,6 +61,9 @@ class FeatureConfig:
         object.__setattr__(self, "feature_set", FeatureSet(self.feature_set))
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
+        # Session lengths are int64; a larger bound cannot be compared with them.
+        if self.max_len >= 2**63:
+            raise ConfigError(f"max_len must be < 2**63, got {self.max_len}")
         # inf is allowed and means no clipping; NaN is not a bound.
         if not self.clip_seconds > 0:
             raise ConfigError(f"clip_seconds must be positive, got {self.clip_seconds}")

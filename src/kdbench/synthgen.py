@@ -12,7 +12,7 @@ existing ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,29 +29,6 @@ _DOMAIN_DATASET = 0
 
 
 @dataclass(frozen=True)
-class TypingProfile:
-    """Per-subject timing parameters (all times in seconds);
-    per_key_offset holds the hold-time offset of each of the 256 key codes."""
-
-    mean_hold_s: float
-    sd_hold_s: float
-    mean_gap_s: float
-    sd_gap_s: float
-    rollover_prob: float
-    per_key_offset: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.mean_hold_s <= 0 or self.mean_gap_s <= 0:
-            raise ValueError("mean_hold_s and mean_gap_s must be positive")
-        if not 0 <= self.rollover_prob <= 1:
-            raise ValueError(f"rollover_prob {self.rollover_prob} outside [0, 1]")
-
-
-def uniform_group_weights() -> tuple[float, ...]:
-    return (1.0 / len(ALL_GROUPS),) * len(ALL_GROUPS)
-
-
-@dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs for `generate`; group_weights follows `core.ALL_GROUPS` order."""
 
@@ -59,7 +36,7 @@ class GeneratorConfig:
     seed: int = 0
     sessions_per_subject: int = 15
     keys_per_session: int = 48
-    group_weights: tuple[float, ...] = field(default_factory=uniform_group_weights)
+    group_weights: tuple[float, ...] = (1.0 / len(ALL_GROUPS),) * len(ALL_GROUPS)
     skew_strength: float = 0.0
 
     def __post_init__(self) -> None:
@@ -101,18 +78,6 @@ def _group_shift(group: int, skew_strength: float) -> float:
     return skew_strength * (0.30 * age_term + 0.15 * gender_term)
 
 
-def _draw_profile(rng: np.random.Generator, group: int, skew_strength: float) -> TypingProfile:
-    shift = 1.0 + _group_shift(group, skew_strength)
-    mean_hold = 0.085 * math.exp(rng.normal(0.0, 0.22)) * shift
-    mean_gap = 0.230 * math.exp(rng.normal(0.0, 0.25)) * shift
-    sd_hold = 0.25 * mean_hold * math.exp(rng.normal(0.0, 0.20))
-    sd_gap = 0.45 * mean_gap * math.exp(rng.normal(0.0, 0.20))
-    rollover = float(min(0.6, rng.beta(2.0, 10.0)))
-    offsets = np.zeros(256)
-    offsets[_KEY_CODES] = rng.normal(0.0, 0.006, len(PRINTABLE_ASCII))
-    return TypingProfile(mean_hold, sd_hold, mean_gap, sd_gap, rollover, offsets)
-
-
 def _lognormal(
     rng: np.random.Generator, mean: float, sd: float, size: int | tuple[int, int]
 ) -> np.ndarray:
@@ -122,29 +87,36 @@ def _lognormal(
     return rng.lognormal(mu, math.sqrt(sigma2), size)
 
 
-def _key_distribution(rng: np.random.Generator) -> np.ndarray:
-    # Zipf-like key preferences over a random permutation of the printable
-    # range, giving each subject a distinctive key-usage mix.
-    ranks = rng.permutation(len(PRINTABLE_ASCII)) + 1
-    weights = 1.0 / ranks
-    return weights / weights.sum()
-
-
-def _generate_subject_sessions(
-    rng: np.random.Generator,
-    profile: TypingProfile,
-    key_probs: np.ndarray,
-    out: np.ndarray,
+def _subject_events(
+    rng: np.random.Generator, group: int, skew_strength: float, out: np.ndarray
 ) -> None:
-    """Fill `out`, a (sessions, keys, 3) block, with one subject's events."""
-    # All random draws for a subject are batched into per-distribution calls.
+    """Fill `out`, a (sessions, keys, 3) block, with the events of one
+    subject of group `group` (an ALL_GROUPS index), drawn from its stream.
+
+    The subject's typing profile comes first (times in seconds): hold and
+    gap means shifted by the group, their spreads, a rollover probability
+    and per-key hold offsets. Then Zipf-like key preferences over a random
+    permutation of the printable range, giving each subject a distinctive
+    key-usage mix. The session draws are batched per distribution.
+    """
+    shift = 1.0 + _group_shift(group, skew_strength)
+    mean_hold = 0.085 * math.exp(rng.normal(0.0, 0.22)) * shift
+    mean_gap = 0.230 * math.exp(rng.normal(0.0, 0.25)) * shift
+    if mean_hold <= 0 or mean_gap <= 0:
+        raise ValueError("mean_hold_s and mean_gap_s must be positive")
+    sd_hold = 0.25 * mean_hold * math.exp(rng.normal(0.0, 0.20))
+    sd_gap = 0.45 * mean_gap * math.exp(rng.normal(0.0, 0.20))
+    rollover_prob = min(0.6, rng.beta(2.0, 10.0))
+    per_key_offset = np.zeros(256)
+    per_key_offset[_KEY_CODES] = rng.normal(0.0, 0.006, len(PRINTABLE_ASCII))
+    key_weights = 1.0 / (rng.permutation(len(PRINTABLE_ASCII)) + 1)
+
     shape = out.shape[:2]
-    codes = rng.choice(_KEY_CODES, size=shape, p=key_probs)
-    holds = _lognormal(rng, profile.mean_hold_s, profile.sd_hold_s, shape)
-    holds = np.maximum(0.002, holds + profile.per_key_offset[codes])
-    flight_mean = max(profile.mean_gap_s - profile.mean_hold_s, 0.02)
-    flights = _lognormal(rng, flight_mean, profile.sd_gap_s, shape)
-    rollover = rng.random(shape) < profile.rollover_prob
+    codes = rng.choice(_KEY_CODES, size=shape, p=key_weights / key_weights.sum())
+    holds = _lognormal(rng, mean_hold, sd_hold, shape)
+    holds = np.maximum(0.002, holds + per_key_offset[codes])
+    flights = _lognormal(rng, max(mean_gap - mean_hold, 0.02), sd_gap, shape)
+    rollover = rng.random(shape) < rollover_prob
     # Rollover shifts the NEXT press before the current release; the bound
     # keeps press times strictly increasing.
     rollover_scale = rng.uniform(0.2, 0.8, shape)
@@ -191,7 +163,8 @@ def generate(config: GeneratorConfig) -> Dataset:
     n, sessions = config.n_subjects, config.sessions_per_subject
     try:
         events = np.empty((n, sessions, config.keys_per_session, 3), dtype=np.int64)
-    except MemoryError:
+    except (MemoryError, ValueError):
+        # Past numpy's own limits on a shape or a size it raises ValueError.
         raise ConfigError(
             f"{n} subjects x {sessions} sessions x {config.keys_per_session} keys "
             "is more events than memory holds"
@@ -207,8 +180,7 @@ def generate(config: GeneratorConfig) -> Dataset:
             demo = ALL_GROUPS[group]
             demographics.append(demo)
             try:
-                profile = _draw_profile(rng, group, config.skew_strength)
-                _generate_subject_sessions(rng, profile, _key_distribution(rng), events[index])
+                _subject_events(rng, group, config.skew_strength, events[index])
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(
                     f"skew_strength {config.skew_strength} gives group {demo.label()} "

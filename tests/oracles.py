@@ -16,19 +16,23 @@ builder are the code that grouped subjects in dicts keyed by
 `Demographics` and by "M"/"F", which the `ALL_GROUPS` index arrays replaced. The raw-log parser and the
 score reader are the per-line code the byte scanner and the chunked score
 reader replaced; they read text-mode lines. The SIR scalar is the loop over
-group pairs that the masked gap array replaced.
+group pairs that the masked gap array replaced. The generator is the
+per-profile path (a `TypingProfile` and three helpers per subject) that the
+one-call subject draw replaced.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from kdbench.core import (
     _EVENT_COLUMNS,
+    ALL_GROUPS,
     CODE,
     PRESS,
     RELEASE,
@@ -57,6 +61,15 @@ from kdbench.protocol import (
     SplitConfig,
     _draw_impostors,
     _subject_stream,
+)
+from kdbench.synthgen import (
+    _KEY_CODES,
+    PRINTABLE_ASCII,
+    GeneratorConfig,
+    _event_times,
+    _group_shift,
+    _lognormal,
+    _subject_rng,
 )
 
 
@@ -598,4 +611,89 @@ def embed_per_session(sessions, config: FeatureConfig, mean, std) -> np.ndarray:
     """z-normalized embeddings, one session at a time."""
     return np.stack(
         [(raw - mean) / std for raw in raw_embeddings_per_session(sessions, config)]
+    )
+
+
+@dataclass(frozen=True)
+class TypingProfile:
+    """Per-subject timing parameters (all times in seconds);
+    per_key_offset holds the hold-time offset of each of the 256 key codes."""
+
+    mean_hold_s: float
+    sd_hold_s: float
+    mean_gap_s: float
+    sd_gap_s: float
+    rollover_prob: float
+    per_key_offset: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.mean_hold_s <= 0 or self.mean_gap_s <= 0:
+            raise ValueError("mean_hold_s and mean_gap_s must be positive")
+        if not 0 <= self.rollover_prob <= 1:
+            raise ValueError(f"rollover_prob {self.rollover_prob} outside [0, 1]")
+
+
+def _draw_profile(rng: np.random.Generator, group: int, skew_strength: float) -> TypingProfile:
+    shift = 1.0 + _group_shift(group, skew_strength)
+    mean_hold = 0.085 * math.exp(rng.normal(0.0, 0.22)) * shift
+    mean_gap = 0.230 * math.exp(rng.normal(0.0, 0.25)) * shift
+    sd_hold = 0.25 * mean_hold * math.exp(rng.normal(0.0, 0.20))
+    sd_gap = 0.45 * mean_gap * math.exp(rng.normal(0.0, 0.20))
+    rollover = float(min(0.6, rng.beta(2.0, 10.0)))
+    offsets = np.zeros(256)
+    offsets[_KEY_CODES] = rng.normal(0.0, 0.006, len(PRINTABLE_ASCII))
+    return TypingProfile(mean_hold, sd_hold, mean_gap, sd_gap, rollover, offsets)
+
+
+def _key_distribution(rng: np.random.Generator) -> np.ndarray:
+    ranks = rng.permutation(len(PRINTABLE_ASCII)) + 1
+    weights = 1.0 / ranks
+    return weights / weights.sum()
+
+
+def _generate_subject_sessions(
+    rng: np.random.Generator, profile: TypingProfile, key_probs: np.ndarray, out: np.ndarray
+) -> None:
+    shape = out.shape[:2]
+    codes = rng.choice(_KEY_CODES, size=shape, p=key_probs)
+    holds = _lognormal(rng, profile.mean_hold_s, profile.sd_hold_s, shape)
+    holds = np.maximum(0.002, holds + profile.per_key_offset[codes])
+    flight_mean = max(profile.mean_gap_s - profile.mean_hold_s, 0.02)
+    flights = _lognormal(rng, flight_mean, profile.sd_gap_s, shape)
+    rollover = rng.random(shape) < profile.rollover_prob
+    rollover_scale = rng.uniform(0.2, 0.8, shape)
+    flights = np.where(rollover, -holds * rollover_scale, flights)
+    out[:, :, CODE] = codes
+    out[:, :, PRESS], out[:, :, RELEASE] = _event_times(holds, flights)
+
+
+def generate_by_profiles(config: GeneratorConfig) -> Dataset:
+    """`synthgen.generate` with each subject's draw split into a profile,
+    a key distribution and its sessions."""
+    weights = np.asarray(config.group_weights, dtype=np.float64)
+    weights = weights / weights.sum()
+    n, sessions = config.n_subjects, config.sessions_per_subject
+    events = np.empty((n, sessions, config.keys_per_session, 3), dtype=np.int64)
+    demographics = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in range(n):
+            rng = _subject_rng(config, index)
+            group = int(rng.choice(len(ALL_GROUPS), p=weights))
+            demo = ALL_GROUPS[group]
+            demographics.append(demo)
+            try:
+                profile = _draw_profile(rng, group, config.skew_strength)
+                _generate_subject_sessions(rng, profile, _key_distribution(rng), events[index])
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"skew_strength {config.skew_strength} gives group {demo.label()} "
+                    f"impossible timings ({exc})"
+                ) from None
+    return Dataset(
+        subject_ids=[f"u{index:05d}" for index in range(n)],
+        demographics=demographics,
+        session_offsets=np.arange(n + 1) * sessions,
+        session_ids=np.tile(np.array([f"s{j:02d}" for j in range(sessions)], object), n),
+        event_offsets=np.arange(n * sessions + 1) * config.keys_per_session,
+        events=events.reshape(-1, 3),
     )

@@ -794,11 +794,7 @@ def _score_empty_comparisons(synth_dir, protocol_dir, scores_dir, tmp_path):
 
 
 def _negative_seed(name, *argv):
-    def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
-        inputs = {f: synth_dir / f for f in ("raw_log.tsv", "demographics.tsv")}
-        return (*(inputs.get(a, a) for a in argv), "--out", tmp_path / "out")
-    make_argv.__name__ = f"_negative_seed_{name}"
-    return make_argv
+    return _run_with(f"negative_seed_{name}", *argv)
 
 
 # Each stage's arguments; those with a "." name an input file.
@@ -817,6 +813,15 @@ def _fixture_inputs(synth_dir, protocol_dir, scores_dir):
         "comparisons.txt": protocol_dir / "comparisons.txt",
         "scores.txt": scores_dir / "scores.txt",
     }
+
+
+def _run_with(name, *argv):
+    """A run of `argv`; arguments with a "." name a fixture input file."""
+    def make_argv(synth_dir, protocol_dir, scores_dir, tmp_path):
+        inputs = _fixture_inputs(synth_dir, protocol_dir, scores_dir)
+        return (*(inputs.get(a, a) for a in argv), "--out", tmp_path / "out")
+    make_argv.__name__ = f"_{name}"
+    return make_argv
 
 
 def _unwritable_out(name, *argv):
@@ -887,6 +892,17 @@ BAD_INPUTS = [
         _synth_too_large, 2,
         "100000000000 subjects x 15 sessions x 48 keys is more events than memory holds",
     ),
+    # Past numpy's limits on a shape or a size, not only past memory.
+    (_run_with("synth_too_many_subjects", "synth", "--subjects", 10**23), 2,
+     f"{10**23} subjects x 15 sessions x 48 keys is more events than memory holds"),
+    (_run_with("synth_too_many_keys", "synth", "--subjects", 2, "--keys", 2**63 - 1), 2,
+     f"2 subjects x 15 sessions x {2**63 - 1} keys is more events than memory holds"),
+    (_run_with("demo_too_many_subjects", "demo", "--subjects", 10**23), 2,
+     f"{10**23} subjects x 15 sessions x 48 keys is more events than memory holds"),
+    (_run_with("score_max_len_past_int64", "score", *STAGE_ARGS["score"], "--max-len", 10**30),
+     2, f"max_len must be < 2**63, got {10**30}"),
+    (_run_with("demo_max_len_past_int64", "demo", "--max-len", 2**63), 2,
+     f"max_len must be < 2**63, got {2**63}"),
     (_score_enrolling("u00001:zz99"), 4, "session 'zz99' of subject 'u00001' not in dataset"),
     (_score_enrolling("zz_ghost:s00"), 4,
      "subject 'zz_ghost' not in dataset or not protocol-eligible"),
@@ -973,6 +989,18 @@ def test_infinite_clip_seconds_means_no_clipping(synth_dir, protocol_dir, tmp_pa
         "--out", tmp_path,
     ) == 0
     assert (tmp_path / "scores.txt").stat().st_size > 0
+
+
+def test_largest_int64_max_len_means_no_truncation(synth_dir, protocol_dir, scores_dir, tmp_path):
+    assert run(
+        "score",
+        "--data", synth_dir / "raw_log.tsv",
+        "--comparisons", protocol_dir / "comparisons.txt",
+        "--max-len", 2**63 - 1,
+        "--out", tmp_path,
+    ) == 0
+    # The fixture's sessions hold 48 keys, the default max_len.
+    assert (tmp_path / "scores.txt").read_bytes() == (scores_dir / "scores.txt").read_bytes()
 
 
 def test_threads_flag_must_be_positive(tmp_path):

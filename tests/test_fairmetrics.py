@@ -320,6 +320,12 @@ class TestOtsu:
         values = np.array([0.1, 0.4, 0.4, 0.9])
         assert otsu_threshold(values) == otsu_threshold(values[::-1].copy())
 
+    def test_adjacent_floats_split_between_them(self):
+        # Their midpoint rounds onto the lower value, which would put both
+        # values in the upper class.
+        values = np.array([0.5, np.nextafter(0.5, 1.0)])
+        assert (values >= otsu_threshold(values)).tolist() == [False, True]
+
 
 class TestZeroSkewFixpoints:
     def test_all_fairness_fixpoints(self):

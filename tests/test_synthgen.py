@@ -21,6 +21,8 @@ from kdbench.synthgen import (
     generate,
 )
 
+from oracles import generate_by_profiles
+
 
 def test_same_config_twice_is_byte_identical():
     cfg = GeneratorConfig(n_subjects=5, seed=42)
@@ -175,3 +177,51 @@ def test_event_times_match_the_per_event_loop(draws, half_ms):
         flights = np.round(flights * 1000.0) / 1000.0
     press, release = _event_times(holds, flights)
     assert (press.tolist(), release.tolist()) == _event_times_loop(holds, flights)
+
+
+def _normalized(weights):
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+def _group_weight_lists(elements):
+    return st.lists(elements, min_size=len(ALL_GROUPS), max_size=len(ALL_GROUPS))
+
+
+_GROUP_WEIGHTS = st.one_of(
+    st.just(GeneratorConfig(n_subjects=0).group_weights),
+    _group_weight_lists(st.floats(0.01, 1.0)).map(_normalized),
+    # Mostly zero: most groups never drawn.
+    _group_weight_lists(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0])).filter(any).map(_normalized),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    n_subjects=st.integers(0, 6),
+    sessions=st.integers(1, 16),
+    keys=st.integers(1, 40),
+    # 100 and 1e308 give some or all groups impossible timings.
+    skew=st.sampled_from([0.0, 0.7, 1.3, 100.0, 1e308]),
+    group_weights=_GROUP_WEIGHTS,
+)
+def test_generate_agrees_with_the_per_profile_path(
+    seed, n_subjects, sessions, keys, skew, group_weights
+):
+    config = GeneratorConfig(
+        n_subjects=n_subjects,
+        seed=seed,
+        sessions_per_subject=sessions,
+        keys_per_session=keys,
+        group_weights=group_weights,
+        skew_strength=skew,
+    )
+    outcomes = []
+    for draw in (generate, generate_by_profiles):
+        try:
+            outcomes.append(draw(config))
+        except ConfigError as exc:
+            outcomes.append(str(exc))
+    assert type(outcomes[0]) is type(outcomes[1])
+    assert outcomes[0] == outcomes[1]
