@@ -286,8 +286,8 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     each session.
     Raises ParseError with the offending line number on malformed lines,
     invariant violations, or duplicated events; when several lines are
-    bad, the first one is reported. Raises UnicodeDecodeError when the
-    first bad line is not UTF-8.
+    bad, the first one is reported, a line that is not UTF-8 included
+    (`_line_chunks` names the stream in that message).
     """
     heads = _Interned()  # b"subject\tsession" -> session index
     session_of = array("q")
@@ -296,29 +296,28 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     # lines: the first event of each run and its line. One number per event
     # would hold 29 MB more at 5,000 subjects.
     run_events, run_lines = array("q"), array("q")
-    error: ParseError | UnicodeDecodeError | None = None
-    for lineno, chunk, not_utf8 in _line_chunks(fh):
-        sessions, numbers, events, error = _scan_lines(chunk, lineno, heads)
-        error = error or not_utf8
-        # A run starts at a chunk's first line and after each blank line.
-        runs = np.flatnonzero(np.diff(numbers, prepend=-1) != 1)
-        run_events.frombytes((runs + len(session_of)).tobytes())
-        run_lines.frombytes(numbers[runs].tobytes())
-        session_of.frombytes(sessions.tobytes())
-        values.frombytes(events.tobytes())
-        if error is not None:
-            break
+    error: ParseError | None = None
+    try:
+        for lineno, chunk in _line_chunks(fh):
+            sessions, numbers, events, error = _scan_lines(chunk, lineno, heads)
+            # A run starts at a chunk's first line and after each blank line.
+            runs = np.flatnonzero(np.diff(numbers, prepend=-1) != 1)
+            run_events.frombytes((runs + len(session_of)).tobytes())
+            run_lines.frombytes(numbers[runs].tobytes())
+            session_of.frombytes(sessions.tobytes())
+            values.frombytes(events.tobytes())
+            if error is not None:
+                break
+    except ParseError as exc:  # the lines read are good, the next is not UTF-8
+        error = exc
 
     def line_of(event: int) -> int:
         run = bisect_right(run_events, event) - 1
         return run_lines[run] + event - run_events[run]
 
-    n = len(values) // _EVENT_COLUMNS
     # A view of the buffer, not a copy: the block is this view when the log
     # is in order, else the one sorted copy.
-    events = np.frombuffer(values, dtype=np.int64, count=n * _EVENT_COLUMNS).reshape(
-        n, _EVENT_COLUMNS
-    )
+    events = np.frombuffer(values, dtype=np.int64).reshape(-1, _EVENT_COLUMNS)
     keys = [head.decode().split("\t") for head in heads.ids]
     subject_ids, subject_of = subject_table(keys)
     # Sessions are ranked subject by subject, so sorting on the rank also
@@ -326,7 +325,7 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     by_subject = np.argsort(subject_of, kind="stable")
     rank = np.empty_like(by_subject)
     rank[by_subject] = np.arange(len(by_subject))
-    groups = rank[np.array(session_of[:n], dtype=np.intp)]
+    groups = rank[np.frombuffer(session_of, dtype=np.int64)]
     order = _event_order(groups, events)
     if order is None:
         # Already in order, with no press repeated within a session: the
@@ -394,13 +393,14 @@ def _event_order(groups: np.ndarray, events: np.ndarray) -> np.ndarray | None:
     return order
 
 
-def _line_chunks(fh: BinaryIO) -> Iterator[tuple[int, bytes, UnicodeDecodeError | None]]:
+def _line_chunks(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
     """The bytes of `fh` in chunks of whole lines, about `CHUNK_BYTES` each,
     with `\\r\\n` and a lone `\\r` turned into b"\\n", as (lines before
-    the chunk, chunk, None). Every chunk ends in b"\\n" but the last, whose
-    line may have no end. A chunk that is not UTF-8 is the last: it is cut
-    before its first bad line and comes with the decode error in place of
-    None, so a reader that scans it first reports the first bad line."""
+    the chunk, chunk). Every chunk ends in b"\\n" but the last, whose line
+    may have no end. A chunk that is not UTF-8 is cut before its first bad
+    line and is the last; after it, ParseError `<fh.name (or "<stream>")>
+    is not UTF-8 text (<reason>)` is raised, so a reader that scans the
+    chunk first reports the first bad line."""
     rest, lineno = b"", 0
     while True:
         # A line longer than a chunk is read in doubling blocks, not re-copied
@@ -415,15 +415,17 @@ def _line_chunks(fh: BinaryIO) -> Iterator[tuple[int, bytes, UnicodeDecodeError 
         cut = lines.rfind(b"\n") + 1 if block else len(lines)
         chunk, rest = lines[:cut], lines[cut:] + data[split:]
         del data, lines  # only the chunk is held while it is scanned
-        error = None
+        reason = None
         if not chunk.isascii():
             try:
                 chunk.decode("utf-8")
             except UnicodeDecodeError as exc:
-                chunk, error = chunk[: chunk.rfind(b"\n", 0, exc.start) + 1], exc
-        if chunk or error:
-            yield lineno, chunk, error
-        if error or not block:
+                chunk, reason = chunk[: chunk.rfind(b"\n", 0, exc.start) + 1], exc.reason
+        if chunk:
+            yield lineno, chunk
+        if reason:
+            raise ParseError(f"{getattr(fh, 'name', '<stream>')} is not UTF-8 text ({reason})")
+        if not block:
             return
         lineno += chunk.count(b"\n")
 

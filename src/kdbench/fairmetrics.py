@@ -284,13 +284,17 @@ def otsu_threshold(values: np.ndarray) -> float:
     uniq = np.unique(values)
     if uniq.size < 2:
         return float(uniq[0])
+    # Separations are of the values scaled by a power of two below 2 in
+    # magnitude (exact while they stay normal), so no mean or square overflows.
+    exponent = int(np.frexp(np.abs(uniq[[0, -1]]).max())[1])
+    scaled = np.ldexp(values, -max(0, exponent - 1))
     best_t, best_sep = float(uniq[0]), -1.0
     for left, right in zip(uniq, uniq[1:]):
-        t = (left + right) / 2.0
+        t = left / 2.0 + right / 2.0  # (left + right) / 2 may overflow
         if t == left:
             t = right
-        lower = values[values < t]
-        upper = values[values >= t]
+        lower = scaled[values < t]
+        upper = scaled[values >= t]
         w0, w1 = lower.size / values.size, upper.size / values.size
         sep = w0 * w1 * (lower.mean() - upper.mean()) ** 2
         if sep > best_sep:

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
+from array import array
 from itertools import chain, repeat
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,17 +57,6 @@ def _check_identifier(value: str, what: str) -> str:
     if not value or any(c in value for c in _NOT_IN_IDENTIFIERS):
         raise ConfigError(f"{what} {value!r} is empty or contains tab/newline/colon")
     return value
-
-
-@contextmanager
-def _reading(path: Path) -> Iterator[BinaryIO]:
-    """Open an input as bytes; a byte that is not UTF-8 is reported with the
-    file's path, whichever loader reads it."""
-    try:
-        with open(path, "rb") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _check_identifiers(pairs: Iterable[tuple[str, str]]) -> None:
@@ -106,7 +95,7 @@ def write_raw_log(dataset: Dataset, path: Path) -> None:
 
 
 def load_raw_log(path: Path) -> Dataset:
-    with _reading(path) as fh:
+    with open(path, "rb") as fh:
         return parse_raw_log(fh)
 
 
@@ -131,8 +120,8 @@ def load_demographics(path: Path) -> dict[str, Demographics]:
     """Read a demographics file, `CHUNK_BYTES` at a time. Raises ParseError
     naming the first bad line, or the file when that line is not UTF-8."""
     mapping: dict[str, Demographics] = {}
-    with _reading(path) as fh:
-        for lineno, chunk, not_utf8 in _line_chunks(fh):
+    with open(path, "rb") as fh:
+        for lineno, chunk in _line_chunks(fh):
             for number, line in enumerate(chunk.decode().split("\n"), start=lineno + 1):
                 if not line:
                     continue
@@ -145,8 +134,6 @@ def load_demographics(path: Path) -> dict[str, Demographics]:
                     raise ParseError(
                         f"conflicting demographics for subject {fields[0]!r}", number
                     )
-            if not_utf8:
-                raise not_utf8
     return mapping
 
 
@@ -222,31 +209,30 @@ def load_comparisons(path: Path) -> ComparisonPlan:
     """Read a comparison file.
 
     The file is read as bytes, `CHUNK_BYTES` at a time, and each chunk's
-    lines are scanned with array operations. Keys are interned in a dict,
+    lines are scanned with array operations; their columns are appended to
+    typed buffers, which the plan's columns view. Keys are interned in a dict,
     so the session table lists each pair in order of first appearance.
     Raises ParseError with the line number of the first bad line, or
     naming the file when that line is not UTF-8.
     """
     table = _Interned()  # b"subject:session" -> session-table row
-    chunks = [(np.empty((0, 2), dtype=np.int64), np.empty(0, np.int8), np.empty(0, np.int64))]
-    with _reading(path) as fh:
-        for lineno, chunk, not_utf8 in _line_chunks(fh):
-            chunks.append(_scan_comparison_lines(chunk, lineno, table))
-            if not_utf8:
-                raise not_utf8
-    keys, kind, slot = (np.concatenate(column) for column in zip(*chunks))
-    del chunks
+    columns = array("q"), array("q"), array("b"), array("q")  # enrol, verif, kind, slot
+    with open(path, "rb") as fh:
+        for lineno, chunk in _line_chunks(fh):
+            for column, values in zip(columns, _scan_comparison_lines(chunk, lineno, table)):
+                column.frombytes(values.tobytes())
     sessions = tuple([
         (s, t) for s, _, t in map(str.partition, map(bytes.decode, table.ids), repeat(":"))
     ])
     del table
-    return ComparisonPlan(sessions, keys[:, 0], keys[:, 1], kind, slot, subject_table(sessions))
+    enrol, verif, kind, slot = (np.frombuffer(column, dtype=column.typecode) for column in columns)
+    return ComparisonPlan(sessions, enrol, verif, kind, slot, subject_table(sessions))
 
 
 def _scan_comparison_lines(
     chunk: bytes, lineno: int, table: _Interned
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (enrol, verif) session-table rows, kinds and slots of the lines
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The enrol and verif session-table rows, kinds and slots of the lines
     of `chunk`, numbered from `lineno + 1`; blank lines are skipped and new
     keys join `table`. The first bad line wins, and a line that fails
     several checks reports the first of field count, subject:session pair,
@@ -288,7 +274,7 @@ def _scan_comparison_lines(
             break
     if error is not None:
         raise error
-    return rows, kind, slot
+    return rows[:, 0], rows[:, 1], kind, slot
 
 
 # -- score files ---------------------------------------------------------
@@ -308,21 +294,20 @@ def load_scores(path: Path) -> tuple[np.ndarray, str | None]:
     """Returns (scores, strict-mode digest or None).
 
     The file is read as bytes, `CHUNK_BYTES` at a time, and each chunk is
-    decoded and its lines converted with one `float` map. A line-by-line
-    pass runs only to name the first bad line.
+    decoded and its lines converted with one `float` map into a typed
+    buffer, which the scores view. A line-by-line pass runs only to name
+    the first bad line.
     """
     digest = None
-    scores = []
-    with _reading(path) as fh:
-        for lineno, chunk, not_utf8 in _line_chunks(fh):
+    scores = array("d")
+    with open(path, "rb") as fh:
+        for lineno, chunk in _line_chunks(fh):
             if lineno == 0 and chunk.startswith(_STRICT_HEADER):
                 header, _, chunk = chunk.partition(b"\n")
                 digest = header[len(_STRICT_HEADER):].decode()
                 lineno = 1
-            scores.append(_read_score_lines(chunk.decode().split("\n"), lineno))
-            if not_utf8:
-                raise not_utf8
-    return np.concatenate([np.empty(0), *scores]), digest
+            scores.frombytes(_read_score_lines(chunk.decode().split("\n"), lineno).tobytes())
+    return np.frombuffer(scores, dtype=np.float64), digest
 
 
 def _read_score_lines(lines: list[str], lineno: int) -> np.ndarray:

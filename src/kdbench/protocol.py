@@ -13,13 +13,14 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    ALL_GROUPS, GROUP_INDEX, PRESS, AgeGroup, Dataset, Gender, eligibility_issues, subject_table,
+    ALL_GROUPS, CHUNK_BYTES, GROUP_INDEX, PRESS, AgeGroup, Dataset, Gender, eligibility_issues,
+    subject_table,
 )
 from .errors import AlignmentError, ConfigError, ProtocolError
 
@@ -393,7 +394,10 @@ def cell_means(values: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> np.
     """The mean of each cell's `values`: the `math.fsum` of the values whose
     `cells` entry is the cell, over their count (`counts`, as
     `np.bincount(cells)` gives it), or 0 for an empty cell. fsum is exact,
-    so the order of a cell's values cannot move its mean by an ulp."""
-    ranked = iter(np.asarray(values, dtype=np.float64)[np.argsort(cells, kind="stable")].tolist())
-    sums = [math.fsum(islice(ranked, count)) for count in counts.tolist()]
-    return np.array(sums) / np.maximum(counts, 1)
+    so the order of a cell's values cannot move its mean by an ulp. Values
+    become Python floats a block of `CHUNK_BYTES // 8` at a time."""
+    ordered = np.asarray(values, dtype=np.float64)[np.argsort(cells, kind="stable")]
+    blocks = np.split(ordered, range(CHUNK_BYTES // 8, len(ordered), CHUNK_BYTES // 8))
+    ranked = chain.from_iterable(map(np.ndarray.tolist, blocks))
+    sums = (math.fsum(islice(ranked, count)) for count in counts.tolist())
+    return np.fromiter(sums, dtype=np.float64, count=len(counts)) / np.maximum(counts, 1)

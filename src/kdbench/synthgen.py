@@ -190,7 +190,8 @@ def generate(config: GeneratorConfig) -> Dataset:
         subject_ids=[f"u{index:05d}" for index in range(n)],
         demographics=demographics,
         session_offsets=np.arange(n + 1) * sessions,
-        session_ids=np.tile(np.array([f"s{j:02d}" for j in range(sessions)], object), n),
+        # No session ids without subjects, however many sessions each would have.
+        session_ids=np.tile(np.array([f"s{j:02d}" for j in range(n and sessions)], object), n),
         event_offsets=np.arange(n * sessions + 1) * config.keys_per_session,
         events=events.reshape(-1, 3),
     )

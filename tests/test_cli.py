@@ -916,6 +916,8 @@ BAD_INPUTS = [
         "raw_log.tsv is not UTF-8 text (invalid start byte)",
     ),
     (_non_utf8_comparisons, 2, "comparisons.txt is not UTF-8 text (invalid start byte)"),
+    (_evaluate_reading("demographics.tsv", b"u00000\t18-26\tM\n\xff\n", "non_utf8_demographics"),
+     2, "demographics.tsv is not UTF-8 text (invalid start byte)"),
     # A bad line before a line that is not UTF-8, in the same chunk, wins.
     (
         _evaluate_reading("comparisons.txt", b"u1:s1\tu1:s2\tG\n\xff\n", "bad_plan_line_first"),

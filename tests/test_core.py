@@ -729,6 +729,8 @@ def test_bad_line_around_a_chunk_boundary(bad, message, tmp_path):
     ("u1\ts1\t97\tx\t80\n", "line 3: non-integer event field in ['97', 'x', '80']"),
     ("u1\ts1\t300\t0\t80\n", "line 3: key code 300 outside [0, 255]"),
     ("u1\ts1\t97\t0\t5\n", "line 3: duplicate event ('u1', 's1', 97, 0, 5)"),
+    ("u1\ts1\t97\t0\t" + str(2**64) + "\n", "line 3: event field outside 64 bits"),
+    ("u1\ts1\t97\t9\t7\n", "line 3: release 7 precedes press 9"),
     ("u1\ts1\t97\t7\t9\n", "raw_log.tsv is not UTF-8 text (invalid start byte)"),
 ])
 def test_a_bad_line_before_a_byte_that_is_not_utf8_wins(bad, message, tmp_path):
@@ -743,6 +745,18 @@ def test_a_bad_line_before_a_byte_that_is_not_utf8_wins(bad, message, tmp_path):
     for chunk in (core.CHUNK_BYTES, 64):
         with mock.patch.object(core, "CHUNK_BYTES", chunk):
             assert message in assert_parsers_agree(path)[0]
+
+
+@pytest.mark.parametrize("chunk", [8, 64, core.CHUNK_BYTES])
+def test_a_stream_that_is_not_utf8_raises_parse_error(chunk):
+    # The chunk reader names a stream without a name by a placeholder; the
+    # decode error itself never reaches the caller.
+    data = b"u1\ts1\t97\t0\t5\nu1\ts1\t98\t9\t\xff\n"
+    with mock.patch.object(core, "CHUNK_BYTES", chunk):
+        with pytest.raises(ParseError) as info:
+            parse_raw_log(io.BytesIO(data))
+    assert str(info.value) == "<stream> is not UTF-8 text (invalid start byte)"
+    assert info.value.line_number is None
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])

@@ -326,6 +326,18 @@ class TestOtsu:
         values = np.array([0.5, np.nextafter(0.5, 1.0)])
         assert (values >= otsu_threshold(values)).tolist() == [False, True]
 
+    def test_values_near_the_float_maximum(self):
+        # Their sum, their gap's square and a class sum would each overflow.
+        t = otsu_threshold(np.array([1e308, 1.7e308]))
+        assert np.isfinite(t) and 1e308 < t <= 1.7e308
+        values = np.array([-1.7e308, -1.6e308, 1.6e308, 1.7e308, 1.7e308])
+        assert (values >= otsu_threshold(values)).tolist() == [False, False, True, True, True]
+
+    def test_a_power_of_two_scale_moves_no_split(self):
+        values = np.random.default_rng(5).uniform(0, 1, 40)
+        for scale in (2.0**-40, 2.0**600, 2.0**1000):
+            assert otsu_threshold(values * scale) == otsu_threshold(values) * scale
+
 
 class TestZeroSkewFixpoints:
     def test_all_fairness_fixpoints(self):

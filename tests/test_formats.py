@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -394,6 +395,42 @@ def test_bad_score_after_the_first_read_chunk(tmp_path):
         path.write_text(STRICT_HEADER_PREFIX + "ab\n" + good + "\n" + bad + good)
         chunked, per_line = _scores_both(path)
         assert chunked == per_line == (f"line 40003: {message}", 40_003)
+
+
+# Each chunked reader with a good line (of its index), a bad line and the
+# bad line's message.
+CHUNKED_READERS = [
+    (load_raw_log, "raw_log.tsv", "u1\ts1\t97\t{0}0\t{0}5\n", "u1\ts1\t97\tx\t5\n",
+     "non-integer event field in ['97', 'x', '5']"),
+    (load_demographics, "demographics.tsv", "u{0}\t18-26\tM\n", "u99\t18-26\tX\n",
+     "unknown gender 'X'"),
+    (load_comparisons, "comparisons.txt", "u{0}:s1\tv1:s2\tG\t{0}\n", "u1:s1\tv1:s2\tQ\t0\n",
+     "unknown comparison kind 'Q'"),
+    (load_scores, "scores.txt", "0.{0}\n", "abc\n", "non-numeric score 'abc'"),
+]
+
+
+@pytest.mark.parametrize(
+    "load, name, good, bad, message", CHUNKED_READERS, ids=[r[1] for r in CHUNKED_READERS]
+)
+def test_a_line_that_is_not_utf8_in_a_later_chunk(load, name, good, bad, message, tmp_path):
+    # The first chunk is exactly the first ten lines; the second holds two
+    # good lines, line 13 and the line that is not UTF-8, and is cut before
+    # that line. A bad line 13 wins; a good one lets the decode error through.
+    first = "".join(good.format(i) for i in range(10, 20)).encode()
+    path = tmp_path / name
+    for line_13, expected in ((bad, f"line 13: {message}"),
+                              (good.format(22), f"{path} is not UTF-8 text (invalid start byte)")):
+        rest = "".join(good.format(i) for i in (20, 21)) + line_13
+        path.write_bytes(first + rest.encode() + b"\xff\n" + good.format(23).encode())
+        with mock.patch.object(core, "CHUNK_BYTES", len(first)):
+            with open(path, "rb") as fh:
+                chunks = list(itertools.islice(core._line_chunks(fh), 2))
+            assert chunks == [(0, first), (10, rest.encode())]
+            with pytest.raises(ParseError) as info:
+                load(path)
+        assert str(info.value) == expected
+
 
 def test_det_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)

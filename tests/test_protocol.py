@@ -4,12 +4,14 @@ import functools
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdbench import protocol
 from kdbench.core import AgeGroup, ALL_GROUPS, Gender
 from kdbench.errors import AlignmentError, ConfigError, ProtocolError
 from kdbench.fairmetrics import impostor_score_entries
@@ -407,9 +409,11 @@ def test_aggregate_scores_agrees_with_the_per_line_oracle(seed, values, op, line
         max_size=30,
     ))),
     st.randoms(use_true_random=False),
+    st.sampled_from([8, 24, 56, protocol.CHUNK_BYTES]),
 )
-def test_cell_means_are_each_cells_fsum_over_its_count(cells_and_pairs, random):
-    """Bit for bit, in any order of the values; an empty cell's mean is 0."""
+def test_cell_means_are_each_cells_fsum_over_its_count(cells_and_pairs, random, chunk):
+    """Bit for bit, in any order of the values, with cells that straddle
+    the blocks the values are read in; an empty cell's mean is 0."""
     n, pairs = cells_and_pairs
     cells = np.array([c for c, _ in pairs], dtype=np.intp)
     values = np.array([v for _, v in pairs], dtype=np.float64)
@@ -420,8 +424,10 @@ def test_cell_means_are_each_cells_fsum_over_its_count(cells_and_pairs, random):
     ]
     order = list(range(len(pairs)))
     random.shuffle(order)
-    for means in (cell_means(values, cells, counts), cell_means(values[order], cells[order], counts)):
-        assert [m.hex() for m in means.tolist()] == [e.hex() for e in expected]
+    with mock.patch.object(protocol, "CHUNK_BYTES", chunk):
+        shuffled = cell_means(values[order], cells[order], counts)
+        for means in (cell_means(values, cells, counts), shuffled):
+            assert [m.hex() for m in means.tolist()] == [e.hex() for e in expected]
 
 
 class TestScoreSet:

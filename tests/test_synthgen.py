@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -43,6 +44,19 @@ def test_event_count_arithmetic():
 def test_zero_subjects_is_empty_not_error():
     ds = generate(GeneratorConfig(n_subjects=0, seed=1))
     assert len(ds) == 0
+
+
+def test_zero_subjects_build_no_session_ids():
+    # However many sessions a subject would have, none is built: a million
+    # session ids would hold about 60 MB.
+    tracemalloc.start()
+    try:
+        ds = generate(GeneratorConfig(n_subjects=0, sessions_per_subject=10**6, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 0 and ds.n_sessions() == 0
+    assert peak < 1 << 20
 
 
 def test_adding_subjects_never_perturbs_existing_ones():
