@@ -17,7 +17,9 @@ All text files are UTF-8 with LF endings and no header unless stated:
   cells are empty
 
 Identifiers must not contain tabs, line ends ('\n' or '\r', which the
-readers take as a line end), or ':' (the comparison-file separator).
+readers take as a line end), or ':' (the comparison-file separator), and
+need a UTF-8 encoding. The raw-log and comparison-file writers render each
+block of lines as a byte matrix of padded fields and a keep-mask.
 """
 
 from __future__ import annotations
@@ -56,17 +58,27 @@ _NOT_IN_IDENTIFIERS = "\t\n\r:"
 def _check_identifier(value: str, what: str) -> str:
     if not value or any(c in value for c in _NOT_IN_IDENTIFIERS):
         raise ConfigError(f"{what} {value!r} is empty or contains tab/newline/colon")
+    if not _encodes(value):
+        raise ConfigError(f"{what} {value!r} holds a lone surrogate, which UTF-8 cannot encode")
     return value
+
+
+def _encodes(text: str) -> bool:
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _check_identifiers(pairs: Iterable[tuple[str, str]]) -> None:
     """Check (subject_id, session_id) pairs. Writers call this before they
     open their file, so a bad identifier leaves no partial file behind.
-    One scan covers every identifier; the per-identifier check runs only
-    to name the first bad one."""
+    One scan and one encode cover every identifier; the per-identifier
+    check runs only to name the first bad one."""
     ids = list(chain.from_iterable(pairs))
     text = "".join(ids)
-    if "" not in ids and not any(c in text for c in _NOT_IN_IDENTIFIERS):
+    if "" not in ids and not any(c in text for c in _NOT_IN_IDENTIFIERS) and _encodes(text):
         return
     for i in range(0, len(ids), 2):
         _check_identifier(ids[i], "subject_id")
@@ -76,22 +88,79 @@ def _check_identifiers(pairs: Iterable[tuple[str, str]]) -> None:
 # -- raw event logs ----------------------------------------------------
 
 
-def raw_log_lines(dataset: Dataset) -> Iterable[str]:
-    """The raw log's text, one session's lines at a time (identifiers are
-    not checked here; `write_raw_log` checks them)."""
-    bounds = dataset.event_offsets.tolist()
-    for j, (subject_id, session_id) in enumerate(dataset.session_keys()):
-        prefix = f"{subject_id}\t{session_id}\t"
-        yield "".join(
-            f"{prefix}{code}\t{press}\t{release}\n"
-            for code, press, release in dataset.events[bounds[j] : bounds[j + 1]].tolist()
-        )
+# The most bytes of a raw-log line after its head: a code of 3 digits, two
+# times of up to 20 characters (an int64's sign and 19 digits) and 3 ends.
+_EVENT_BYTES = 46
 
 
 def write_raw_log(dataset: Dataset, path: Path) -> None:
-    _check_identifiers(dataset.session_keys())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(raw_log_lines(dataset))
+    """Write the raw log, a block of events at a time. Each event of a block
+    is a row of a byte matrix: its session's `subject\tsession` head, then
+    its code, press and release digits, each field followed by a tab or
+    newline. A keep-mask drops the padding of the fields whose length varies
+    within the block, and the kept bytes are the block's text."""
+    keys = dataset.session_keys()
+    _check_identifiers(keys)
+    encoded = [f"{subject_id}\t{session_id}".encode() for subject_id, session_id in keys]
+    heads = np.array(encoded, dtype=bytes)
+    heads = heads.view(np.uint8).reshape(-1, heads.itemsize)
+    head_lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    events, bounds = dataset.events, dataset.event_offsets
+    # Events per block: about `CHUNK_BYTES` of text.
+    block = max(1, CHUNK_BYTES // (heads.shape[1] + _EVENT_BYTES))
+    with open(path, "wb") as fh:
+        for start in range(0, len(events), block):
+            stop = min(start + block, len(events))
+            # The sessions of the block's events, and each one's count of them.
+            first = int(np.searchsorted(bounds, start, side="right")) - 1
+            last = int(np.searchsorted(bounds, stop, side="left"))
+            counts = np.diff(np.clip(bounds[first : last + 1], start, stop))
+            lengths = np.repeat(head_lengths[first:last], counts)
+            fields = [(np.repeat(heads[first:last, : lengths.max()], counts, axis=0), lengths)]
+            fields += [_decimals(values) for values in events[start:stop].T]
+            text = np.empty((stop - start, sum(f.shape[1] + 1 for f, _ in fields)), np.uint8)
+            kept = np.ones(text.shape, dtype=bool)
+            at = 0
+            for i, ((field, lengths), end) in enumerate(zip(fields, b"\t\t\t\n")):
+                width = field.shape[1]
+                text[:, at : at + width] = field
+                text[:, at + width] = end
+                # The j-th byte of a text, counted from its start for the head
+                # (padded after) and from its end for digits (padded before),
+                # is kept when the text is longer than j.
+                for j in range(lengths.min(), width):
+                    kept[:, at + j if i == 0 else at + width - 1 - j] = lengths > j
+                at += width + 1
+            fh.write(text[kept])
+
+
+def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text of int64 `values` as `str` writes it, right-aligned in the
+    transposed view of a (width, n) byte matrix whose rows are character
+    positions (bytes before a shorter text are left unset); and each text's
+    length."""
+    negative = values < 0
+    # Two's complement: the magnitude of int64's minimum fits uint64.
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)
+    shortest, digits = (len(str(bound)) for bound in (magnitude.min(), magnitude.max()))
+    lengths = np.full(len(values), shortest) + negative
+    for k in range(shortest, digits):
+        lengths += magnitude >= 10**k
+    width = int(lengths.max())
+    text = np.empty((width, len(values)), np.uint8)
+    # Digits from the last, out of uint32 parts of eight digits each.
+    for k in range(digits):
+        if k % 8 == 0:
+            rest = magnitude // 10**8
+            part = (magnitude - rest * 10**8).astype(np.uint32)
+            magnitude = rest
+        quotient = part // 10
+        text[width - 1 - k] = part - quotient * 10
+        part = quotient
+    text[width - digits :] += ord("0")
+    text[width - lengths[negative], negative] = ord("-")
+    return text.T, lengths
 
 
 def load_raw_log(path: Path) -> Dataset:

@@ -6,10 +6,10 @@ reusing the library's sort/cumsum machinery. Rates are formed as count / n
 and the crossing interpolation uses the same arithmetic expressions as the
 library, so agreement is expected to be bit-exact. The comparison-file
 reader is the per-line loader the chunked one replaced, the comparison-file
-writer is the per-token text writer the byte-matrix one replaced, the
-slot aggregation is a dict of each (subject, kind, slot)'s scores, and the
-session embedder is the one-session-at-a-time path the block embedder
-replaced.
+and raw-log writers are the per-token and per-event text writers the
+byte-matrix ones replaced, the slot aggregation is a dict of each
+(subject, kind, slot)'s scores, and the session embedder is the
+one-session-at-a-time path the block embedder replaced.
 The event-row checks and the chronological session order are the
 per-session code the columnar dataset replaced. The split and the plan
 builder are the code that grouped subjects in dicts keyed by
@@ -403,6 +403,18 @@ def write_comparisons_per_token(plan: ComparisonPlan, path) -> None:
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{line}\n" for line in map("\t".join, lines))
+
+
+def raw_log_lines(dataset: Dataset) -> Iterable[str]:
+    """The raw log's text, one session's lines at a time, one f-string per
+    event (identifiers are not checked here)."""
+    bounds = dataset.event_offsets.tolist()
+    for j, (subject_id, session_id) in enumerate(dataset.session_keys()):
+        prefix = f"{subject_id}\t{session_id}\t"
+        yield "".join(
+            f"{prefix}{code}\t{press}\t{release}\n"
+            for code, press, release in dataset.events[bounds[j] : bounds[j + 1]].tolist()
+        )
 
 
 # Event fields are converted to integers in chunks of this many strings.

@@ -33,11 +33,11 @@ from kdbench.core import (
     parse_raw_log,
 )
 from kdbench.errors import ParseError, ProtocolError
-from kdbench.formats import load_raw_log, raw_log_lines, write_raw_log
+from kdbench.formats import load_raw_log, write_raw_log
 from kdbench.protocol import SplitConfig, split_dataset
 from kdbench.synthgen import GeneratorConfig, generate
 
-from oracles import check_session_rows, parse_raw_log_per_line
+from oracles import check_session_rows, parse_raw_log_per_line, raw_log_lines
 
 
 def make_session(session_id="s00", n_events=4, t0=0):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -46,6 +47,7 @@ from oracles import (
     load_comparisons_per_line,
     load_scores_per_line,
     plan_of_rows,
+    raw_log_lines,
     write_comparisons_per_token,
 )
 from test_fairmetrics import sir_entries_from_matrix, without_female_to_male
@@ -299,6 +301,76 @@ def test_byte_matrix_writer_agrees_with_the_per_token_writer(sessions, rows, chu
         assert load_comparisons(ours) == plan
 
 
+# Any int64, or one at the edges of the raw-log writer's digit parts
+# (10**8 and 10**16), of its sign and of int64.
+TIMES = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from(sorted({
+        sign * (base + step)
+        for base in (0, 10**8, 10**16) for step in (-1, 0, 1) for sign in (1, -1)
+    } | {-(2**63), 2**63 - 1})),
+)
+CODES = st.one_of(st.sampled_from([0, 9, 10, 99, 100, 255]), st.integers(0, 255))
+
+
+@st.composite
+def raw_log_datasets(draw):
+    """Datasets of 0-4 subjects, each of 0-3 sessions of 0-4 events, with
+    non-ASCII identifiers of different lengths and any int64 times."""
+    subject_ids = draw(st.lists(IDENTIFIER, max_size=4, unique=True))
+    counts = [draw(st.integers(0, 3)) for _ in subject_ids]
+    session_ids, event_counts, events = [], [], []
+    for count in counts:
+        session_ids += draw(st.lists(IDENTIFIER, min_size=count, max_size=count, unique=True))
+        for _ in range(count):
+            presses = sorted(draw(st.lists(TIMES, max_size=4)))
+            events += [(draw(CODES), press, max(press, draw(TIMES))) for press in presses]
+            event_counts.append(len(presses))
+    return Dataset(
+        subject_ids=subject_ids,
+        demographics=[None] * len(subject_ids),
+        session_offsets=np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]),
+        session_ids=session_ids,
+        event_offsets=np.concatenate([[0], np.cumsum(event_counts, dtype=np.intp)]),
+        events=np.array(events, dtype=np.int64).reshape(-1, 3),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_log_datasets(), st.integers(1, 3))
+def test_block_raw_log_writer_agrees_with_the_per_event_writer(dataset, block):
+    # Once with blocks of `CHUNK_BYTES`, once with blocks of 1-3 events,
+    # which straddle sessions.
+    expected = "".join(raw_log_lines(dataset)).encode()
+    head = max((len(f"{s}\t{t}".encode()) for s, t in dataset.session_keys()), default=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.tsv"
+        write_raw_log(dataset, path)
+        assert path.read_bytes() == expected
+        chunk = block * (head + formats._EVENT_BYTES)
+        with mock.patch.object(formats, "CHUNK_BYTES", chunk):
+            write_raw_log(dataset, path)
+        assert path.read_bytes() == expected
+
+
+def test_raw_log_writer_memory_does_not_grow_with_the_log(tmp_path):
+    # The writer holds one block of about `CHUNK_BYTES` of text (its byte
+    # matrix, keep-mask and kept bytes) and per-session heads, whatever the
+    # count of events. Ten times the events may cost at most one more block's
+    # text: a writer holding a byte per event of the whole log would exceed
+    # that by the 1.3M events added.
+    def peak(keys):
+        dataset = generate(GeneratorConfig(n_subjects=200, seed=5, keys_per_session=keys))
+        tracemalloc.start()
+        try:
+            write_raw_log(dataset, tmp_path / "raw.tsv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(480) <= peak(48) + formats.CHUNK_BYTES
+
+
 def test_comparisons_reject_a_slot_beyond_64_bits(tmp_path):
     path = tmp_path / "comparisons.txt"
     path.write_text("a:s1\tb:s2\tS\t0\na:s1\tb:s2\tS\t99999999999999999999\n")
@@ -510,5 +582,21 @@ def test_identifier_with_a_carriage_return_rejected(tmp_path, write):
         demo = Demographics(AgeGroup.A10_13, Gender.MALE)
         written = Dataset.of([Subject("u\r1", demo, (Session("s0", [(97, 0, 10)]),))])
     with pytest.raises(ConfigError, match=r"'u\\r1' is empty or contains tab/newline/colon"):
+        write(written, tmp_path / "out.txt")
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("write", [write_raw_log, write_demographics, write_comparisons])
+def test_identifier_utf8_cannot_encode_rejected(tmp_path, write):
+    # A lone surrogate has no UTF-8 encoding. The bad id comes second, so a
+    # writer that failed while writing would leave the first line behind.
+    if write is write_comparisons:
+        written = ComparisonPlan((("a", "s1"), ("u\udc80", "s0")), [0, 1], [1, 0], [0, 0], [0, 0])
+    else:
+        demo = Demographics(AgeGroup.A10_13, Gender.MALE)
+        written = Dataset.of(
+            Subject(sid, demo, (Session("s1", [(65, 1, 2)]),)) for sid in ("a", "u\udc80")
+        )
+    with pytest.raises(ConfigError, match=r"'u\\udc80' holds a lone surrogate"):
         write(written, tmp_path / "out.txt")
     assert not (tmp_path / "out.txt").exists()

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from kdbench.core import ALL_GROUPS, AgeGroup, Gender, parse_raw_log
 from kdbench.errors import ConfigError
-from kdbench.formats import raw_log_lines
 from kdbench.synthgen import (
     _EPOCH_BASE_MS,
     _SESSION_SPACING_MS,
@@ -22,7 +21,7 @@ from kdbench.synthgen import (
     generate,
 )
 
-from oracles import generate_by_profiles
+from oracles import generate_by_profiles, raw_log_lines
 
 
 def test_same_config_twice_is_byte_identical():
