@@ -289,7 +289,7 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     bad, the first one is reported, a line that is not UTF-8 included
     (`_line_chunks` names the stream in that message).
     """
-    heads = _Interned()  # b"subject\tsession" -> session index
+    heads: dict[bytes, int] = {}  # b"subject\tsession" -> session index
     session_of = array("q")
     values = array("q")  # code, press, release of each event
     # Line numbers, needed only to name a bad line, in runs of consecutive
@@ -318,7 +318,7 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     # A view of the buffer, not a copy: the block is this view when the log
     # is in order, else the one sorted copy.
     events = np.frombuffer(values, dtype=np.int64).reshape(-1, _EVENT_COLUMNS)
-    keys = [head.decode().split("\t") for head in heads.ids]
+    keys = [head.decode().split("\t") for head in heads]
     subject_ids, subject_of = subject_table(keys)
     # Sessions are ranked subject by subject, so sorting on the rank also
     # groups the block by subject, with no extra sort key or block copy.
@@ -458,7 +458,7 @@ def _split_lines(
 
 
 def _scan_lines(
-    chunk: bytes, lineno: int, heads: _Interned
+    chunk: bytes, lineno: int, heads: dict[bytes, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ParseError | None]:
     """The session indices, line numbers and (code, press, release) rows of
     the lines of `chunk`, numbered from `lineno + 1`; blank lines are
@@ -471,7 +471,7 @@ def _scan_lines(
     stop = len(ends)  # lines before `stop` passed every check so far
     # Heads of lines cut off below by a bad field only add unused entries:
     # the parse then fails.
-    sessions = _intern_heads(chunk, buf, starts[:, None], tabs[:, 1:2], heads, (1,)).ravel()
+    sessions = _intern(chunk, buf, starts, tabs[:, 1], heads)
     # The code, press and release fields, column after column.
     field_starts = np.add(tabs[:, 1:].T, 1, order="C").ravel()
     field_ends = np.concatenate([tabs[:, 2], tabs[:, 3], ends])
@@ -528,147 +528,72 @@ def _bulk_integers(
     return values, bulk
 
 
-class _Interned:
-    """The keys one file's chunks have interned so far: `ids` maps each key
-    to its id, in order of first appearance. The carry is the last chunk's
-    distinct keys of at most 16 bytes, as (length, first word, second word)
-    columns, and their ids. It is written into buffers that each chunk
-    reuses, grown only when too small: a carry allocated anew per chunk
-    fragments the heap under the chunk's other arrays and raises the
-    process's peak RSS."""
-
-    def __init__(self) -> None:
-        self.ids: dict[bytes, int] = {}
-        self._keys = np.empty(0, dtype=np.uint64)  # the three columns in turn
-        self._ids = np.empty(0, dtype=np.int64)
-        self._carried = 0
-
-    def carry(self) -> tuple[np.ndarray, np.ndarray]:
-        """The carry's (3, n) key columns and n ids, as views of the buffers."""
-        n = self._carried
-        return self._keys[: 3 * n].reshape(3, n), self._ids[:n]
-
-    def new_carry(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The `carry` views for a carry of `n` keys, which replaces this one."""
-        if n > len(self._ids):
-            self._keys, self._ids = np.empty(6 * n, dtype=np.uint64), np.empty(2 * n, np.int64)
-        self._carried = n
-        return self.carry()
-
-
-def _intern_heads(
-    chunk: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-    heads: _Interned, lags: Sequence[int],
+def _intern(
+    chunk: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, ids: dict[bytes, int]
 ) -> np.ndarray:
-    """The id of each key `chunk[starts:ends]`, for `(lines, columns)`
-    arrays of key bounds. A key equal to the one `lags[c]` lines before it
-    in its column `c` takes that key's id; the others go to `_look_up`, and
-    those new to `heads` join it, so ids follow the order of first
-    appearance, line by line and column by column. Keys are compared by
-    length and first 16 bytes, then 8 bytes at a time."""
-    shape = starts.shape
+    """The id in `ids` of each key `chunk[starts:ends]`, for key bounds of
+    any shape (`buf` is the chunk padded with `_WORD_PAD`). Keys new to
+    `ids` join it in flat (line, column) order: ids follow first appearance.
+
+    The keys are sorted on their `_mix`; a run of equal mixes is led by its
+    earliest key, and every key is compared with its leader by length and
+    first 16 bytes, then 8 bytes at a time. Only the leaders and the keys
+    that differ from theirs are looked up in `ids`, in flat order; every
+    other key takes its leader's id. The dict decides every new id, so
+    distinct keys with one mix cost a lookup, never a wrong id.
+    """
+    shape, starts, ends = starts.shape, starts.ravel(), ends.ravel()
     words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
     lengths = ends - starts
-    # Each key's first two words, zero past its end.
-    first, second = (
+    # Each key's length and first two words, zero past its end.
+    keys = np.stack([lengths.astype(np.uint64)] + [
         words[np.minimum(starts + k, len(words) - 1)] & _BYTE_MASKS[np.clip(lengths - k, 0, 8)]
         for k in (0, 8)
-    )
-    same = np.zeros(shape, dtype=bool)  # equal to the key it is compared with
-    for c, lag in enumerate(lags):
-        same[lag:, c] = (
-            (lengths[lag:, c] == lengths[:-lag, c])
-            & (first[lag:, c] == first[:-lag, c])
-            & (second[lag:, c] == second[:-lag, c])
-        )
-    same, starts, ends, lengths = same.ravel(), starts.ravel(), ends.ravel(), lengths.ravel()
-    # Longer keys still equal are compared on, word by word; in the flat
-    # (line, column) order, `lags[c] * columns` keys lie between the two.
-    at = np.flatnonzero(same & (lengths > 16))
-    counterpart = at - np.multiply(lags, shape[1])[at % shape[1]]
-    offset = 16
+    ])
+    mixes = _mix(keys, words, starts)
+    order = np.argsort(mixes)
+    mixes = mixes[order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = mixes[1:] != mixes[:-1]
+    # The sort leaves a run's keys in any order; its earliest one leads it.
+    leader = np.empty_like(order)
+    leader[order] = np.minimum.reduceat(order, np.flatnonzero(opens))[np.cumsum(opens) - 1]
+    same = (keys == keys.take(leader, axis=1)).all(axis=0)
+    at, offset = np.flatnonzero(same & (lengths > 16)), 16
     while len(at):
-        longer = lengths[at] > offset
-        at, counterpart = at[longer], counterpart[longer]
         mask = _BYTE_MASKS[np.minimum(lengths[at] - offset, 8)]
-        equal = (words[starts[at] + offset] ^ words[starts[counterpart] + offset]) & mask == 0
+        equal = (words[starts[at] + offset] ^ words[starts[leader[at]] + offset]) & mask == 0
         same[at[~equal]] = False
-        at, counterpart = at[equal], counterpart[equal]
         offset += 8
-    looked_up = np.flatnonzero(~same)
-    ids = np.empty(len(lengths), dtype=np.int64)
-    ids[looked_up] = _look_up(
-        chunk, starts[looked_up], ends[looked_up],
-        np.stack([lengths[looked_up].astype(np.uint64),
-                  first.ravel()[looked_up], second.ravel()[looked_up]]),
-        heads,
-    )
-    # Each key takes the id of the last key looked up at or before it in its
-    # chain: its column, every `lag` lines.
-    source = np.where(same, -1, np.arange(len(same))).reshape(shape)
-    for column, lag in zip(source.T, lags):
-        chains = np.full(-(-len(column) // lag) * lag, -1)
-        chains[: len(column)] = column
-        column[:] = np.maximum.accumulate(chains.reshape(-1, lag), axis=0).ravel()[: len(column)]
-    return ids[source]
-
-
-def _look_up(
-    chunk: bytes, starts: np.ndarray, ends: np.ndarray, keys: np.ndarray, heads: _Interned
-) -> np.ndarray:
-    """The ids of the keys `chunk[starts:ends]`, given in (line, column)
-    order with `keys` their (length, first word, second word) columns.
-
-    The columns of keys of at most 16 bytes are sorted with the carry's on
-    their `_mix`; a run of equal columns is a group of byte-equal keys. A
-    group holding a carried key takes its id. The first key of each other
-    group, and each longer key, is looked up in `heads.ids` in (line,
-    column) order, so the dict decides every new id. Distinct keys with
-    one mix can only split a group, which costs a lookup, not a wrong id.
-    The groups of this chunk's keys become the carry: it holds one chunk's
-    keys, however many the file has."""
-    short = np.flatnonzero(keys[0] <= 16)
-    carry_keys, carry_ids = heads.carry()
-    carried = len(carry_ids)
-    rows = np.concatenate([carry_keys, keys.take(short, axis=1)], axis=1)
-    order = np.argsort(_mix(rows))
-    rows = rows.take(order, axis=1)
-    opens = np.ones(rows.shape[1], dtype=bool)
-    opens[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
-    group, firsts = np.cumsum(opens) - 1, np.flatnonzero(opens)
-    # The sort leaves a group's keys in any order; its earliest one leads
-    # it: the carried one, if any, else its first in the chunk.
-    leaders = np.minimum.reduceat(order, firsts)
-    asked = keys[0] > 16
-    asked[short[leaders[leaders >= carried] - carried]] = True
-    asked = np.flatnonzero(asked)
-    ids, table = np.empty(keys.shape[1], dtype=np.int64), heads.ids
-    ids[asked] = [
-        table.setdefault(chunk[a:b], len(table))
+        at = at[equal & (lengths[at] > offset)]
+    own = np.arange(len(order))
+    source = np.where(same, leader, own)  # the key whose id each key takes
+    asked = np.flatnonzero(source == own)
+    found = np.empty(len(order), dtype=np.int64)
+    found[asked] = [
+        ids.setdefault(chunk[a:b], len(ids))
         for a, b in zip(starts[asked].tolist(), ends[asked].tolist())
     ]
-    # The id of each carried key, then of each short key; every key takes
-    # its group leader's.
-    every = np.concatenate([carry_ids, ids[short]])
-    every[order] = every[leaders][group]
-    ids[short] = every[carried:]
-    in_chunk = np.zeros(len(leaders), dtype=bool)
-    in_chunk[group[order >= carried]] = True
-    carry_keys, carry_ids = heads.new_carry(np.count_nonzero(in_chunk))
-    # "clip" writes straight into the buffers; every index is in range.
-    np.take(rows, firsts[in_chunk], axis=1, out=carry_keys, mode="clip")
-    np.take(every, leaders[in_chunk], out=carry_ids, mode="clip")
-    return ids
+    return found[source].reshape(shape)
 
 
 # Odd multipliers for `_mix`.
 _MIX_FIRST, _MIX_SECOND = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9)
 
 
-def _mix(keys: np.ndarray) -> np.ndarray:
-    """One 64-bit value per (length, first word, second word) column of
-    `keys`: equal columns mix equal, and distinct ones seldom do."""
-    return (keys[1] * _MIX_FIRST ^ keys[2]) * _MIX_SECOND ^ keys[0]
+def _mix(keys: np.ndarray, words: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """One 64-bit value per key, from its (length, first word, second word)
+    column of `keys` and, past 16 bytes, its further `words` from `starts`
+    (zero past its end): equal keys mix equal, and distinct ones seldom do."""
+    lengths = keys[0]
+    mixes = (keys[1] * _MIX_FIRST ^ keys[2]) * _MIX_SECOND ^ lengths
+    at, offset = np.flatnonzero(lengths > 16), 16
+    while len(at):
+        word = words[starts[at] + offset] & _BYTE_MASKS[np.minimum(lengths[at] - offset, 8)]
+        mixes[at] = (mixes[at] ^ word) * _MIX_SECOND
+        offset += 8
+        at = at[lengths[at] > offset]
+    return mixes
 
 
 def eligibility_issues(dataset: Dataset) -> dict[int, list[str]]:

@@ -60,7 +60,7 @@ class GroupRates:
 class SpreadReport:
     per_group: dict[Demographics, float]
     std: float
-    ser: float
+    ser: float | None
 
     @property
     def excluded(self) -> list[str]:
@@ -90,17 +90,17 @@ class SirMatrix:
         return [[self.labels[i], self.labels[j]] for i, j in np.argwhere(self.missing).tolist()]
 
 
-def accuracy_spread(values: Sequence[float]) -> tuple[float, float]:
+def accuracy_spread(values: Sequence[float]) -> tuple[float, float | None]:
     """(STD, SER) of a set of per-group accuracies.
 
     STD is the sample standard deviation (divisor n - 1); SER is the ratio
-    of the highest to the lowest accuracy.
+    of the highest to the lowest accuracy, or None when the lowest is 0.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 2:
         raise ValueError("need at least 2 group accuracies")
     std = float(arr.std(ddof=1))
-    ser = float(arr.max() / arr.min())
+    ser = float(arr.max() / arr.min()) if arr.min() > 0 else None
     return std, ser
 
 

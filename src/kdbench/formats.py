@@ -42,13 +42,12 @@ from .core import (
     parse_raw_log,
     subject_table,
     _bulk_integers,
-    _intern_heads,
-    _Interned,
+    _intern,
     _line_chunks,
     _split_lines,
 )
 from .errors import AlignmentError, ConfigError, ParseError
-from .protocol import ENROL_SESSIONS, KINDS, ComparisonPlan
+from .protocol import KINDS, ComparisonPlan
 
 STRICT_HEADER_PREFIX = "# comparisons_sha256="
 _STRICT_HEADER = STRICT_HEADER_PREFIX.encode()
@@ -224,10 +223,6 @@ def _parse_demographics_fields(age_token: str, gender_token: str, lineno: int) -
 # Each byte's kind code (0/1/2 for G/S/D, as in `KINDS`), or -1.
 _KIND_CODES = np.full(256, -1, dtype=np.int8)
 _KIND_CODES[[ord(kind.letter) for kind in KINDS]] = range(len(KINDS))
-# The lag at which each key column of a plan repeats: a slot's five
-# enrolment keys cycle, and its verification key is the same on its five
-# lines.
-_KEY_LAGS = (ENROL_SESSIONS, 1)
 
 
 def write_comparisons(plan: ComparisonPlan, path: Path) -> None:
@@ -284,14 +279,14 @@ def load_comparisons(path: Path) -> ComparisonPlan:
     Raises ParseError with the line number of the first bad line, or
     naming the file when that line is not UTF-8.
     """
-    table = _Interned()  # b"subject:session" -> session-table row
+    table: dict[bytes, int] = {}  # b"subject:session" -> session-table row
     columns = array("q"), array("q"), array("b"), array("q")  # enrol, verif, kind, slot
     with open(path, "rb") as fh:
         for lineno, chunk in _line_chunks(fh):
             for column, values in zip(columns, _scan_comparison_lines(chunk, lineno, table)):
                 column.frombytes(values.tobytes())
     sessions = tuple([
-        (s, t) for s, _, t in map(str.partition, map(bytes.decode, table.ids), repeat(":"))
+        (s, t) for s, _, t in map(str.partition, map(bytes.decode, table), repeat(":"))
     ])
     del table
     enrol, verif, kind, slot = (np.frombuffer(column, dtype=column.typecode) for column in columns)
@@ -299,7 +294,7 @@ def load_comparisons(path: Path) -> ComparisonPlan:
 
 
 def _scan_comparison_lines(
-    chunk: bytes, lineno: int, table: _Interned
+    chunk: bytes, lineno: int, table: dict[bytes, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The enrol and verif session-table rows, kinds and slots of the lines
     of `chunk`, numbered from `lineno + 1`; blank lines are skipped and new
@@ -308,15 +303,13 @@ def _scan_comparison_lines(
     kind and slot."""
     buf, starts, ends, numbers, tabs, error = _split_lines(chunk, lineno, 4)
     stop = len(ends)  # lines before `stop` passed every check so far
-    before = len(table.ids)
-    rows = _intern_heads(
-        chunk, buf, np.stack([starts, tabs[:, 0] + 1], axis=1), tabs[:, :2], table, _KEY_LAGS
-    )
+    before = len(table)
+    rows = _intern(chunk, buf, np.stack([starts, tabs[:, 0] + 1], axis=1), tabs[:, :2], table)
     # A key equal to one already in the table has its colon, so only the
     # keys new to the table are checked; the first line holding one without
     # a colon is bad.
     unpaired = [
-        row for row, key in zip(range(len(table.ids) - 1, before - 1, -1), reversed(table.ids))
+        row for row, key in zip(range(len(table) - 1, before - 1, -1), reversed(table))
         if b":" not in key
     ]
     if unpaired:

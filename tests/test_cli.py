@@ -287,6 +287,31 @@ class TestEvaluateCommand:
         for name in ("det.csv", "sir_age.csv", "sir_gender.csv"):
             assert (tmp_path / name).is_file()
 
+    def test_a_group_accuracy_of_zero_writes_ser_as_null(
+        self, synth_dir, protocol_dir, scores_dir, tmp_path
+    ):
+        # Every genuine score of the first line's enrolled group is 0 and
+        # every impostor score 1, so that group's accuracy is 0 and SER has
+        # no finite value: both reports hold null, not Infinity or NaN.
+        group = _enrolled_group(synth_dir)
+        lines = (protocol_dir / "comparisons.txt").read_text().splitlines()
+        argv = _evaluate_edited((synth_dir, protocol_dir, scores_dir, tmp_path))
+        scores = (tmp_path / "scores.txt").read_text().splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if group(line) == group(lines[0]):
+                scores[i] = "0.0\n" if _fields(line)[2] == "G" else "1.0\n"
+        (tmp_path / "scores.txt").write_text("".join(scores))
+        assert run(*argv) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for name in ("fairness.json", "metrics.json"):
+            report = json.loads((tmp_path / "out" / name).read_text(), parse_constant=refuse)
+            fairness = report.get("fairness", report)
+            assert fairness["ser"] is None
+            assert fairness["per_group_accuracy"]["/".join(group(lines[0]))] == 0.0
+
     def test_line_count_mismatch_exit_five(
         self, synth_dir, protocol_dir, scores_dir, tmp_path
     ):

@@ -636,14 +636,18 @@ def test_long_heads_keep_the_scan_small():
 
 
 # Keys for the interner: short and long ones, long ones that share their
-# first 16 bytes, keys of one length that differ only in their last byte,
+# first 16 bytes and differ only in a later word or only in their last
+# byte, keys of one length that differ only in their last byte, empty keys,
 # NUL bytes and non-ASCII UTF-8.
 INTERNED_KEY = st.one_of(
     st.binary(max_size=24),
-    st.sampled_from([b"", b"\0", b"\0\0", b"s\0", "\u00e9:s0".encode(), "u\u4e00".encode()]),
+    st.sampled_from([b"", b"\0", b"\0\0", b"s", b"s\0", "\u00e9:s0".encode(),
+                     "u\u4e00".encode()]),
     st.tuples(
         st.sampled_from([b"p" * 16, b"p" * 15 + b"\0"]),
-        st.sampled_from([b"", b"\0", b"a", b"b", b"a" * 9]),
+        st.sampled_from(
+            [b"", b"\0", b"a", b"b", b"a" * 9, b"a" * 8 + b"z", b"b" + b"a" * 7 + b"z"]
+        ),
     ).map(b"".join),
     st.tuples(
         st.sampled_from([0, 7, 8, 15, 16, 17, 23, 24]), st.sampled_from([0, 97, 98, 255])
@@ -655,40 +659,49 @@ INTERNED_KEY = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(INTERNED_KEY, min_size=1, max_size=8),
-    st.sampled_from([(1,), (5, 1)]),
+    st.sampled_from([(-1,), (-1, 2)]),
     st.lists(st.lists(st.integers(0, 7), max_size=30), max_size=4),
 )
-def test_interner_agrees_with_a_dict_over_chunks(constant_mix, pool, lags, chunks):
-    # Chunks draw their keys from one small pool, so keys repeat at the
-    # lags, within a chunk and in the next chunk or two later. With a
-    # constant mix every key collides with every other.
-    heads, expected = core._Interned(), {}
-    patch = (
-        mock.patch.object(core, "_mix", lambda keys: np.zeros(keys.shape[1], np.uint64))
-        if constant_mix else contextlib.nullcontext()
-    )
+def test_interner_agrees_with_a_dict_over_chunks(constant_mix, pool, shape, chunks):
+    # Chunks draw their keys from one small pool, so keys repeat within a
+    # chunk and in later chunks; the reader's dict carries them across. Key
+    # bounds come as one column or two. With a constant mix every key
+    # collides with every other.
+    ids, expected = {}, {}
+
+    def constant(keys, words, starts):
+        return np.zeros(len(starts), np.uint64)
+
+    patch = mock.patch.object(core, "_mix", constant) if constant_mix else contextlib.nullcontext()
     with patch:
         for picks in chunks:
-            keys = [pool[i % len(pool)] for i in picks[: len(picks) // len(lags) * len(lags)]]
+            keys = [pool[i % len(pool)] for i in picks[: len(picks) // 2 * 2]]
             lengths = np.array([len(key) for key in keys], dtype=np.int64)
             starts = np.cumsum(lengths + 1) - lengths - 1  # one byte between keys
             chunk = b"".join(key + b"|" for key in keys)
             buf = np.frombuffer(chunk + core._WORD_PAD, dtype=np.uint8)
-            starts, lengths = starts.reshape(-1, len(lags)), lengths.reshape(-1, len(lags))
-            ids = core._intern_heads(chunk, buf, starts, starts + lengths, heads, lags)
-            assert ids.ravel().tolist() == [expected.setdefault(key, len(expected)) for key in keys]
-            assert list(heads.ids) == list(expected)
-            assert len(heads.carry()[1]) <= len(keys)  # one chunk's keys at most
+            starts, lengths = starts.reshape(shape), lengths.reshape(shape)
+            found = core._intern(chunk, buf, starts, starts + lengths, ids)
+            assert found.shape == starts.shape
+            assert found.ravel().tolist() == [expected.setdefault(key, len(expected)) for key in keys]
+            assert list(ids) == list(expected)
 
 
-@pytest.mark.parametrize("chunk", [64, 4096])
-def test_a_shuffled_log_reads_alike_over_many_chunks(chunk, tmp_path):
-    # Almost every line of a shuffled log starts a run of its own, so the
-    # interner finds the heads by sorting them with the carry of the chunk
-    # before. The sessions are those of the log in synth order.
+@pytest.mark.parametrize("chunk, prefix", [
+    pytest.param(chunk, prefix, id=f"{chunk}{label}")
+    for label, prefix in (("", ""), ("-long-heads", "a-subject-id-prefix-of-26-"))
+    for chunk in (64, 4096)
+])
+def test_a_shuffled_log_reads_alike_over_many_chunks(chunk, prefix, tmp_path):
+    # Almost every line of a shuffled log holds a head other than the line
+    # before's, so the interner finds each head by sorting the chunk's
+    # heads. A prefix makes every head share its first 16 bytes with every
+    # other, so heads are told apart word by word past them. The sessions
+    # are those of the log in synth order.
     ordered, shuffled = tmp_path / "ordered.tsv", tmp_path / "shuffled.tsv"
     write_raw_log(generate(GeneratorConfig(n_subjects=6, seed=3, keys_per_session=6)), ordered)
-    lines = ordered.read_text().splitlines(keepends=True)
+    lines = [prefix + line for line in ordered.read_text().splitlines(keepends=True)]
+    ordered.write_text("".join(lines))
     random.Random(3).shuffle(lines)
     shuffled.write_text("".join(lines))
     with mock.patch.object(core, "CHUNK_BYTES", chunk):
@@ -704,6 +717,7 @@ def test_a_shuffled_log_reads_alike_over_many_chunks(chunk, tmp_path):
 
     assert sessions(dataset) == sessions(expected)
     assert dataset.session_keys() != expected.session_keys()
+    assert all(subject_id.startswith(prefix) for subject_id in dataset.subject_ids.tolist())
 
 
 @pytest.mark.parametrize("bad, message", [

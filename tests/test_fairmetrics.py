@@ -76,6 +76,12 @@ class TestAccuracySpread:
         assert std == 0.0
         assert ser == 1.0
 
+    @pytest.mark.parametrize("values", [[0.0, 96.0, 98.0], [0.0, 0.0]])
+    def test_ser_is_none_when_the_lowest_accuracy_is_zero(self, values):
+        std, ser = accuracy_spread(values)
+        assert ser is None
+        assert np.isfinite(std)
+
     def test_estimator_is_sample_std(self):
         values = [1.0, 2.0, 3.0]
         std, _ = accuracy_spread(values)

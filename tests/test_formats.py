@@ -242,7 +242,7 @@ def test_bad_line_after_the_first_read_chunk(tmp_path):
 
 def test_keys_that_differ_in_their_last_byte_are_told_apart(tmp_path):
     # For key lengths across several 8-byte words, keys that differ only in
-    # their last byte sit at lag 5 (enrolment) and lag 1 (verification).
+    # their last byte sit a line or a few apart in each column.
     path = tmp_path / "comparisons.txt"
     path.write_text("".join(
         f"{'u' * width}:{i % 5 + i // 5 % 2}\t{'v' * width}:{i // 2 % 2}\tS\t0\n"
@@ -254,8 +254,8 @@ def test_keys_that_differ_in_their_last_byte_are_told_apart(tmp_path):
 
 @pytest.mark.parametrize("chunk", [64, 4096])
 def test_a_permuted_plan_reads_alike_over_many_chunks(chunk, tmp_path):
-    # In a permuted plan the lag comparisons rarely hold, so most keys
-    # reach the sort, and many recur a chunk or more later.
+    # In a permuted plan keys recur in any order, many of them a chunk or
+    # more later, where only the reader's dict knows them.
     plan = build_comparison_plan(
         generate(GeneratorConfig(n_subjects=48, seed=31, keys_per_session=1)), seed=1
     )
