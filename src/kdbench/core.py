@@ -550,7 +550,7 @@ def _intern(
         words[np.minimum(starts + k, len(words) - 1)] & _BYTE_MASKS[np.clip(lengths - k, 0, 8)]
         for k in (0, 8)
     ])
-    mixes = _mix(keys, words, starts)
+    mixes = _mix(keys)
     order = np.argsort(mixes)
     mixes = mixes[order]
     opens = np.ones(len(order), dtype=bool)
@@ -581,19 +581,12 @@ def _intern(
 _MIX_FIRST, _MIX_SECOND = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9)
 
 
-def _mix(keys: np.ndarray, words: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """One 64-bit value per key, from its (length, first word, second word)
-    column of `keys` and, past 16 bytes, its further `words` from `starts`
-    (zero past its end): equal keys mix equal, and distinct ones seldom do."""
-    lengths = keys[0]
-    mixes = (keys[1] * _MIX_FIRST ^ keys[2]) * _MIX_SECOND ^ lengths
-    at, offset = np.flatnonzero(lengths > 16), 16
-    while len(at):
-        word = words[starts[at] + offset] & _BYTE_MASKS[np.minimum(lengths[at] - offset, 8)]
-        mixes[at] = (mixes[at] ^ word) * _MIX_SECOND
-        offset += 8
-        at = at[lengths[at] > offset]
-    return mixes
+def _mix(keys: np.ndarray) -> np.ndarray:
+    """One 64-bit value per (length, first word, second word) column of
+    `keys`: equal keys mix equal, and distinct ones seldom do. Keys that
+    share their first 16 bytes and length mix equal; the byte compare
+    against the run's leader tells them apart."""
+    return (keys[1] * _MIX_FIRST ^ keys[2]) * _MIX_SECOND ^ keys[0]
 
 
 def eligibility_issues(dataset: Dataset) -> dict[int, list[str]]:

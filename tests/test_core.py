@@ -669,8 +669,8 @@ def test_interner_agrees_with_a_dict_over_chunks(constant_mix, pool, shape, chun
     # collides with every other.
     ids, expected = {}, {}
 
-    def constant(keys, words, starts):
-        return np.zeros(len(starts), np.uint64)
+    def constant(keys):
+        return np.zeros(keys.shape[1], np.uint64)
 
     patch = mock.patch.object(core, "_mix", constant) if constant_mix else contextlib.nullcontext()
     with patch:
@@ -696,7 +696,8 @@ def test_a_shuffled_log_reads_alike_over_many_chunks(chunk, prefix, tmp_path):
     # Almost every line of a shuffled log holds a head other than the line
     # before's, so the interner finds each head by sorting the chunk's
     # heads. A prefix makes every head share its first 16 bytes with every
-    # other, so heads are told apart word by word past them. The sessions
+    # other, so heads of one length share a mix and are told apart from
+    # their run's leader word by word past those bytes. The sessions
     # are those of the log in synth order.
     ordered, shuffled = tmp_path / "ordered.tsv", tmp_path / "shuffled.tsv"
     write_raw_log(generate(GeneratorConfig(n_subjects=6, seed=3, keys_per_session=6)), ordered)
