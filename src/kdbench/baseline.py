@@ -33,7 +33,7 @@ STD_FLOOR = 1e-9
 CHUNK_SESSIONS = 256
 # Comparisons per distance chunk in `score_comparisons`: the enrolment and
 # verification rows of one chunk are gathered at a time, not of the plan.
-CHUNK_COMPARISONS = 1 << 14
+CHUNK_COMPARISONS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def raw_embeddings(
         group = np.flatnonzero(lengths == n)
         for start in range(0, len(group), CHUNK_SESSIONS):
             chunk = group[start : start + CHUNK_SESSIONS]
-            events = dataset.events[starts[chunk, None] + np.arange(n)]
+            events = np.take(dataset.events, starts[chunk, None] + np.arange(n), axis=0)
             out[chunk] = summary_block(channel_block(events, config))
     return out
 

@@ -237,6 +237,7 @@ def run_score(
             "file; no development subjects left to fit normalization"
         )
     stats = fit_normalization(development, feature_config)
+    del development  # its copy of the events is freed before the embeddings are built
 
     scores = score_comparisons(
         plan, normalize(raw_embeddings(dataset, sessions, feature_config), stats)

@@ -220,13 +220,19 @@ class Dataset:
         sessions and events."""
         chosen = np.asarray(subject_indices, dtype=np.intp)
         sessions = _ranges(self.session_offsets, chosen)
+        # A subject's rows are one slice of the block: they are copied slice
+        # by slice, with no index of every row.
+        bounds = self.event_offsets[self.session_offsets].tolist()
         return Dataset(
             subject_ids=self.subject_ids[chosen],
             demographics=self.demographics[chosen],
             session_offsets=_offsets(np.diff(self.session_offsets)[chosen]),
             session_ids=self.session_ids[sessions],
             event_offsets=_offsets(np.diff(self.event_offsets)[sessions]),
-            events=self.events[_ranges(self.event_offsets, sessions)],
+            events=np.concatenate([
+                np.empty((0, _EVENT_COLUMNS), np.int64),
+                *(self.events[bounds[i] : bounds[i + 1]] for i in chosen.tolist()),
+            ]),
         )
 
     @property
@@ -315,33 +321,34 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
         run = bisect_right(run_events, event) - 1
         return run_lines[run] + event - run_events[run]
 
-    # A view of the buffer, not a copy: the block is this view when the log
-    # is in order, else the one sorted copy.
-    events = np.frombuffer(values, dtype=np.int64).reshape(-1, _EVENT_COLUMNS)
+    # A view of the buffer, not a copy, and the block itself: a shuffled
+    # log is sorted in place, one column at a time.
+    block = np.frombuffer(values, dtype=np.int64).reshape(-1, _EVENT_COLUMNS)
     keys = [head.decode().split("\t") for head in heads]
     subject_ids, subject_of = subject_table(keys)
     # Sessions are ranked subject by subject, so sorting on the rank also
     # groups the block by subject, with no extra sort key or block copy.
     by_subject = np.argsort(subject_of, kind="stable")
-    rank = np.empty_like(by_subject)
+    rank = np.empty(len(by_subject), dtype=np.min_scalar_type(len(by_subject)))
     rank[by_subject] = np.arange(len(by_subject))
     groups = rank[np.frombuffer(session_of, dtype=np.int64)]
-    order = _event_order(groups, events)
-    if order is None:
-        # Already in order, with no press repeated within a session: the
-        # view is the block, and no event can repeat.
-        block, first_repeat = events, None
-    else:
-        block, sorted_groups = events[order], groups[order]
-        repeats = order[1:][
+    del session_of  # one int64 per event, not needed past the ranks
+    # No order means the log is in order, with presses rising within each
+    # session, so no event can repeat.
+    order = _event_order(groups, block)
+    if order is not None:
+        for column in block.T:
+            column[:] = column[order]
+        sorted_groups = groups[order]
+        repeats = np.flatnonzero(
             (sorted_groups[1:] == sorted_groups[:-1]) & (block[1:] == block[:-1]).all(axis=1)
-        ]
-        first_repeat = int(repeats.min()) if repeats.size else None
-
-    # The scan stopped at the first bad line, so a repeat lies before it.
-    if first_repeat is not None:
-        event = (*keys[session_of[first_repeat]], *events[first_repeat].tolist())
-        raise ParseError(f"duplicate event {event!r}", line_of(first_repeat))
+        ) + 1
+        # The scan stopped at the first bad line, so a repeat lies before it.
+        # The first repeat is the one of the earliest input row.
+        if repeats.size:
+            at = repeats[order[repeats].argmin()]
+            event = (*keys[by_subject[sorted_groups[at]]], *block[at].tolist())
+            raise ParseError(f"duplicate event {event!r}", line_of(int(order[at])))
     if error is not None:
         raise error
 
@@ -361,20 +368,21 @@ def _event_order(groups: np.ndarray, events: np.ndarray) -> np.ndarray | None:
 
     Rows already ordered by (session, press), with presses strictly rising
     within each session, need no sort; one pass over the rows decides it.
-    Otherwise two stable argsorts order the rows by (session, press), and
-    only the rows of runs that tie on both are sorted again, by (release,
-    code). Every sort is stable, so rows equal on all four keys keep their
+    Otherwise an argsort by press, then a stable one by session, order the
+    rows by (session, press), and only the rows of runs that tie on both
+    are sorted again, by (release, code, input row). The press sort need
+    not be stable: that last key gives rows equal on all four keys their
     input order, as with `lexsort`.
     """
     press = events[:, PRESS]
     rising = (groups[1:] == groups[:-1]) & (press[1:] > press[:-1])
     if np.all(rising | (groups[1:] > groups[:-1])):
         return None
-    order = np.argsort(press, kind="stable")
+    order = np.argsort(press)
     # Ranks in the smallest unsigned type that holds them: numpy sorts 8- and
     # 16-bit keys stably by radix. The cast comes first, so no int64 copy of
     # the ranks is made.
-    ranks = groups.astype(np.min_scalar_type(groups.max()))[order]
+    ranks = groups.astype(np.min_scalar_type(groups.max()), copy=False)[order]
     order = order[np.argsort(ranks, kind="stable")]
     sorted_groups, sorted_press = groups[order], press[order]
     tied = (sorted_groups[1:] == sorted_groups[:-1]) & (sorted_press[1:] == sorted_press[:-1])
@@ -388,7 +396,7 @@ def _event_order(groups: np.ndarray, events: np.ndarray) -> np.ndarray | None:
         # the number of run starts up to it.
         run = np.cumsum(np.concatenate([[True], ~tied[rows[1:] - 1]]))
         order[rows] = tie_rows[
-            np.lexsort((events[tie_rows, CODE], events[tie_rows, RELEASE], run))
+            np.lexsort((tie_rows, events[tie_rows, CODE], events[tie_rows, RELEASE], run))
         ]
     return order
 
