@@ -80,16 +80,14 @@ class ComparisonPlan:
     def __post_init__(self) -> None:
         if self.subjects is None:
             object.__setattr__(self, "subjects", subject_table(self.sessions))
-        n = len(self.kind)
-        for name, dtype in (
-            ("enrol", np.intp),
-            ("verif", np.intp),
-            ("kind", np.int8),
-            ("slot", np.int64),
-        ):
+        n, sessions = len(self.kind), len(self.sessions)
+        for name, dtype, bound in (("enrol", np.intp, sessions), ("verif", np.intp, sessions),
+                                   ("kind", np.int8, len(KINDS)), ("slot", np.int64, None)):
             column = np.asarray(getattr(self, name), dtype=dtype)
             if column.shape != (n,):
                 raise ValueError(f"plan column {name} must be 1-D of length {n}")
+            if bound is not None and n and not 0 <= column.min() <= column.max() < bound:
+                raise ValueError(f"plan column {name} must hold indices in [0, {bound})")
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdbench import core, formats
@@ -274,7 +274,15 @@ IDENTIFIER = st.text(
 )
 
 
+# Identifiers that end in NUL, next to the same ones without it: a numpy
+# bytes element drops its trailing NULs, so the writers take each text's
+# length from its encoded bytes.
+NUL_ENDED = [("u", "s"), ("u\x00", "s\x00"), ("u", "s\x00"), ("u\x00", "s")]
+
+
 @settings(max_examples=200, deadline=None)
+@example(NUL_ENDED, [(i, 3 - i, i % 3, i) for i in range(4)], 1)
+@example(NUL_ENDED, [(i, 3 - i, i % 3, i) for i in range(4)], core.CHUNK_BYTES)
 @given(
     st.lists(st.tuples(IDENTIFIER, IDENTIFIER), min_size=1, max_size=6, unique=True),
     st.lists(
@@ -336,7 +344,19 @@ def raw_log_datasets(draw):
     )
 
 
+NUL_ENDED_LOG = Dataset(
+    subject_ids=["u", "u\x00"],
+    demographics=[None, None],
+    session_offsets=np.array([0, 2, 4]),
+    session_ids=[session for _, session in NUL_ENDED],
+    event_offsets=np.arange(5),
+    events=np.array([(65, i, i + 1) for i in range(4)], dtype=np.int64),
+)
+
+
 @settings(max_examples=300, deadline=None)
+@example(NUL_ENDED_LOG, 1)
+@example(NUL_ENDED_LOG, 3)
 @given(raw_log_datasets(), st.integers(1, 3))
 def test_block_raw_log_writer_agrees_with_the_per_event_writer(dataset, block):
     # Once with blocks of `CHUNK_BYTES`, once with blocks of 1-3 events,
@@ -353,22 +373,33 @@ def test_block_raw_log_writer_agrees_with_the_per_event_writer(dataset, block):
         assert path.read_bytes() == expected
 
 
-def test_raw_log_writer_memory_does_not_grow_with_the_log(tmp_path):
-    # The writer holds one block of about `CHUNK_BYTES` of text (its byte
-    # matrix, keep-mask and kept bytes) and per-session heads, whatever the
-    # count of events. Ten times the events may cost at most one more block's
-    # text: a writer holding a byte per event of the whole log would exceed
-    # that by the 1.3M events added.
-    def peak(keys):
-        dataset = generate(GeneratorConfig(n_subjects=200, seed=5, keys_per_session=keys))
+@pytest.mark.parametrize("table", ["raw_log", "plan"])
+def test_writer_memory_does_not_grow_with_the_table(tmp_path, table):
+    # A writer holds one block of about `CHUNK_BYTES` of text (its byte
+    # matrix, keep-mask and kept bytes) and per-session keys, whatever the
+    # count of lines. Ten times the lines may cost at most one more block's
+    # text: a raw-log writer holding a byte per event of the whole log would
+    # exceed that by the 1.3M events added, and a plan writer holding an
+    # index per line of the whole plan by the 270,000 lines added.
+    plan = build_comparison_plan(
+        generate(GeneratorConfig(n_subjects=200, seed=5, keys_per_session=1)), seed=5
+    )
+
+    def peak(scale):
+        if table == "raw_log":
+            config = GeneratorConfig(n_subjects=200, seed=5, keys_per_session=48 * scale)
+            write, rows = write_raw_log, generate(config)
+        else:
+            columns = (np.tile(c, scale) for c in (plan.enrol, plan.verif, plan.kind, plan.slot))
+            write, rows = write_comparisons, ComparisonPlan(plan.sessions, *columns, plan.subjects)
         tracemalloc.start()
         try:
-            write_raw_log(dataset, tmp_path / "raw.tsv")
+            write(rows, tmp_path / "table.txt")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(480) <= peak(48) + formats.CHUNK_BYTES
+    assert peak(10) <= peak(1) + formats.CHUNK_BYTES
 
 
 def test_comparisons_reject_a_slot_beyond_64_bits(tmp_path):

@@ -276,6 +276,18 @@ class TestBuildComparisonPlan:
         assert len(plan) == 15_000
 
 
+@pytest.mark.parametrize(
+    "column, value", [("enrol", -1), ("enrol", 2), ("verif", 5), ("kind", 7), ("kind", -1)]
+)
+def test_a_plan_rejects_an_index_out_of_range(column, value):
+    # A -1 would wrap to the last session in a gather, and a 5 or a 7 would
+    # end in an IndexError inside the writer.
+    columns = {"enrol": [0], "verif": [1], "kind": [0], "slot": [0], column: [value]}
+    bound = len(KINDS) if column == "kind" else 2
+    with pytest.raises(ValueError, match=rf"^plan column {column} .* \[0, {bound}\)$"):
+        ComparisonPlan((("a", "1"), ("b", "2")), **columns)
+
+
 class TestAggregateScores:
     def _plan_and_scores(self, seed=3):
         ev = uniform_dataset(n_per_group=2)
