@@ -14,8 +14,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import repeat
 from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -121,7 +122,9 @@ class Dataset:
     consistent, codes fit [0, 255], no key is released before it is
     pressed, press times never decrease within a session, and subject ids
     and (subject, session) keys are unique. A session may be empty, for
-    `eligibility_issues` to report.
+    `eligibility_issues` to report. Builders that hold these invariants
+    themselves (`parse_raw_log`, `attach_demographics`, and `select` of
+    distinct subjects) go through `_trusted` and are not checked again.
     """
 
     subject_ids: np.ndarray
@@ -132,11 +135,7 @@ class Dataset:
     events: np.ndarray
 
     def __post_init__(self) -> None:
-        dtypes = (object, object, np.intp, object, np.intp, np.int64)
-        for field, dtype in zip(fields(self), dtypes):
-            column = np.asarray(getattr(self, field.name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, field.name, column)
+        self._freeze()
         events, bounds = self.events, self.event_offsets
         if events.shape[1:] != (_EVENT_COLUMNS,) or len(self.demographics) != len(self):
             raise ValueError("events must be (code, press, release) rows, with one "
@@ -175,6 +174,24 @@ class Dataset:
             if len(set(values)) != len(values):
                 dupes = sorted(value for value, n in Counter(values).items() if n > 1)
                 raise ValueError(f"duplicate {what}: {dupes}")
+
+    def _freeze(self) -> None:
+        dtypes = (object, object, np.intp, object, np.intp, np.int64)
+        for field, dtype in zip(fields(self), dtypes):
+            column = np.asarray(getattr(self, field.name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, field.name, column)
+
+    @classmethod
+    def _trusted(cls, **columns) -> "Dataset":
+        """The dataset of columns whose builder has enforced every
+        invariant the constructor checks: they are only made read-only
+        arrays."""
+        dataset = object.__new__(cls)
+        for name, column in columns.items():
+            object.__setattr__(dataset, name, column)
+        dataset._freeze()
+        return dataset
 
     @classmethod
     def of(cls, subjects: Iterable[Subject]) -> "Dataset":
@@ -217,13 +234,19 @@ class Dataset:
 
     def select(self, subject_indices: Sequence[int] | np.ndarray) -> "Dataset":
         """The subjects at `subject_indices`, in that order, with their
-        sessions and events."""
+        sessions and events. Distinct subjects of a dataset hold its
+        invariants and are not checked again; a repeated one is, and its
+        duplicate ids raise ValueError. An index outside [0, len) raises
+        IndexError."""
         chosen = np.asarray(subject_indices, dtype=np.intp)
+        if chosen.size and not 0 <= chosen.min() <= chosen.max() < len(self):
+            raise IndexError(f"subject indices outside [0, {len(self)})")
         sessions = _ranges(self.session_offsets, chosen)
+        distinct = np.unique(chosen).size == chosen.size
         # A subject's rows are one slice of the block: they are copied slice
         # by slice, with no index of every row.
         bounds = self.event_offsets[self.session_offsets].tolist()
-        return Dataset(
+        return (Dataset._trusted if distinct else Dataset)(
             subject_ids=self.subject_ids[chosen],
             demographics=self.demographics[chosen],
             session_offsets=_offsets(np.diff(self.session_offsets)[chosen]),
@@ -268,6 +291,11 @@ _BULK_DIGITS = 18
 _WORD_PAD = b"\n" + bytes(7)
 # _BYTE_MASKS[k] keeps the first k bytes of a little-endian 8-byte word.
 _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# Fields of these widths are read as two little-endian 8-byte words
+# (`_word_digits`); the masks and constants below repeat one byte 8 times.
+_WORD_DIGITS = range(9, 17)
+_HIGH_NIBBLES, _LOW_NIBBLES = 0xF0F0F0F0F0F0F0F0, 0x0F0F0F0F0F0F0F0F
+_ZEROS, _SIXES = 0x3030303030303030, 0x0606060606060606
 
 
 def subject_table(sessions: Sequence[Sequence[str]]) -> tuple[list[str], np.ndarray]:
@@ -296,6 +324,7 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     (`_line_chunks` names the stream in that message).
     """
     heads: dict[bytes, int] = {}  # b"subject\tsession" -> session index
+    known = _MixMap()  # the heads that recur across chunks
     session_of = array("q")
     values = array("q")  # code, press, release of each event
     # Line numbers, needed only to name a bad line, in runs of consecutive
@@ -305,7 +334,7 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     error: ParseError | None = None
     try:
         for lineno, chunk in _line_chunks(fh):
-            sessions, numbers, events, error = _scan_lines(chunk, lineno, heads)
+            sessions, numbers, events, error = _scan_lines(chunk, lineno, heads, known)
             # A run starts at a chunk's first line and after each blank line.
             runs = np.flatnonzero(np.diff(numbers, prepend=-1) != 1)
             run_events.frombytes((runs + len(session_of)).tobytes())
@@ -352,7 +381,9 @@ def parse_raw_log(fh: BinaryIO) -> Dataset:
     if error is not None:
         raise error
 
-    return Dataset(
+    # Every invariant of a dataset holds: the scan checked each event, the
+    # sort put presses in order and the heads are distinct.
+    return Dataset._trusted(
         subject_ids=subject_ids,
         demographics=[None] * len(subject_ids),
         session_offsets=_offsets(np.bincount(subject_of, minlength=len(subject_ids))),
@@ -368,22 +399,33 @@ def _event_order(groups: np.ndarray, events: np.ndarray) -> np.ndarray | None:
 
     Rows already ordered by (session, press), with presses strictly rising
     within each session, need no sort; one pass over the rows decides it.
-    Otherwise an argsort by press, then a stable one by session, order the
-    rows by (session, press), and only the rows of runs that tie on both
-    are sorted again, by (release, code, input row). The press sort need
-    not be stable: that last key gives rows equal on all four keys their
-    input order, as with `lexsort`.
+    Otherwise the rows are ordered by (session, press): by one argsort of
+    the two packed into one int64 key when they fit, else by an argsort by
+    press and a stable one by session. Only the rows of runs that tie on
+    both are sorted again, by (release, code, input row). The first sort
+    need not be stable: that last key gives rows equal on all four keys
+    their input order, as with `lexsort`.
     """
     press = events[:, PRESS]
     rising = (groups[1:] == groups[:-1]) & (press[1:] > press[:-1])
     if np.all(rising | (groups[1:] > groups[:-1])):
         return None
-    order = np.argsort(press)
-    # Ranks in the smallest unsigned type that holds them: numpy sorts 8- and
-    # 16-bit keys stably by radix. The cast comes first, so no int64 copy of
-    # the ranks is made.
-    ranks = groups.astype(np.min_scalar_type(groups.max()), copy=False)[order]
-    order = order[np.argsort(ranks, kind="stable")]
+    low = int(press.min())
+    shift = (int(press.max()) - low).bit_length()
+    if (int(groups.max()) + 1) << shift < 1 << 63:
+        key = groups.astype(np.int64)
+        key <<= shift
+        key += press
+        key -= low  # rank << shift | press - low: exact, as int64 wraps
+        order = np.argsort(key)
+        del key
+    else:
+        order = np.argsort(press)
+        # Ranks in the smallest unsigned type that holds them: numpy sorts 8-
+        # and 16-bit keys stably by radix. The cast comes first, so no int64
+        # copy of the ranks is made.
+        ranks = groups.astype(np.min_scalar_type(groups.max()), copy=False)[order]
+        order = order[np.argsort(ranks, kind="stable")]
     sorted_groups, sorted_press = groups[order], press[order]
     tied = (sorted_groups[1:] == sorted_groups[:-1]) & (sorted_press[1:] == sorted_press[:-1])
     if tied.any():
@@ -435,7 +477,8 @@ def _line_chunks(fh: BinaryIO) -> Iterator[tuple[int, bytes]]:
             raise ParseError(f"{getattr(fh, 'name', '<stream>')} is not UTF-8 text ({reason})")
         if not block:
             return
-        lineno += chunk.count(b"\n")
+        # One vector compare counts the lines several times faster than bytes.count.
+        lineno += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == _NEWLINE))
 
 
 def _split_lines(
@@ -466,12 +509,12 @@ def _split_lines(
 
 
 def _scan_lines(
-    chunk: bytes, lineno: int, heads: dict[bytes, int]
+    chunk: bytes, lineno: int, heads: dict[bytes, int], known: _MixMap
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ParseError | None]:
     """The session indices, line numbers and (code, press, release) rows of
     the lines of `chunk`, numbered from `lineno + 1`; blank lines are
-    skipped and new heads join `heads`. Only the lines before the first bad
-    one are returned, with that line's error: a line that fails several
+    skipped, new heads join `heads` and heads that recur join `known`.
+    Only the lines before the first bad one are returned, with that line's error: a line that fails several
     checks reports its field count first, then a non-integer field, then a
     field outside 64 bits, then a code outside [0, 255] or a release before
     its press."""
@@ -479,16 +522,18 @@ def _scan_lines(
     stop = len(ends)  # lines before `stop` passed every check so far
     # Heads of lines cut off below by a bad field only add unused entries:
     # the parse then fails.
-    sessions = _intern(chunk, buf, starts, tabs[:, 1], heads)
-    # The code, press and release fields, column after column.
-    field_starts = np.add(tabs[:, 1:].T, 1, order="C").ravel()
-    field_ends = np.concatenate([tabs[:, 2], tabs[:, 3], ends])
-    columns, bulk = _bulk_integers(buf, field_starts, field_ends)
-    columns, bulk = columns.reshape(_EVENT_COLUMNS, stop), bulk.reshape(_EVENT_COLUMNS, stop)
-    events = columns.T.copy()
-    for i in np.flatnonzero(~bulk.all(axis=0)).tolist():
-        bounds = zip(field_starts[i :: len(tabs)], field_ends[i :: len(tabs)])
-        fields = [chunk[a:b].decode() for a, b in bounds]
+    sessions = _intern(chunk, buf, starts, tabs[:, 1], heads, known)
+    # The code, press and release fields, one column per call: a column of
+    # one width, as press and release times mostly are, converts as a whole.
+    cuts = np.concatenate([tabs[:, 1:], ends[:, None]], axis=1)
+    events = np.empty((stop, _EVENT_COLUMNS), dtype=np.int64)
+    bulk = np.ones(stop, dtype=bool)
+    for column in range(_EVENT_COLUMNS):
+        events[:, column], fits = _bulk_integers(buf, cuts[:, column] + 1, cuts[:, column + 1])
+        bulk &= fits
+    for i in np.flatnonzero(~bulk).tolist():
+        bounds = cuts[i].tolist()
+        fields = [chunk[a + 1 : b].decode() for a, b in zip(bounds, bounds[1:])]
         try:
             row = [int(f) for f in fields]
         except ValueError:
@@ -512,32 +557,132 @@ def _bulk_integers(
     buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The values of the fields `buf[starts:ends]` that read
-    `-?[0-9]{1,18}`, and a mask of those fields (the others are left 0).
-    Fields of one width are converted together, a digit column at a time."""
+    `-?[0-9]{1,18}`, and a mask of those fields (the others' values mean
+    nothing). Fields of one width are converted together: of 9 to 16
+    digits as two 8-byte words, of other widths a digit column at a time.
+    When all the fields share one width, that conversion is the result,
+    with no scatter."""
     negative = buf[starts] == _MINUS
     first = starts + negative
     widths = ends - first
     values = np.zeros(len(starts), dtype=np.int64)
     bulk = (widths >= 1) & (widths <= _BULK_DIGITS)
-    for width in np.flatnonzero(np.bincount(widths[bulk])).tolist():
-        at = np.flatnonzero(widths == width)
-        position = first[at]
-        number = np.zeros(len(at), dtype=np.int64)
-        digits = np.ones(len(at), dtype=bool)
-        for _ in range(width):
-            digit = buf[position] - _ZERO  # a byte below b"0" wraps above 9
-            digits &= digit < 10
-            number *= 10
-            number += digit
-            position += 1
-        values[at] = number
-        bulk[at] = digits
+    counts = np.bincount(widths[bulk])
+    for width in np.flatnonzero(counts).tolist():
+        convert = _word_digits if width in _WORD_DIGITS else _column_digits
+        if counts[width] == len(starts):
+            values, bulk = convert(buf, first, width)
+        else:
+            at = np.flatnonzero(widths == width)
+            values[at], bulk[at] = convert(buf, first[at], width)
     np.negative(values, out=values, where=negative)
     return values, bulk
 
 
+def _column_digits(
+    buf: np.ndarray, first: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the `width`-byte fields at `first`, a digit column at
+    a time, and whether each field is all digits."""
+    position = np.empty_like(first)
+    number = np.zeros(len(first), dtype=np.int64)
+    digits = np.ones(len(first), dtype=bool)
+    for offset in range(width):
+        digit = buf[np.add(first, offset, out=position)] - _ZERO  # below b"0" wraps above 9
+        digits &= digit < 10
+        number *= 10
+        number += digit
+    return number, digits
+
+
+def _word_digits(
+    buf: np.ndarray, first: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the `width`-byte fields (9 to 16) at `first`, and
+    whether each field is all digits. A field's first and last 8 bytes are
+    two little-endian words, each checked and reduced to its number eight
+    digits at once (Langdale and Lemire, 2019)."""
+    words = _words(buf)
+    high, low = words[first], words[first + (width - 8)]
+    # A byte is a digit iff its high nibble is 3 before and after adding 6:
+    # b":" to b"?" carry into the next nibble. No byte carries into the next
+    # byte, since a byte that would fails the first test.
+    digits = (high & _HIGH_NIBBLES == _ZEROS) & (high + _SIXES & _HIGH_NIBBLES == _ZEROS)
+    digits &= (low & _HIGH_NIBBLES == _ZEROS) & (low + _SIXES & _HIGH_NIBBLES == _ZEROS)
+    # The high word keeps its first `width - 8` digits, shifted behind
+    # leading zero digits; the low word holds the last eight.
+    high &= _LOW_NIBBLES
+    high <<= np.uint64(8 * (16 - width))
+    low &= _LOW_NIBBLES
+    number = _eight_digits(high)
+    number *= 10**8
+    number += _eight_digits(low)
+    return number.view(np.int64), digits
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The numbers of little-endian words of eight digit values (0 to 9,
+    the first digit in the lowest byte), reduced in place: digits to pairs,
+    pairs to fours, fours to eight."""
+    words *= 10 << 8 | 1
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 100 << 16 | 1
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 10_000 << 32 | 1
+    words >>= 32
+    return words
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word at each byte of `buf` but its last 7."""
+    return np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+
+
+class _MixMap:
+    """The short keys a reader has asked its dict for in two chunks.
+
+    A key of at most 16 bytes that a later chunk asks the dict for again
+    joins `by_mix`, a map from its `_mix` to its id, and `columns` keeps
+    its (length, first word, second word) under its id. A log whose keys
+    never repeat across chunks fills neither.
+    """
+
+    def __init__(self) -> None:
+        self.by_mix: dict[int, int] = {}
+        self.columns = np.zeros((3, 0), dtype=np.uint64)
+
+    def look_up(self, mixes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The id in `by_mix` of each key column of `keys` with its mix,
+        or -1. A mapped id is taken only when its columns equal the key's,
+        so keys that share a mix miss, and a key longer than 16 bytes,
+        whose length no mapped key has, always does."""
+        ids = np.fromiter(
+            map(self.by_mix.get, mixes.tolist(), repeat(-1)), dtype=np.int64, count=len(mixes)
+        )
+        hits = np.flatnonzero(ids >= 0)
+        wrong = (self.columns[:, ids[hits]] != keys[:, hits]).any(axis=0)
+        ids[hits[wrong]] = -1
+        return ids
+
+    def learn(self, mixes: np.ndarray, keys: np.ndarray, ids: np.ndarray) -> None:
+        """Map the keys of columns `keys`, with their mixes and ids."""
+        top = int(ids.max()) + 1
+        if top > self.columns.shape[1]:  # at least doubles
+            spare = np.zeros((3, max(top, self.columns.shape[1])), dtype=np.uint64)
+            self.columns = np.concatenate([self.columns, spare], axis=1)
+        self.columns[:, ids] = keys
+        self.by_mix.update(zip(mixes.tolist(), ids.tolist()))
+
+
 def _intern(
-    chunk: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, ids: dict[bytes, int]
+    chunk: bytes,
+    buf: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    ids: dict[bytes, int],
+    known: _MixMap | None = None,
 ) -> np.ndarray:
     """The id in `ids` of each key `chunk[starts:ends]`, for key bounds of
     any shape (`buf` is the chunk padded with `_WORD_PAD`). Keys new to
@@ -546,12 +691,13 @@ def _intern(
     The keys are sorted on their `_mix`; a run of equal mixes is led by its
     earliest key, and every key is compared with its leader by length and
     first 16 bytes, then 8 bytes at a time. Only the leaders and the keys
-    that differ from theirs are looked up in `ids`, in flat order; every
+    that differ from theirs are looked up: in `known`, when given, by mix
+    and then by their columns, and the rest in `ids`, in flat order. Every
     other key takes its leader's id. The dict decides every new id, so
     distinct keys with one mix cost a lookup, never a wrong id.
     """
     shape, starts, ends = starts.shape, starts.ravel(), ends.ravel()
-    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    words = _words(buf)
     lengths = ends - starts
     # Each key's length and first two words, zero past its end.
     keys = np.stack([lengths.astype(np.uint64)] + [
@@ -560,9 +706,9 @@ def _intern(
     ])
     mixes = _mix(keys)
     order = np.argsort(mixes)
-    mixes = mixes[order]
+    sorted_mixes = mixes[order]
     opens = np.ones(len(order), dtype=bool)
-    opens[1:] = mixes[1:] != mixes[:-1]
+    opens[1:] = sorted_mixes[1:] != sorted_mixes[:-1]
     # The sort leaves a run's keys in any order; its earliest one leads it.
     leader = np.empty_like(order)
     leader[order] = np.minimum.reduceat(order, np.flatnonzero(opens))[np.cumsum(opens) - 1]
@@ -578,10 +724,20 @@ def _intern(
     source = np.where(same, leader, own)  # the key whose id each key takes
     asked = np.flatnonzero(source == own)
     found = np.empty(len(order), dtype=np.int64)
+    if known is not None and known.by_mix:
+        hits = known.look_up(mixes[asked], keys[:, asked])
+        found[asked] = hits
+        asked = asked[hits < 0]
+    before = len(ids)
     found[asked] = [
         ids.setdefault(chunk[a:b], len(ids))
         for a, b in zip(starts[asked].tolist(), ends[asked].tolist())
     ]
+    if known is not None:
+        # Short keys that a former chunk asked for already join the known ones.
+        again = asked[(found[asked] < before) & (lengths[asked] <= 16)]
+        if len(again):
+            known.learn(mixes[again], keys[:, again], found[again])
     return found[source].reshape(shape)
 
 
@@ -627,9 +783,11 @@ def attach_demographics(dataset: Dataset, mapping: Mapping[str, Demographics]) -
     Subjects absent from the mapping keep their existing annotation (the
     protocol stage rejects a subject left without one).
     """
-    return replace(dataset, demographics=[
+    columns = {field.name: getattr(dataset, field.name) for field in fields(dataset)}
+    columns["demographics"] = [
         mapping.get(subject_id, demographics)
         for subject_id, demographics in zip(
             dataset.subject_ids.tolist(), dataset.demographics.tolist()
         )
-    ])
+    ]
+    return Dataset._trusted(**columns)

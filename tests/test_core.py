@@ -3,9 +3,11 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+import re
+import string
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -298,6 +300,33 @@ def test_any_line_order_parses_to_the_same_sessions(dataset, random):
     assert by_session("".join(shuffled)) == by_session("".join(lines))
 
 
+@settings(max_examples=50, deadline=None)
+@given(canonical_datasets(), st.randoms(use_true_random=False))
+def test_the_parser_holds_what_the_constructor_checks(dataset, random):
+    # The parser builds its dataset without the constructor's checks, as do
+    # attaching demographics and selecting distinct subjects: the checks
+    # pass on what they build, in line order and shuffled.
+    lines = "".join(raw_log_lines(dataset)).splitlines(keepends=True)
+    shuffled = random.sample(lines, len(lines))
+    demographics = {subject_id: ALL_GROUPS[0] for subject_id in dataset.subject_ids.tolist()}
+    for text in ("".join(lines), "".join(shuffled)):
+        parsed = parse_raw_log(io.BytesIO(text.encode()))
+        chosen = random.sample(range(len(parsed)), random.randint(0, len(parsed)))
+        for built in (parsed, attach_demographics(parsed, demographics), parsed.select(chosen)):
+            columns = {field.name: getattr(built, field.name) for field in fields(built)}
+            assert Dataset(**columns) == built
+
+
+def test_select_of_a_repeated_subject_is_checked():
+    ds = Dataset.of(make_subject(f"u{i}") for i in range(3))
+    with pytest.raises(ValueError, match=r"^duplicate subject ids: \['u0'\]$"):
+        ds.select([0, 0])
+    # A negative index used to pair one subject's id with another's sessions.
+    for chosen in ([3], [-1], [0, -2]):
+        with pytest.raises(IndexError, match=r"^subject indices outside \[0, 3\)$"):
+            ds.select(chosen)
+
+
 @st.composite
 def event_blocks(draw):
     """(session lengths, rows): random rows cut into random sessions, some
@@ -500,14 +529,16 @@ def lexsort_order(groups, events):
 def sortable_rows(draw):
     """(sessions, event rows) with many (session, press) ties, some exact
     duplicates and bad codes, laid out as drawn (shuffled), sorted, sorted
-    by (session, press) only, or in order with strictly rising presses."""
+    by (session, press) only, or in order with strictly rising presses.
+    Presses 2**61 apart span too much to pack with the session into one
+    int64 sort key."""
     n = draw(st.integers(0, 40))
 
     def column(values):
         return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64)
 
     groups = column(st.integers(0, 3)).astype(np.intp)
-    press = column(st.integers(0, 4))
+    press = column(st.integers(-2, 2)) * draw(st.sampled_from([1, 2**61]))
     events = np.stack(
         [column(st.sampled_from([97, 98, -1, 300])), press, press + column(st.integers(0, 2))],
         axis=1,
@@ -546,12 +577,14 @@ def test_event_order_is_the_lexsort_permutation(rows):
 
 
 @pytest.mark.parametrize("top", [255, 65_535, 65_536, 2**40])
-def test_event_order_sorts_ranks_of_every_width(top):
+@pytest.mark.parametrize("low, span", [(0, 6), (2**62, 2**22)])
+def test_event_order_sorts_ranks_of_every_width(top, low, span):
     # Session ranks go straight in, up to `top`: the sort key is then 8, 16,
-    # 32 or 64 bits wide, with no need to build that many sessions.
+    # 32 or 64 bits wide, with no need to build that many sessions. Presses
+    # near 2**62 take a packed (rank, press) key past int64 on the way.
     rng = np.random.default_rng(top % 1_000)
     groups = rng.choice([0, 1, top // 2, top - 1, top], 400).astype(np.intp)
-    press = rng.integers(0, 6, 400)
+    press = low + rng.integers(0, span, 400)
     events = np.stack([rng.integers(97, 99, 400), press, press + rng.integers(0, 2, 400)], axis=1)
     assert np.array_equal(core._event_order(groups, events), lexsort_order(groups, events))
 
@@ -685,6 +718,18 @@ INTERNED_KEY = st.one_of(
 )
 
 
+class RecordingDict(dict):
+    """A dict that records the keys asked of it through `setdefault`."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def setdefault(self, key, default=None):
+        self.asked.append(key)
+        return super().setdefault(key, default)
+
+
 @pytest.mark.parametrize("constant_mix", [False, True])
 @settings(max_examples=300, deadline=None)
 @given(
@@ -694,27 +739,83 @@ INTERNED_KEY = st.one_of(
 )
 def test_interner_agrees_with_a_dict_over_chunks(constant_mix, pool, shape, chunks):
     # Chunks draw their keys from one small pool, so keys repeat within a
-    # chunk and in later chunks; the reader's dict carries them across. Key
-    # bounds come as one column or two. With a constant mix every key
-    # collides with every other.
-    ids, expected = {}, {}
+    # chunk and in later chunks; the reader's dict and mix map carry them
+    # across. Key bounds come as one column or two. Three chunks of the
+    # whole pool end the log: a key of at most 16 bytes asked of the dict in
+    # a second chunk joins the mix map, and the third chunk finds it there.
+    # Longer keys always ask the dict. With a constant mix every key
+    # collides with every other, and every mapped key's mix with every key.
+    ids, known, expected = RecordingDict(), core._MixMap(), {}
 
     def constant(keys):
         return np.zeros(keys.shape[1], np.uint64)
 
     patch = mock.patch.object(core, "_mix", constant) if constant_mix else contextlib.nullcontext()
     with patch:
-        for picks in chunks:
+        for picks in chunks + [list(range(len(pool))) * 2] * 3:
             keys = [pool[i % len(pool)] for i in picks[: len(picks) // 2 * 2]]
             lengths = np.array([len(key) for key in keys], dtype=np.int64)
             starts = np.cumsum(lengths + 1) - lengths - 1  # one byte between keys
             chunk = b"".join(key + b"|" for key in keys)
             buf = np.frombuffer(chunk + core._WORD_PAD, dtype=np.uint8)
             starts, lengths = starts.reshape(shape), lengths.reshape(shape)
-            found = core._intern(chunk, buf, starts, starts + lengths, ids)
+            asked = len(ids.asked)
+            found = core._intern(chunk, buf, starts, starts + lengths, ids, known)
             assert found.shape == starts.shape
             assert found.ravel().tolist() == [expected.setdefault(key, len(expected)) for key in keys]
             assert list(ids) == list(expected)
+    by_id = list(expected)
+    assert all(len(by_id[i]) <= 16 for i in known.by_mix.values())
+    if not constant_mix:
+        assert set(ids.asked[asked:]) == {key for key in pool if len(key) > 16}
+
+
+# A byte that is not a digit in place of one: the neighbours of b"0" and
+# b"9", NUL, bytes that carry out of their byte when 6 is added, and a
+# (two-byte) Arabic-Indic digit, which int() reads.
+NON_DIGITS = [
+    b"/", b":", b"\0", *(bytes([byte]) for byte in range(0xFA, 0x100)), "\u0663".encode()
+]
+
+
+@st.composite
+def integer_fields(draw, digits=None):
+    """A field of 1 to 20 characters: an optional minus and `digits` digits
+    (any number, by default), with at times one byte swapped for a
+    non-digit."""
+    negative = draw(st.booleans())
+    if digits is None:
+        digits = draw(st.integers(1 - negative, 20 - negative))
+    text = draw(st.text(string.digits, min_size=digits, max_size=digits))
+    field = b"-" * negative + text.encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(field) - 1))
+        field = field[:at] + draw(st.sampled_from(NON_DIGITS)) + field[at + 1 :]
+    return field
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.lists(integer_fields(), min_size=1, max_size=12),
+        # One number of digits: a column of one width converts as a whole.
+        st.integers(1, 19).flatmap(
+            lambda digits: st.lists(integer_fields(digits), min_size=1, max_size=12)
+        ),
+    ),
+    st.sampled_from([b"", b"\t", b"\xff"]),
+)
+def test_bulk_integers_agree_with_int(tokens, separator):
+    # The first token starts at the chunk's first byte and the last ends
+    # against its padding.
+    chunk = separator.join(tokens)
+    buf = np.frombuffer(chunk + core._WORD_PAD, dtype=np.uint8)
+    lengths = np.array([len(token) for token in tokens])
+    starts = np.cumsum(lengths + len(separator)) - lengths - len(separator)
+    values, bulk = core._bulk_integers(buf, starts, starts + lengths)
+    expected = [re.fullmatch(rb"-?[0-9]{1,18}", token) is not None for token in tokens]
+    assert bulk.tolist() == expected
+    assert values[bulk].tolist() == [int(token) for token, ok in zip(tokens, expected) if ok]
 
 
 @pytest.mark.parametrize("chunk, prefix", [
